@@ -254,14 +254,8 @@ def train_forest(
     trees = []
     for t in range(n_trees):
         rng = as_rng(substream_seed(seed, 301, t))
-        if bootstrap:
-            idx = rng.integers(0, train.n, size=train.n)
-            sample_rows, sample_y = train.rows[idx], train.labels[idx].astype(int)
-        else:
-            sample_rows, sample_y = train.rows, train.labels.astype(int)
-        if not 1 <= mtry <= train.d:
-            raise ValueError(f"mtry must be in [1, {train.d}], got {mtry}")
-        trees.append(_grow(sample_rows, sample_y, mtry, 1 if min_leaf < 1 else min_leaf, rng))
+        sample = train.take(rng.integers(0, train.n, size=train.n)) if bootstrap else train
+        trees.append(train_tree(sample, mtry, min_leaf, rng))
     return Forest(trees=trees, mtry=mtry, seed=seed, bootstrap=bootstrap, n_features=train.d)
 
 
@@ -275,14 +269,3 @@ def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
         out[i] = np.mean([tree_prob(t, x) for t in forest.trees])
     return out
 
-
-def predict_forest(forest: Forest, x: np.ndarray) -> dict:
-    """Probability (mean of leaf probabilities) and class (majority vote
-    of per-tree hard calls, ties to non-buy) for a single row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) != forest.n_features:
-        raise ValueError(f"expected one row of {forest.n_features} features")
-    probs = [tree_prob(t, x) for t in forest.trees]
-    votes_buy = sum(1 for p in probs if p >= 0.5)
-    label = "buy" if votes_buy > len(probs) / 2 else "non_buy"
-    return {"probability": float(np.mean(probs)), "class": label}

@@ -13,10 +13,12 @@ stderr, 2 usage errors (from argument parsing).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .baselines import (
@@ -217,18 +219,6 @@ def _load_hp_file(path: str) -> dict:
     return out
 
 
-def _network_hyperparams(args) -> Hyperparams:
-    fields = _load_hp_file(args.hp) if args.hp else {}
-    if args.layers:
-        fields["hidden_units"] = _parse_layers(args.layers)
-    fields.setdefault("hidden_units", (64,))
-    if args.epochs is not None:
-        fields["epochs"] = args.epochs
-    if args.lr is not None:
-        fields["initial_learning_rate"] = args.lr
-    return Hyperparams(**fields)
-
-
 def _model_payload(kind: str, seed: int, config: dict, params: dict) -> str:
     return _dumps(
         {
@@ -242,88 +232,129 @@ def _model_payload(kind: str, seed: int, config: dict, params: dict) -> str:
     )
 
 
+class ModelKind(NamedTuple):
+    """One model family: fit(ds, config, seed) -> model, score(model, X),
+    load(params) -> model, the JSON type of each config field (see
+    _has_type), and the space `search` samples, if it tunes the kind."""
+
+    fit: Callable
+    score: Callable
+    load: Callable
+    config: dict
+    search_space: SearchSpace | None = None
+
+
+def _network_kind(train, search_space=None) -> ModelKind:
+    return ModelKind(
+        fit=lambda ds, cfg, seed: train(ds, Hyperparams.from_dict(cfg), seed),
+        score=network_predict,
+        load=Network.from_dict,
+        config={"hidden_units": [int], **_HP_FIELD_TYPES},
+        search_space=search_space,
+    )
+
+
+MODEL_KINDS = {
+    "lr": ModelKind(
+        fit=lambda ds, cfg, seed: train_logistic(ds, cfg["learning_rate"], cfg["epochs"], cfg["l2"], seed),
+        score=predict_logistic,
+        load=LogisticModel.from_dict,
+        config={"learning_rate": float, "epochs": int, "l2": float},
+    ),
+    "rf": ModelKind(
+        fit=lambda ds, cfg, seed: train_forest(ds, n_trees=cfg["n_trees"], mtry=cfg["mtry"], seed=seed),
+        score=forest_scores,
+        load=Forest.from_dict,
+        config={"n_trees": int, "mtry": (int, type(None))},
+    ),
+    "sda": _network_kind(train_sda, SearchSpace(depth_choices=(1, 2), with_input_noise=True)),
+    "dbn": _network_kind(train_dbn, SearchSpace(depth_choices=(1, 2), activations=("sigmoid",))),
+    "mlp": _network_kind(train_mlp),
+}
+
+
+def _train_config(args) -> dict:
+    """The saved config for `train`'s flags; fit trains from this dict."""
+    if args.model == "lr":
+        return {"learning_rate": args.lr if args.lr is not None else 0.1,
+                "epochs": args.epochs if args.epochs is not None else 100,
+                "l2": args.l2}
+    if args.model == "rf":
+        return {"n_trees": args.trees, "mtry": args.mtry}
+    fields = _load_hp_file(args.hp) if args.hp else {}
+    if args.layers:
+        fields["hidden_units"] = _parse_layers(args.layers)
+    fields.setdefault("hidden_units", (64,))
+    if args.epochs is not None:
+        fields["epochs"] = args.epochs
+    if args.lr is not None:
+        fields["initial_learning_rate"] = args.lr
+    return Hyperparams(**fields).to_dict()
+
+
 def _cmd_train(args) -> int:
     started = time.time()
     ds = load_dataset(args.infile)
-    kind = args.model
-    if kind == "lr":
-        config = {"learning_rate": args.lr if args.lr is not None else 0.1,
-                  "epochs": args.epochs if args.epochs is not None else 100,
-                  "l2": args.l2}
-        model = train_logistic(ds, config["learning_rate"], config["epochs"], config["l2"], args.seed)
-        payload = _model_payload(kind, args.seed, config, model.to_dict())
-    elif kind == "rf":
-        config = {"n_trees": args.trees, "mtry": args.mtry}
-        forest = train_forest(ds, n_trees=args.trees, mtry=args.mtry, seed=args.seed)
-        payload = _model_payload(kind, args.seed, config, forest.to_dict())
-    elif kind in ("sda", "dbn", "mlp"):
-        hp = _network_hyperparams(args)
-        trainers = {"sda": train_sda, "dbn": train_dbn, "mlp": train_mlp}
-        net = trainers[kind](ds, hp, args.seed)
-        payload = _model_payload(kind, args.seed, hp.to_dict(), net.to_dict())
-    else:
-        raise ValueError(f"unknown model kind '{kind}'")
-    _write_text(args.out, payload + "\n")
+    config = _train_config(args)
+    model = MODEL_KINDS[args.model].fit(ds, config, args.seed)
+    _write_text(args.out, _model_payload(args.model, args.seed, config, model.to_dict()) + "\n")
     _write_manifest(args.out, "train", vars(args), [args.infile], [args.out], args.seed, started)
-    print(_dumps({"kind": kind, "out": args.out}))
+    print(_dumps({"kind": args.model, "out": args.out}))
     return 0
 
 
 def load_model(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
     return doc
 
 
+def _has_type(value, typ) -> bool:
+    """JSON type check: bools are not numbers, ints pass as floats, and
+    a one-element list [t] means a list of t."""
+    if isinstance(typ, list):
+        return isinstance(value, list) and all(_has_type(v, typ[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if typ is float else typ)
+
+
+def _model_kind(doc: dict) -> ModelKind:
+    """The registry entry for a model document, after checking that its
+    config holds exactly the kind's fields, each of its declared type."""
+    kind = doc.get("kind")
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind '{kind}'")
+    entry = MODEL_KINDS[kind]
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{kind} model config must be an object")
+    stray = sorted(config.keys() ^ entry.config.keys())
+    if stray:
+        raise ValueError(f"{kind} model config field '{stray[0]}' is unknown or missing")
+    for name, typ in entry.config.items():
+        if not _has_type(config[name], typ):
+            raise ValueError(f"{kind} model config field '{name}' has the wrong type: {config[name]!r}")
+    return entry
+
+
 def scorer_from_model(doc: dict):
     """A score function over raw feature rows for a loaded model file."""
-    kind = doc["kind"]
-    if kind == "lr":
-        model = LogisticModel.from_dict(doc["params"])
-        return lambda X: predict_logistic(model, X)
-    if kind == "rf":
-        forest = Forest.from_dict(doc["params"])
-        return lambda X: forest_scores(forest, X)
-    if kind in ("sda", "dbn", "mlp"):
-        net = Network.from_dict(doc["params"])
-        return lambda X: network_predict(net, X)
-    raise ValueError(f"unknown model kind '{kind}'")
+    entry = _model_kind(doc)
+    return functools.partial(entry.score, entry.load(doc["params"]))
 
 
 def trainer_from_model(doc: dict):
     """A (dataset, seed) -> score_fn trainer matching a model file's
     kind and configuration, for per-fold retraining."""
-    kind = doc["kind"]
-    if kind == "lr":
-        cfg = doc["config"]
+    entry, config = _model_kind(doc), doc["config"]
 
-        def train_lr(ds: Dataset, seed):
-            model = train_logistic(ds, cfg["learning_rate"], cfg["epochs"], cfg["l2"], seed)
-            return lambda X: predict_logistic(model, X)
+    def train(ds: Dataset, seed):
+        return functools.partial(entry.score, entry.fit(ds, config, seed))
 
-        return train_lr
-    if kind == "rf":
-        cfg = doc["config"]
-
-        def train_rf(ds: Dataset, seed):
-            forest = train_forest(ds, n_trees=cfg["n_trees"], mtry=cfg["mtry"], seed=seed)
-            return lambda X: forest_scores(forest, X)
-
-        return train_rf
-    if kind in ("sda", "dbn", "mlp"):
-        hp = Hyperparams.from_dict(doc["config"])
-        trainers = {"sda": train_sda, "dbn": train_dbn, "mlp": train_mlp}
-
-        def train_net(ds: Dataset, seed):
-            net = trainers[kind](ds, hp, seed)
-            return lambda X: network_predict(net, X)
-
-        return train_net
-    raise ValueError(f"unknown model kind '{kind}'")
+    return train
 
 
 def _cmd_evaluate(args) -> int:
@@ -342,31 +373,13 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _net_trainer_factory(kind: str):
-    trainers = {"sda": train_sda, "dbn": train_dbn}
-
-    def make(hp: Hyperparams):
-        def trainer(ds: Dataset, seed):
-            net = trainers[kind](ds, hp, seed)
-            return lambda X: network_predict(net, X)
-
-        return trainer
-
-    return make
-
-
 def _cmd_search(args) -> int:
     started = time.time()
     ds = load_dataset(args.infile)
-    if args.model == "sda":
-        space = SearchSpace(depth_choices=(1, 2), with_input_noise=True)
-    elif args.model == "dbn":
-        space = SearchSpace(depth_choices=(1, 2), activations=("sigmoid",))
-    else:
-        raise ValueError(f"search supports sda|dbn, got '{args.model}'")
-    make = _net_trainer_factory(args.model)
     result = random_search(
-        space, make, ds, budget=args.budget, seed=args.seed,
+        MODEL_KINDS[args.model].search_space,
+        lambda hp: trainer_from_model({"kind": args.model, "config": hp.to_dict()}),
+        ds, budget=args.budget, seed=args.seed,
         model_name=args.model, dataset_name=args.infile.rsplit("/", 1)[-1],
     )
     body = _dumps(
@@ -427,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("train", help="train a model on a dataset")
-    p.add_argument("--model", choices=("lr", "rf", "sda", "dbn", "mlp"), required=True)
+    p.add_argument("--model", choices=tuple(MODEL_KINDS), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -450,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("search", help="random hyperparameter search for the network models")
-    p.add_argument("--model", choices=("sda", "dbn"), required=True)
+    searchable = [k for k, e in MODEL_KINDS.items() if e.search_space is not None]
+    p.add_argument("--model", choices=searchable, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--seed", type=int, required=True)

@@ -65,8 +65,8 @@ class Dataset:
         """Row subset as a new Dataset (metadata preserved)."""
         idx = np.asarray(idx)
         return Dataset(
-            rows=self.rows[idx].copy(),
-            labels=self.labels[idx].copy(),
+            rows=self.rows[idx],
+            labels=self.labels[idx],
             feature_names=list(self.feature_names),
             aggregation=self.aggregation,
             category_count=self.category_count,

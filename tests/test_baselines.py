@@ -12,7 +12,6 @@ from buyintent.baselines import (
     default_mtry,
     forest_scores,
     logistic_loss_and_gradients,
-    predict_forest,
     predict_logistic,
     train_forest,
     train_logistic,
@@ -234,8 +233,7 @@ class TestForestTraining:
     def test_xor_with_full_mtry_and_no_bootstrap(self):
         ds = xor_ds()
         forest = train_forest(ds, n_trees=3, mtry=2, seed=0, bootstrap=False)
-        for x, y in zip(ds.rows, ds.labels):
-            assert predict_forest(forest, x)["probability"] == float(y)
+        assert np.array_equal(forest_scores(forest, ds.rows), ds.labels.astype(float))
 
     def test_n_trees_validated(self):
         with pytest.raises(ValueError, match="n_trees"):
@@ -263,32 +261,18 @@ class TestForestPrediction:
 
     def test_probability_is_mean_of_leaf_probs(self):
         forest = self.hand_forest([1.0, 0.0, 1.0, 1.0])
-        out = predict_forest(forest, np.zeros(2))
-        assert out["probability"] == pytest.approx(0.75)
-
-    def test_majority_vote_buy(self):
-        forest = self.hand_forest([1.0, 1.0, 0.0])
-        assert predict_forest(forest, np.zeros(2))["class"] == "buy"
-
-    def test_tie_goes_to_non_buy(self):
-        forest = self.hand_forest([1.0, 0.0])
-        assert predict_forest(forest, np.zeros(2))["class"] == "non_buy"
+        assert forest_scores(forest, np.zeros(2))[0] == pytest.approx(0.75)
 
     def test_duplicated_trees_do_not_change_the_call(self):
         single = self.hand_forest([1.0])
         doubled = self.hand_forest([1.0, 1.0])
         x = np.zeros(2)
-        assert predict_forest(single, x)["class"] == predict_forest(doubled, x)["class"]
-        assert predict_forest(single, x)["probability"] == predict_forest(doubled, x)["probability"]
-
-    def test_half_probability_counts_as_buy_vote(self):
-        forest = self.hand_forest([0.5, 0.5, 0.0])
-        assert predict_forest(forest, np.zeros(2))["class"] == "buy"
+        assert forest_scores(single, x)[0] == forest_scores(doubled, x)[0]
 
     def test_dimension_mismatch_rejected(self):
         forest = self.hand_forest([1.0])
         with pytest.raises(ValueError, match="features"):
-            predict_forest(forest, np.zeros(3))
+            forest_scores(forest, np.zeros(3))
         with pytest.raises(ValueError, match="features"):
             forest_scores(forest, np.zeros((2, 3)))
 
@@ -297,7 +281,7 @@ class TestForestPrediction:
         forest = train_forest(ds, n_trees=7, seed=2)
         batch = forest_scores(forest, ds.rows)
         for i, x in enumerate(ds.rows):
-            assert batch[i] == pytest.approx(predict_forest(forest, x)["probability"])
+            assert batch[i] == forest_scores(forest, x)[0]
 
 
 class TestOnFixture:

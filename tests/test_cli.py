@@ -16,7 +16,7 @@ import pytest
 import buyintent
 from buyintent import cli
 from buyintent.baselines import Forest
-from buyintent.dataset import load_dataset
+from buyintent.dataset import load_dataset, save_dataset
 from buyintent.ingest import load_store
 from buyintent.neural import Hyperparams, Network
 
@@ -246,6 +246,15 @@ class TestReduce:
         assert "rank" in doc["detail"]
 
 
+TRAIN_FLAGS = {
+    "lr": ["--epochs", "20"],
+    "rf": ["--trees", "5"],
+    "sda": ["--layers", "12", "--epochs", "10", "--lr", "0.2"],
+    "dbn": ["--layers", "12,8", "--epochs", "10", "--lr", "0.2"],
+    "mlp": ["--layers", "12", "--epochs", "10", "--lr", "0.2"],
+}
+
+
 class TestTrain:
     def test_lr_model_file_round_trips(self, work, lr_model):
         doc = cli.load_model(str(lr_model))
@@ -253,10 +262,6 @@ class TestTrain:
         assert doc["version"] == 1
         assert doc["kind"] == "lr"
         assert doc["seed"] == 1
-        scorer = cli.scorer_from_model(doc)
-        scores = scorer(load_dataset(work["balanced"]).rows)
-        assert scores.shape == (load_dataset(work["balanced"]).n,)
-        assert np.all((scores >= 0) & (scores <= 1))
 
     def test_rf_model_file_round_trips(self, work, tmp_path):
         path = tmp_path / "rf.model.json"
@@ -269,8 +274,34 @@ class TestTrain:
         assert doc["config"] == {"n_trees": 5, "mtry": None}
         forest = Forest.from_dict(doc["params"])
         assert len(forest.trees) == 5
-        scores = cli.scorer_from_model(doc)(load_dataset(work["balanced"]).rows)
-        assert np.all((scores >= 0) & (scores <= 1))
+
+    @pytest.mark.parametrize("kind", sorted(TRAIN_FLAGS))
+    def test_saved_parameters_score_like_a_retrain(self, work, tmp_path, kind):
+        path = tmp_path / f"{kind}.model.json"
+        rc, _, _ = run_cli(
+            ["train", "--model", kind, "--in", str(work["balanced"]),
+             "--seed", "2", "--out", str(path), *TRAIN_FLAGS[kind]]
+        )
+        assert rc == 0
+        doc = cli.load_model(str(path))
+        ds = load_dataset(work["balanced"])
+        saved = cli.scorer_from_model(doc)(ds.rows)
+        retrained = cli.trainer_from_model(doc)(ds, doc["seed"])(ds.rows)
+        assert saved.shape == (ds.n,)
+        assert np.all((saved >= 0) & (saved <= 1))
+        assert np.array_equal(saved, retrained)
+
+    def test_rf_on_zero_rows_is_a_structured_error(self, work, tmp_path):
+        empty = tmp_path / "empty.bin"
+        save_dataset(load_dataset(work["balanced"]).take(np.arange(0)), empty)
+        out = tmp_path / "rf.model.json"
+        rc, _, err = run_cli(
+            ["train", "--model", "rf", "--in", str(empty), "--seed", "2",
+             "--out", str(out), "--trees", "3"]
+        )
+        assert rc == 1
+        assert stderr_error(err)["detail"] == "cannot grow a tree on an empty sample"
+        assert not out.exists()
 
     def test_sda_model_records_architecture(self, work, tmp_path):
         path = tmp_path / "sda.model.json"
@@ -332,6 +363,40 @@ class TestTrain:
             cli.scorer_from_model({"kind": "zz"})
         with pytest.raises(ValueError, match="unknown model kind"):
             cli.trainer_from_model({"kind": "zz"})
+
+
+def model_doc(kind, config):
+    return {"format": "buyintent-model", "version": 1, "kind": kind,
+            "seed": 1, "config": config, "params": {}}
+
+
+NET_CONFIG = Hyperparams(hidden_units=(8,), epochs=5).to_dict()
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([model_doc("lr", {})], "not a model file"),
+        (model_doc("sda", {**NET_CONFIG, "epochs": "x"}), "'epochs'"),
+        (model_doc("lr", {"learning_rate": 0.1, "epochs": "x", "l2": 0.0}), "'epochs'"),
+        (model_doc("rf", {"n_trees": "x", "mtry": None}), "'n_trees'"),
+        (model_doc("lr", [0.1, 100, 0.0]), "config must be an object"),
+        (model_doc("mlp", {**NET_CONFIG, "learning_rate": 0.1}), "'learning_rate'"),
+    ],
+    ids=["json-list", "sda-epochs-str", "lr-epochs-str", "rf-n_trees-str",
+         "lr-config-list", "mlp-unknown-key"],
+)
+def test_malformed_model_file_is_a_structured_error(work, tmp_path, doc, named):
+    path = tmp_path / "bad.model.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run_cli(
+        ["evaluate", "--model", str(path), "--in", str(work["balanced"]),
+         "--protocol", "holdout", "--seed", "9", "--report", str(tmp_path / "r.json")]
+    )
+    assert rc == 1
+    error = stderr_error(err)
+    assert error["error"] == "ValueError"
+    assert named in error["detail"]
 
 
 class TestHyperparamFiles:
