@@ -67,6 +67,10 @@ def train_logistic(
     full-dataset loss after every epoch; a non-finite loss aborts with
     the epoch named.
     """
+    if epochs < 0:
+        raise ValueError("epochs must be nonnegative")
+    if train.n == 0:
+        raise ValueError("cannot train on an empty dataset")
     scaler = Standardizer().fit(train.rows)
     X = scaler.transform(train.rows)
     y = train.labels.astype(float)

@@ -219,15 +219,27 @@ def _learning_rate_at(step: int, total_steps: int, hp: Hyperparams) -> float:
     return hp.initial_learning_rate * (total_steps - step) / (total_steps - start)
 
 
-def _minibatches(n: int, rng) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[i : i + BATCH_SIZE] for i in range(0, n, BATCH_SIZE)]
+def _epochs(n: int, hp: Hyperparams, rng):
+    """The minibatch schedule shared by every trainer: for each of
+    hp.epochs epochs, the (batch indices, learning rate) pairs of a
+    fresh shuffle of range(n), the rate annealed over the global step.
+    An epoch's shuffle is drawn only when the caller asks for that
+    epoch, after the previous epoch's batches have used rng."""
+    total_steps = hp.epochs * max(1, -(-n // BATCH_SIZE))
+    step = 0
+    for _ in range(hp.epochs):
+        order = rng.permutation(n)
+        batches = []
+        for i in range(0, n, BATCH_SIZE):
+            batches.append((order[i : i + BATCH_SIZE], _learning_rate_at(step, total_steps, hp)))
+            step += 1
+        yield batches
 
 
-def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> tuple[AutoencoderLayer, list[float]]:
-    """Denoising SGD training of one tied layer; returns the layer and
-    its per-epoch mean loss trace. Corruption is resampled for every
-    presentation of every batch.
+def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> AutoencoderLayer:
+    """Denoising SGD training of one tied layer. Corruption is resampled
+    for every presentation of every batch; a non-finite epoch loss
+    raises TrainingDiverged.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rng = as_rng(seed)
@@ -235,19 +247,12 @@ def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> tuple
     vel_W = np.zeros_like(layer.W)
     vel_b = np.zeros_like(layer.b)
     vel_bp = np.zeros_like(layer.b_prime)
-    n = X.shape[0]
-    n_batches = max(1, -(-n // BATCH_SIZE))
-    total_steps = hp.epochs * n_batches
-    trace: list[float] = []
-    step = 0
-    for epoch in range(hp.epochs):
+    for epoch, batches in enumerate(_epochs(X.shape[0], hp, rng)):
         epoch_loss = 0.0
-        batches = _minibatches(n, rng)
-        for idx in batches:
+        for idx, lr in batches:
             xb = X[idx]
             xc = corrupt(xb, hp.input_noise_level, rng)
             g = ae_layer_gradients(layer, xb, xc)
-            lr = _learning_rate_at(step, total_steps, hp)
             vel_W = hp.momentum * vel_W - lr * (g.weights[0] + hp.l2_weight_cost * layer.W)
             vel_b = hp.momentum * vel_b - lr * g.biases[0]
             vel_bp = hp.momentum * vel_bp - lr * g.biases[1]
@@ -255,12 +260,9 @@ def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> tuple
             layer.b += vel_b
             layer.b_prime += vel_bp
             epoch_loss += g.loss * len(idx)
-            step += 1
-        mean_loss = epoch_loss / n if n else 0.0
-        if not np.isfinite(mean_loss):
+        if not np.isfinite(epoch_loss):
             raise TrainingDiverged(epoch, "autoencoder reconstruction loss")
-        trace.append(mean_loss)
-    return layer, trace
+    return layer
 
 
 def stack_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> list[AutoencoderLayer]:
@@ -271,7 +273,7 @@ def stack_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> list[Au
     layers: list[AutoencoderLayer] = []
     data = X
     for k, size in enumerate(layer_sizes):
-        layer, _ = train_ae_layer(data, size, hp, substream_seed(seed, 101, k))
+        layer = train_ae_layer(data, size, hp, substream_seed(seed, 101, k))
         layers.append(layer)
         data = encode(layer, data)
     return layers
@@ -375,21 +377,14 @@ def network_gradients(net: Network, X: np.ndarray, targets: np.ndarray, masks=No
     return GradientSet(weights=grads_W, biases=grads_b, loss=loss)
 
 
-def _as_dense(layer) -> DenseLayer:
-    if isinstance(layer, DenseLayer):
-        return DenseLayer(W=layer.W.copy(), b=layer.b.copy())
-    if isinstance(layer, AutoencoderLayer):
-        return DenseLayer(W=layer.W.copy(), b=layer.b.copy())
-    raise TypeError(f"cannot use {type(layer).__name__} as a network layer")
-
-
 def build_network(stack, n_classes: int, hp: Hyperparams, seed, scaler=None) -> Network:
-    """Assemble a Network from pretrained (or fresh) hidden layers and a
-    newly initialized softmax head."""
-    layers = [_as_dense(l) for l in stack]
-    n_in = layers[-1].W.shape[0] if layers else None
-    if n_in is None:
+    """Assemble a Network from copies of the W and b of pretrained (or
+    fresh) hidden layers of any kind and a newly initialized softmax
+    head."""
+    if not stack:
         raise ValueError("network needs at least one hidden layer")
+    layers = [DenseLayer(W=l.W.copy(), b=l.b.copy()) for l in stack]
+    n_in = layers[-1].W.shape[0]
     rng = as_rng(seed)
     limit = 1.0 / np.sqrt(n_in)
     head = DenseLayer(W=rng.uniform(-limit, limit, size=(n_classes, n_in)), b=np.zeros(n_classes))
@@ -439,14 +434,10 @@ def finetune(stack, X: np.ndarray, y: np.ndarray, hp: Hyperparams, seed, scaler=
     T = _one_hot(y)
     vel_W = [np.zeros_like(l.W) for l in net.layers]
     vel_b = [np.zeros_like(l.b) for l in net.layers]
-    n = X.shape[0]
-    n_batches = max(1, -(-n // BATCH_SIZE))
-    total_steps = hp.epochs * n_batches
     keep = 1.0 - hp.dropout_fraction
-    step = 0
-    for epoch in range(hp.epochs):
+    for epoch, batches in enumerate(_epochs(X.shape[0], hp, rng)):
         epoch_loss = 0.0
-        for idx in _minibatches(n, rng):
+        for idx, lr in batches:
             xb, tb = X[idx], T[idx]
             masks = None
             if hp.dropout_fraction > 0.0:
@@ -457,15 +448,13 @@ def finetune(stack, X: np.ndarray, y: np.ndarray, hp: Hyperparams, seed, scaler=
             g = network_gradients(net, xb, tb, masks)
             if not np.isfinite(g.loss):
                 raise TrainingDiverged(epoch, "cross-entropy loss")
-            lr = _learning_rate_at(step, total_steps, hp)
             for i, layer in enumerate(net.layers):
                 vel_W[i] = hp.momentum * vel_W[i] - lr * (g.weights[i] + hp.l2_weight_cost * layer.W)
                 vel_b[i] = hp.momentum * vel_b[i] - lr * g.biases[i]
                 layer.W += vel_W[i]
                 layer.b += vel_b[i]
             epoch_loss += g.loss * len(idx)
-            step += 1
-        if n and not np.isfinite(epoch_loss / n):
+        if not np.isfinite(epoch_loss):
             raise TrainingDiverged(epoch, "cross-entropy loss")
     return net
 
@@ -487,19 +476,24 @@ def network_predict(net: Network, x: np.ndarray) -> np.ndarray | float:
     return float(probs[0]) if single else probs
 
 
-def train_sda(ds: Dataset, hp: Hyperparams, seed) -> Network:
-    """Denoising-autoencoder pipeline on a labeled dataset: scale rows
-    to [0,1], pretrain the stack greedily, then fine-tune end to end."""
+def train_network(ds: Dataset, hp: Hyperparams, seed, make_stack) -> Network:
+    """The body every network family shares: scale rows to [0,1], build
+    the hidden layers with make_stack(X, hp.hidden_units, hp, seed),
+    then fine-tune end to end with a softmax head. The families differ
+    only in make_stack."""
+    if ds.n == 0:
+        raise ValueError("cannot train on an empty dataset")
     scaler = RangeScaler().fit(ds.rows)
     X = scaler.transform(ds.rows)
-    stack = stack_pretrain(X, hp.hidden_units, hp, substream_seed(seed, 1))
+    stack = make_stack(X, hp.hidden_units, hp, substream_seed(seed, 1))
     return finetune(stack, X, ds.labels, hp, substream_seed(seed, 2), scaler=scaler)
+
+
+def train_sda(ds: Dataset, hp: Hyperparams, seed) -> Network:
+    """Hidden layers pretrained greedily as denoising autoencoders."""
+    return train_network(ds, hp, seed, stack_pretrain)
 
 
 def train_mlp(ds: Dataset, hp: Hyperparams, seed) -> Network:
-    """Same architecture and fine-tuning as train_sda but from random
-    weights, with no pretraining stage."""
-    scaler = RangeScaler().fit(ds.rows)
-    X = scaler.transform(ds.rows)
-    stack = init_stack(X.shape[1], hp.hidden_units, hp, substream_seed(seed, 1))
-    return finetune(stack, X, ds.labels, hp, substream_seed(seed, 2), scaler=scaler)
+    """Random hidden layers and no pretraining stage."""
+    return train_network(ds, hp, seed, lambda X, sizes, hp, seed: init_stack(X.shape[1], sizes, hp, seed))

@@ -15,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, RangeScaler
-from .neural import (
-    BATCH_SIZE,
-    DenseLayer,
-    Hyperparams,
-    Network,
-    _learning_rate_at,
-    _minibatches,
-    finetune,
-)
+from .dataset import Dataset
+from .neural import Hyperparams, Network, _epochs, train_network
 from .util import as_rng, sigmoid, softplus, substream_seed
 
 ENUMERATION_LIMIT = 20
@@ -43,22 +35,6 @@ class Rbm:
     @property
     def n_visible(self) -> int:
         return self.W.shape[1]
-
-
-@dataclass(eq=False)
-class Dbn:
-    """Greedily trained RBM stack; layer k's hidden units feed layer
-    k+1's visible units."""
-
-    layers: list[Rbm]
-
-    def __post_init__(self):
-        for lower, upper in zip(self.layers, self.layers[1:]):
-            if lower.n_hidden != upper.n_visible:
-                raise ValueError(
-                    f"layer sizes do not chain: {lower.n_hidden} hidden feeding "
-                    f"{upper.n_visible} visible"
-                )
 
 
 def init_rbm(n_visible: int, n_hidden: int, rng, scale: float = 0.01) -> Rbm:
@@ -178,53 +154,32 @@ def reconstruction_cross_entropy(rbm: Rbm, V: np.ndarray) -> float:
     return float(-np.sum(V * np.log(p) + (1.0 - V) * np.log(1.0 - p)) / V.shape[0])
 
 
-def train_rbm(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> tuple[Rbm, list[float]]:
-    """Minibatch CD-1 over hp.epochs with the shared annealing schedule;
-    returns the trained model and the per-epoch reconstruction
-    cross-entropy trace."""
+def train_rbm(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Rbm:
+    """Minibatch CD-1 over hp.epochs with the shared annealing schedule."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rng = as_rng(seed)
     rbm = init_rbm(X.shape[1], n_hidden, rng)
-    n = X.shape[0]
-    n_batches = max(1, -(-n // BATCH_SIZE))
-    total_steps = hp.epochs * n_batches
-    trace: list[float] = []
-    step = 0
-    for _epoch in range(hp.epochs):
-        for idx in _minibatches(n, rng):
-            lr = _learning_rate_at(step, total_steps, hp)
+    for batches in _epochs(X.shape[0], hp, rng):
+        for idx, lr in batches:
             rbm = cd1_update(rbm, X[idx], lr, rng)
-            step += 1
-        trace.append(reconstruction_cross_entropy(rbm, X))
-    return rbm, trace
+    return rbm
 
 
-def dbn_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> Dbn:
+def dbn_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> list[Rbm]:
     """Greedy stack training: the first RBM sees the data, every later
     RBM sees the hidden activation probabilities of the one below."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     layers: list[Rbm] = []
     data = X
     for k, size in enumerate(layer_sizes):
-        rbm, _ = train_rbm(data, size, hp, substream_seed(seed, 201, k))
+        rbm = train_rbm(data, size, hp, substream_seed(seed, 201, k))
         layers.append(rbm)
         data = hidden_probs(rbm, data)
-    return Dbn(layers=layers)
-
-
-def dbn_to_network(dbn: Dbn, X: np.ndarray, y: np.ndarray, hp: Hyperparams, seed, scaler=None) -> Network:
-    """Copy RBM weights and hidden offsets into sigmoid layers, attach a
-    softmax head, and fine-tune. RBM layers are sigmoid by construction,
-    so the activation is pinned regardless of hp.activation."""
-    hp = dataclasses.replace(hp, activation="sigmoid")
-    stack = [DenseLayer(W=r.W.copy(), b=r.b.copy()) for r in dbn.layers]
-    return finetune(stack, X, y, hp, seed, scaler=scaler)
+    return layers
 
 
 def train_dbn(ds: Dataset, hp: Hyperparams, seed) -> Network:
-    """Full pipeline on a labeled dataset: scale rows to [0,1], pretrain
-    the RBM stack, then fine-tune with the softmax head."""
-    scaler = RangeScaler().fit(ds.rows)
-    X = scaler.transform(ds.rows)
-    dbn = dbn_pretrain(X, hp.hidden_units, hp, substream_seed(seed, 1))
-    return dbn_to_network(dbn, X, ds.labels, hp, substream_seed(seed, 2), scaler=scaler)
+    """Hidden layers pretrained greedily as RBMs. RBM units are sigmoid
+    by construction, so the network's activation is pinned to sigmoid
+    whatever hp.activation says; RBM training never reads it."""
+    return train_network(ds, dataclasses.replace(hp, activation="sigmoid"), seed, dbn_pretrain)

@@ -277,7 +277,7 @@ def test_rbm_probabilities_and_training():
     improved = 0
     for seed in range(20):
         before = exact_log_likelihood(init_rbm(3, 2, as_rng(seed)), patterns)
-        rbm, _ = train_rbm(patterns, 2, hp, seed)
+        rbm = train_rbm(patterns, 2, hp, seed)
         improved += exact_log_likelihood(rbm, patterns) > before
 
     elapsed = time.time() - t0

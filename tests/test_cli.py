@@ -291,16 +291,33 @@ class TestTrain:
         assert np.all((saved >= 0) & (saved <= 1))
         assert np.array_equal(saved, retrained)
 
-    def test_rf_on_zero_rows_is_a_structured_error(self, work, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", sorted(TRAIN_FLAGS))
+    def test_zero_rows_is_a_structured_error(self, work, tmp_path, kind):
         empty = tmp_path / "empty.bin"
         save_dataset(load_dataset(work["balanced"]).take(np.arange(0)), empty)
-        out = tmp_path / "rf.model.json"
+        out = tmp_path / f"{kind}.model.json"
         rc, _, err = run_cli(
-            ["train", "--model", "rf", "--in", str(empty), "--seed", "2",
-             "--out", str(out), "--trees", "3"]
+            ["train", "--model", kind, "--in", str(empty), "--seed", "2",
+             "--out", str(out), *TRAIN_FLAGS[kind]]
         )
         assert rc == 1
-        assert stderr_error(err)["detail"] == "cannot grow a tree on an empty sample"
+        assert len(err.strip().splitlines()) == 1
+        detail = stderr_error(err)["detail"]
+        if kind == "rf":
+            assert detail == "cannot grow a tree on an empty sample"
+        else:
+            assert detail == "cannot train on an empty dataset"
+        assert not out.exists()
+
+    def test_lr_negative_epochs_is_a_structured_error(self, work, tmp_path):
+        out = tmp_path / "lr.model.json"
+        rc, _, err = run_cli(
+            ["train", "--model", "lr", "--in", str(work["balanced"]), "--seed", "2",
+             "--out", str(out), "--epochs", "-4"]
+        )
+        assert rc == 1
+        assert stderr_error(err)["detail"] == "epochs must be nonnegative"
         assert not out.exists()
 
     def test_sda_model_records_architecture(self, work, tmp_path):
@@ -382,9 +399,11 @@ NET_CONFIG = Hyperparams(hidden_units=(8,), epochs=5).to_dict()
         (model_doc("rf", {"n_trees": "x", "mtry": None}), "'n_trees'"),
         (model_doc("lr", [0.1, 100, 0.0]), "config must be an object"),
         (model_doc("mlp", {**NET_CONFIG, "learning_rate": 0.1}), "'learning_rate'"),
+        (model_doc("lr", {"learning_rate": 0.1, "epochs": -4, "l2": 0.0}),
+         "epochs must be nonnegative"),
     ],
     ids=["json-list", "sda-epochs-str", "lr-epochs-str", "rf-n_trees-str",
-         "lr-config-list", "mlp-unknown-key"],
+         "lr-config-list", "mlp-unknown-key", "lr-epochs-negative"],
 )
 def test_malformed_model_file_is_a_structured_error(work, tmp_path, doc, named):
     path = tmp_path / "bad.model.json"

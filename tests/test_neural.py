@@ -16,6 +16,8 @@ from buyintent.neural import (
     DenseLayer,
     Hyperparams,
     Network,
+    _epochs,
+    _learning_rate_at,
     activate,
     activation_deriv,
     ae_layer_gradients,
@@ -35,7 +37,7 @@ from buyintent.neural import (
     train_mlp,
     train_sda,
 )
-from buyintent.util import as_rng, sigmoid
+from buyintent.util import TrainingDiverged, as_rng, sigmoid
 
 
 def one_hot(y):
@@ -302,6 +304,37 @@ class TestAutoencoderGradients:
             ae_layer_gradients(layer, np.ones((2, 4)), np.ones((3, 4)))
 
 
+class TestEpochs:
+    """The minibatch schedule behind train_ae_layer, finetune and
+    train_rbm; 300 rows is not a multiple of the batch size."""
+
+    hp = Hyperparams(initial_learning_rate=0.1, epochs=3, annealing_delay_fraction=0.5)
+
+    def test_batches_partition_the_rows_each_epoch(self):
+        epochs = list(_epochs(300, self.hp, as_rng(0)))
+        assert len(epochs) == 3
+        for batches in epochs:
+            assert [len(idx) for idx, _ in batches] == [128, 128, 44]
+            assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in batches])), np.arange(300))
+
+    def test_rates_follow_the_global_step(self):
+        rates = [lr for batches in _epochs(300, self.hp, as_rng(0)) for _, lr in batches]
+        assert rates == [_learning_rate_at(step, 9, self.hp) for step in range(9)]
+        assert rates[:5] == [0.1] * 5
+        assert rates[-1] < rates[5] < 0.1
+
+    def test_shuffle_drawn_after_the_previous_epoch_used_the_rng(self):
+        rng, ref = as_rng(4), as_rng(4)
+        for batches in _epochs(300, self.hp, rng):
+            assert np.array_equal(np.concatenate([idx for idx, _ in batches]), ref.permutation(300))
+            rng.random(7)
+            ref.random(7)
+
+    def test_zero_epochs_yield_nothing(self):
+        hp = Hyperparams(epochs=0)
+        assert list(_epochs(300, hp, as_rng(0))) == []
+
+
 class TestTrainAeLayer:
     def make_data(self, n=20, d=6, seed=0):
         return np.random.default_rng(seed).random((n, d))
@@ -309,31 +342,34 @@ class TestTrainAeLayer:
     def test_zero_learning_rate_keeps_init(self):
         X = self.make_data()
         hp = Hyperparams(initial_learning_rate=0.0, epochs=2, input_noise_level=0.0)
-        layer, trace = train_ae_layer(X, 3, hp, seed=5)
+        layer = train_ae_layer(X, 3, hp, seed=5)
         ref = init_ae_layer(X.shape[1], 3, "sigmoid", as_rng(5))
         assert np.array_equal(layer.W, ref.W)
         assert np.array_equal(layer.b, ref.b)
-        assert trace[0] == trace[1]
+        assert np.array_equal(layer.b_prime, ref.b_prime)
 
     def test_loss_improves(self):
         X = self.make_data(n=40)
         hp = Hyperparams(initial_learning_rate=0.2, epochs=40, input_noise_level=0.0)
-        _, trace = train_ae_layer(X, 5, hp, seed=1)
-        assert len(trace) == 40
-        assert trace[-1] < trace[0]
+        layer = train_ae_layer(X, 5, hp, seed=1)
+        init = init_ae_layer(X.shape[1], 5, "sigmoid", as_rng(1))
+
+        def loss(l):
+            return reconstruction_loss(X, decode(l, encode(l, X)))
+
+        assert loss(layer) < loss(init)
 
     def test_zero_epochs_trains_nothing(self):
         X = self.make_data()
         hp = Hyperparams(epochs=0)
-        layer, trace = train_ae_layer(X, 3, hp, seed=2)
-        assert trace == []
+        layer = train_ae_layer(X, 3, hp, seed=2)
         assert np.array_equal(layer.W, init_ae_layer(X.shape[1], 3, "sigmoid", as_rng(2)).W)
 
     def test_single_step_equals_direct_update(self):
         X = self.make_data(n=10, d=5, seed=4)
         lr = 0.05
         hp = Hyperparams(initial_learning_rate=lr, epochs=1, input_noise_level=0.0)
-        layer, _ = train_ae_layer(X, 3, hp, seed=6)
+        layer = train_ae_layer(X, 3, hp, seed=6)
         ref = init_ae_layer(5, 3, "sigmoid", as_rng(6))
         g = ae_layer_gradients(ref, X, X)
         assert np.allclose(layer.W, ref.W - lr * g.weights[0], atol=1e-13)
@@ -345,7 +381,7 @@ class TestTrainAeLayer:
         hp = Hyperparams(
             initial_learning_rate=0.1, epochs=1, input_noise_level=0.0, l2_weight_cost=0.01
         )
-        layer, _ = train_ae_layer(X, 2, hp, seed=3)
+        layer = train_ae_layer(X, 2, hp, seed=3)
         ref = init_ae_layer(3, 2, "sigmoid", as_rng(3))
         g = ae_layer_gradients(ref, X, X)
         want_W = ref.W - 0.1 * (g.weights[0] + 0.01 * ref.W)
@@ -355,9 +391,9 @@ class TestTrainAeLayer:
     def test_deterministic(self):
         X = self.make_data()
         hp = Hyperparams(epochs=5, input_noise_level=0.1)
-        a, _ = train_ae_layer(X, 4, hp, seed=9)
-        b, _ = train_ae_layer(X, 4, hp, seed=9)
-        c, _ = train_ae_layer(X, 4, hp, seed=10)
+        a = train_ae_layer(X, 4, hp, seed=9)
+        b = train_ae_layer(X, 4, hp, seed=9)
+        c = train_ae_layer(X, 4, hp, seed=10)
         assert np.array_equal(a.W, b.W)
         assert not np.array_equal(a.W, c.W)
 
@@ -523,6 +559,14 @@ class TestFinetune:
         before = build_network(init_stack(4, (6,), hp, seed=5), 2, hp, as_rng(8))
         net = finetune(stack, X, y, hp, seed=8)
         assert net_loss_oracle(net, X, one_hot(y)) < net_loss_oracle(before, X, one_hot(y))
+
+    def test_non_finite_loss_raises_training_diverged(self):
+        X, y = self.small_problem(n=140)
+        hp = Hyperparams(hidden_units=(3,), activation="relu", epochs=2)
+        stack = [DenseLayer(W=np.full((3, 4), 1e308), b=np.zeros(3))]
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
+            finetune(stack, X + 1.0, y, hp, seed=0)
+        assert exc.value.epoch == 0
 
     def test_dropout_changes_training(self):
         X, y = self.small_problem(n=40, seed=6)
