@@ -2,12 +2,12 @@
 
 Both are trained from scratch on numpy. The logistic model standardizes
 its inputs internally and keeps the stats; trees split on Gini impurity
-with midpoint thresholds and grow to full depth by default.
+with midpoint thresholds and grow to full depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class LogisticModel:
     weights: np.ndarray
     bias: float
     scaler: Standardizer | None = None
-    loss_trace: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -59,13 +58,11 @@ def train_logistic(
     epochs: int = 100,
     l2: float = 0.0,
     seed: int = 0,
-    batch_size: int | None = MINIBATCH,
 ) -> LogisticModel:
     """Seeded mini-batch gradient descent on regularized cross-entropy.
 
-    batch_size None means full-batch updates. The trace records the
-    full-dataset loss after every epoch; a non-finite loss aborts with
-    the epoch named.
+    The full-dataset loss is checked after every epoch; a non-finite
+    loss aborts with the epoch named.
     """
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
@@ -78,8 +75,7 @@ def train_logistic(
     w = np.zeros(d)
     b = 0.0
     rng = as_rng(seed)
-    bs = n if batch_size is None else min(batch_size, n)
-    trace: list[float] = []
+    bs = min(MINIBATCH, n)
     for epoch in range(epochs):
         order = rng.permutation(n)
         for i in range(0, n, bs):
@@ -90,8 +86,7 @@ def train_logistic(
         loss, _, _ = logistic_loss_and_gradients(w, b, X, y, l2)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch, "logistic cross-entropy")
-        trace.append(loss)
-    return LogisticModel(weights=w, bias=b, scaler=scaler, loss_trace=trace)
+    return LogisticModel(weights=w, bias=b, scaler=scaler)
 
 
 def predict_logistic(model: LogisticModel, x: np.ndarray):
@@ -175,11 +170,11 @@ def _best_split(X, y, feature_ids):
     return best
 
 
-def _grow(X, y, mtry: int, min_leaf: int, rng) -> TreeNode:
+def _grow(X, y, mtry: int, rng) -> TreeNode:
     n_pos = int(y.sum())
     n = len(y)
     node = TreeNode(n_pos=n_pos, n_total=n)
-    if n_pos in (0, n) or n < min_leaf:
+    if n_pos in (0, n):
         return node
     feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
     best = _best_split(X, y, feats)
@@ -189,8 +184,8 @@ def _grow(X, y, mtry: int, min_leaf: int, rng) -> TreeNode:
     mask = X[:, f] <= thr
     node.feature = f
     node.threshold = thr
-    node.left = _grow(X[mask], y[mask], mtry, min_leaf, rng)
-    node.right = _grow(X[~mask], y[~mask], mtry, min_leaf, rng)
+    node.left = _grow(X[mask], y[mask], mtry, rng)
+    node.right = _grow(X[~mask], y[~mask], mtry, rng)
     return node
 
 
@@ -198,14 +193,14 @@ def default_mtry(d: int) -> int:
     return int(np.ceil(np.sqrt(d)))
 
 
-def train_tree(sample: Dataset, mtry: int | None = None, min_leaf: int = 1, seed=0) -> TreeNode:
+def train_tree(sample: Dataset, mtry: int | None = None, seed=0) -> TreeNode:
     """Unpruned Gini tree; mtry features are redrawn at every node."""
     if sample.n == 0:
         raise ValueError("cannot grow a tree on an empty sample")
     mtry = default_mtry(sample.d) if mtry is None else mtry
     if not 1 <= mtry <= sample.d:
         raise ValueError(f"mtry must be in [1, {sample.d}], got {mtry}")
-    return _grow(sample.rows, sample.labels.astype(int), mtry, min_leaf, as_rng(seed))
+    return _grow(sample.rows, sample.labels.astype(int), mtry, as_rng(seed))
 
 
 def tree_prob(node: TreeNode, x: np.ndarray) -> float:
@@ -247,7 +242,6 @@ def train_forest(
     n_trees: int = 100,
     mtry: int | None = None,
     seed: int = 0,
-    min_leaf: int = 1,
     bootstrap: bool = True,
 ) -> Forest:
     """Bootstrap-aggregated unpruned trees, one RNG substream per tree
@@ -259,7 +253,7 @@ def train_forest(
     for t in range(n_trees):
         rng = as_rng(substream_seed(seed, 301, t))
         sample = train.take(rng.integers(0, train.n, size=train.n)) if bootstrap else train
-        trees.append(train_tree(sample, mtry, min_leaf, rng))
+        trees.append(train_tree(sample, mtry, rng))
     return Forest(trees=trees, mtry=mtry, seed=seed, bootstrap=bootstrap, n_features=train.d)
 
 

@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -108,11 +109,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_ingest(args) -> int:
     started = time.time()
-    with open(args.input, "r", encoding="utf-8") as fh:
+    horizon_ms = args.horizon_hours * 3_600_000
+    if not 1 <= horizon_ms < math.inf:
+        raise ValueError(f"--horizon-hours must be finite and at least 1 ms, got {args.horizon_hours}")
+    with open(args.input, "rb") as fh:
         parsed = parse_events(fh)
-    store, report = ingest_events(
-        parsed, min_clicks=args.min_clicks, horizon_ms=int(args.horizon_hours * 3_600_000)
-    )
+    store, report = ingest_events(parsed, min_clicks=args.min_clicks, horizon_ms=int(horizon_ms))
     save_store(store, args.out)
     report_path = args.out + ".report.json"
     _write_text(report_path, report.to_json() + "\n")
@@ -479,7 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, TrainingDiverged, KeyError) as exc:
+    except (ValueError, OSError, TrainingDiverged, KeyError, RecursionError) as exc:
         sys.stderr.write(
             _dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
         )

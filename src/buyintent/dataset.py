@@ -58,9 +58,6 @@ class Dataset:
     def d(self) -> int:
         return self.rows.shape[1]
 
-    def positives(self) -> int:
-        return int(self.labels.sum())
-
     def take(self, idx) -> "Dataset":
         """Row subset as a new Dataset (metadata preserved)."""
         idx = np.asarray(idx)

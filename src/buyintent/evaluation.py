@@ -57,7 +57,6 @@ class SplitPlan:
 
     test_idx: np.ndarray
     folds: list[np.ndarray]
-    seed: int
 
     def train_for(self, fold: int) -> np.ndarray:
         others = [f for i, f in enumerate(self.folds) if i != fold]
@@ -75,7 +74,6 @@ def holdout_protocol(data, seed=0) -> SplitPlan:
     return SplitPlan(
         test_idx=perm[:n_test],
         folds=list(np.array_split(perm[n_test:], 4)),
-        seed=int(seed),
     )
 
 
@@ -88,7 +86,6 @@ class EvalReport:
     fold_aucs: list[float]
     auc: float
     extras: dict = field(default_factory=dict)
-    wall_seconds: float | None = None
 
     def __post_init__(self):
         if self.fold_aucs and not math.isclose(self.auc, float(np.mean(self.fold_aucs))):
@@ -107,19 +104,6 @@ class EvalReport:
             "extras": self.extras,
         }
         return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(
-            model=d["model"],
-            dataset=d["dataset"],
-            protocol=d["protocol"],
-            seed=d["seed"],
-            fold_aucs=d["fold_aucs"],
-            auc=d["auc"],
-            extras=d.get("extras", {}),
-        )
 
 
 def cross_validate(trainer, ds: Dataset, k: int = 10, seed=0, model_name: str = "model", dataset_name: str = "dataset") -> EvalReport:

@@ -82,7 +82,7 @@ class EmbeddingTable:
                 raise ValueError(f"embedding for '{tok}' has length {vec.shape}, want {self.dim}")
 
 
-def load_embedding_table(path, stopwords=DEFAULT_STOPWORDS) -> EmbeddingTable:
+def load_embedding_table(path) -> EmbeddingTable:
     """Read a TSV of token + 50 floats per line."""
     entries: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -94,7 +94,7 @@ def load_embedding_table(path, stopwords=DEFAULT_STOPWORDS) -> EmbeddingTable:
             if len(parts) != EMBED_DIM + 1:
                 raise ValueError(f"{path}:{line_no}: expected {EMBED_DIM + 1} columns, got {len(parts)}")
             entries[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=float)
-    return EmbeddingTable(entries=entries, stopwords=frozenset(stopwords))
+    return EmbeddingTable(entries=entries)
 
 
 def tokenize(text: str) -> list[str]:
@@ -184,9 +184,7 @@ def _user_prior_stats(user_sessions) -> tuple[dict[str, float], dict[str, float]
     return sessions_before, past_price
 
 
-def compute_session_features(
-    store: SessionStore, table: EmbeddingTable, tz_offset_hours: int = 0
-) -> dict[str, SessionFeatures]:
+def compute_session_features(store: SessionStore, table: EmbeddingTable) -> dict[str, SessionFeatures]:
     """SessionFeatures for every usable session in the store."""
     ratio: dict[str, float] = {}
     s_before: dict[str, float] = {}
@@ -223,7 +221,7 @@ def compute_session_features(
             median_sessions_before_buy=s_before[sess.session_id],
             price=float(np.mean(prices)) if prices else 0.0,
             item_duration_total=float(sum(durations.values())),
-            hour=int((sess.events[0].timestamp // MS_PER_HOUR + tz_offset_hours) % 24),
+            hour=int(sess.events[0].timestamp // MS_PER_HOUR % 24),
             n_clicks=len(sess.click_events()),
             n_distinct_items=len({e.item_id for e in sess.click_events()}),
             avg_purchase_price=past_price[sess.session_id],
@@ -382,6 +380,8 @@ def balance(ds: Dataset, seed: int) -> Dataset:
 
 def top_categories(store: SessionStore, k: int) -> list[str]:
     """The k most-viewed category ids (pageview counts, ties by id)."""
+    if k < 1:
+        raise ValueError(f"category count must be at least 1, got {k}")
     counts: dict[str, int] = {}
     for sess in store.sessions.values():
         for ev in sess.feature_events():
@@ -404,7 +404,6 @@ def featurize_store(
     scheme: str = "weekly",
     categories=None,
     n_categories: int | None = None,
-    tz_offset_hours: int = 0,
 ) -> Dataset:
     """Full featurization: engineered features + aggregation + labels.
 
@@ -415,7 +414,7 @@ def featurize_store(
         if n_categories is None:
             raise ValueError("pass categories or n_categories")
         categories = top_categories(store, n_categories)
-    feats = compute_session_features(store, table, tz_offset_hours)
+    feats = compute_session_features(store, table)
     fragment = aggregate_pageviews(store, categories, scheme)
     ds = assemble_dataset(store, feats, fragment, scheme, categories)
     const = constant_columns(ds)

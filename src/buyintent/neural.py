@@ -307,10 +307,6 @@ class Network:
     scaler: RangeScaler | None = None
     dropout_fraction: float = 0.0
 
-    @property
-    def hidden_count(self) -> int:
-        return len(self.layers) - 1
-
     def to_dict(self) -> dict:
         return {
             "activation": self.activation,

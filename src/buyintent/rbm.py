@@ -1,11 +1,9 @@
-"""Restricted Boltzmann machines with exact small-scale oracles, CD-1
-training, greedy stacking, and stack-initialized fine-tuning.
+"""Restricted Boltzmann machines: CD-1 training, greedy stacking, and
+stack-initialized fine-tuning.
 
 Energy(v, h) = -b'h - c'v - h'Wv with hidden offsets b and visible
-offsets c. Free energy marginalizes the hidden units in closed form,
-and exact_partition enumerates every joint state, which keeps tiny
-models fully checkable against brute force. Inputs are expected in
-[0,1] and treated as Bernoulli probabilities.
+offsets c. Inputs are expected in [0,1] and treated as Bernoulli
+probabilities.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .neural import Hyperparams, Network, _epochs, train_network
-from .util import as_rng, sigmoid, softplus, substream_seed
-
-ENUMERATION_LIMIT = 20
+from .util import as_rng, sigmoid, substream_seed
 
 
 @dataclass(eq=False)
@@ -53,49 +49,6 @@ def _check_v(rbm: Rbm, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def energy(rbm: Rbm, v: np.ndarray, h: np.ndarray) -> float:
-    v = _check_v(rbm, v)
-    h = np.asarray(h, dtype=float)
-    if h.shape[-1] != rbm.n_hidden:
-        raise ValueError(f"h has {h.shape[-1]} units, RBM expects {rbm.n_hidden}")
-    return float(-rbm.b @ h - rbm.c @ v - h @ rbm.W @ v)
-
-
-def free_energy(rbm: Rbm, v: np.ndarray):
-    """F(v) = -c'v - sum_i softplus(b_i + W_i v); P(v) is proportional
-    to e^{-F(v)}. Accepts one vector or a batch of rows."""
-    v = _check_v(rbm, v)
-    pre = v @ rbm.W.T + rbm.b
-    out = -(v @ rbm.c) - softplus(pre).sum(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _all_states(n: int) -> np.ndarray:
-    """All 2^n binary vectors of length n, row-ordered by integer value."""
-    ints = np.arange(2**n)
-    return ((ints[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
-
-
-def exact_partition(rbm: Rbm) -> float:
-    """Z by exhaustive enumeration of every (v, h) joint state."""
-    if rbm.n_visible + rbm.n_hidden > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration over {rbm.n_visible}+{rbm.n_hidden} units exceeds "
-            f"the {ENUMERATION_LIMIT}-unit guard"
-        )
-    V = _all_states(rbm.n_visible)
-    H = _all_states(rbm.n_hidden)
-    neg_energy = (H @ rbm.b)[:, None] + (V @ rbm.c)[None, :] + H @ rbm.W @ V.T
-    return float(np.exp(neg_energy).sum())
-
-
-def exact_log_likelihood(rbm: Rbm, V: np.ndarray) -> float:
-    """Mean log P(v) over the rows of V, via the enumeration guard."""
-    V = np.atleast_2d(_check_v(rbm, V))
-    log_z = np.log(exact_partition(rbm))
-    return float(np.mean(-free_energy(rbm, V) - log_z))
-
-
 def hidden_probs(rbm: Rbm, v: np.ndarray) -> np.ndarray:
     return sigmoid(_check_v(rbm, v) @ rbm.W.T + rbm.b)
 
@@ -103,19 +56,6 @@ def hidden_probs(rbm: Rbm, v: np.ndarray) -> np.ndarray:
 def visible_probs(rbm: Rbm, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     return sigmoid(h @ rbm.W + rbm.c)
-
-
-def sample_h_given_v(rbm: Rbm, v: np.ndarray, seed) -> np.ndarray:
-    """Bernoulli sample of every hidden unit given v; seeded."""
-    rng = as_rng(seed)
-    p = hidden_probs(rbm, v)
-    return (rng.random(p.shape) < p).astype(float)
-
-
-def sample_v_given_h(rbm: Rbm, h: np.ndarray, seed) -> np.ndarray:
-    rng = as_rng(seed)
-    p = visible_probs(rbm, h)
-    return (rng.random(p.shape) < p).astype(float)
 
 
 def cd1_update(rbm: Rbm, batch: np.ndarray, learning_rate: float, seed) -> Rbm:

@@ -40,16 +40,10 @@ from buyintent.neural import (
     train_sda,
 )
 from buyintent.nmf import nmf_factorize, reduce_dataset
-from buyintent.rbm import (
-    exact_log_likelihood,
-    exact_partition,
-    free_energy,
-    init_rbm,
-    train_dbn,
-    train_rbm,
-)
+from buyintent.rbm import init_rbm, train_dbn, train_rbm
 from buyintent.synth import SynthConfig, generate
 from buyintent.util import as_rng
+from rbm_oracles import exact_log_likelihood, exact_partition, free_energy
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:

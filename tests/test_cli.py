@@ -16,7 +16,7 @@ import pytest
 import buyintent
 from buyintent import cli
 from buyintent.baselines import Forest
-from buyintent.dataset import load_dataset, save_dataset
+from buyintent.dataset import Dataset, load_dataset, save_dataset
 from buyintent.ingest import load_store
 from buyintent.neural import Hyperparams, Network
 
@@ -168,6 +168,31 @@ class TestIngest:
         assert rc == 0
         assert again.read_bytes() == work["store"].read_bytes()
 
+    @pytest.mark.parametrize("hours", ["inf", "0", "-5"])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_bad_horizon_is_a_structured_error(self, work, tmp_path, hours, empty):
+        log = tmp_path / "empty.jsonl"
+        log.write_bytes(b"")
+        out = tmp_path / "s.json"
+        rc, _, err = run_cli(
+            ["ingest", "--input", str(log if empty else work["corpus"] / "events.jsonl"),
+             "--horizon-hours", hours, "--out", str(out)]
+        )
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "--horizon-hours" in stderr_error(err)["detail"]
+        assert not out.exists()
+
+    def test_invalid_utf8_line_is_a_parse_error(self, work, tmp_path):
+        lines = (work["corpus"] / "events.jsonl").read_bytes().splitlines(keepends=True)
+        log = tmp_path / "events.jsonl"
+        log.write_bytes(b"".join(lines[:5] + [b"\xff\n"] + lines[5:]))
+        out = tmp_path / "s.json"
+        rc, stdout, _ = run_cli(["ingest", "--input", str(log), "--out", str(out)])
+        assert rc == 0
+        assert json.loads(stdout)["parse_errors"] == 1
+        assert out.read_bytes() == work["store"].read_bytes()
+
 
 class TestFeaturize:
     def test_meta_sidecar_describes_the_dataset(self, work):
@@ -202,6 +227,18 @@ class TestFeaturize:
         )
         assert rc == 0
         assert again.read_bytes() == work["balanced"].read_bytes()
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_category_count_below_one_is_a_structured_error(self, work, tmp_path, count):
+        out = tmp_path / "bad.bin"
+        rc, _, err = run_cli(
+            ["featurize", "--store", str(work["store"]), "--embeddings",
+             str(work["corpus"] / "embeddings.tsv"), "--categories", count, "--out", str(out)]
+        )
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_error(err)["detail"] == f"category count must be at least 1, got {count}"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +357,30 @@ class TestTrain:
         assert stderr_error(err)["detail"] == "epochs must be nonnegative"
         assert not out.exists()
 
+    def test_tree_deeper_than_the_recursion_limit_is_a_structured_error(self, tmp_path):
+        # One feature, alternating labels, and runs that shrink from
+        # 2*sqrt(1000) rows to 2: bootstrap keeps the peel-one-run-per-split
+        # shape, so the tree passes the default recursion limit. 1,000 runs
+        # is the smallest count that still does so from a shallow stack.
+        runs = np.ceil(2 * np.sqrt(np.arange(1000, 0, -1))).astype(int)
+        ds = Dataset(
+            rows=np.repeat(np.arange(1000.0), runs)[:, None],
+            labels=np.repeat(np.arange(1000) % 2, runs),
+            feature_names=["x"],
+            n_base_cols=1,
+        )
+        data = tmp_path / "deep.bin"
+        save_dataset(ds, data)
+        out = tmp_path / "rf.model.json"
+        rc, _, err = run_cli(
+            ["train", "--model", "rf", "--trees", "1", "--in", str(data),
+             "--seed", "0", "--out", str(out)]
+        )
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_error(err)["error"] == "RecursionError"
+        assert not out.exists()
+
     def test_sda_model_records_architecture(self, work, tmp_path):
         path = tmp_path / "sda.model.json"
         rc, _, _ = run_cli(
@@ -334,7 +395,7 @@ class TestTrain:
         assert hp.epochs == 12
         assert hp.initial_learning_rate == 0.25
         net = Network.from_dict(doc["params"])
-        assert net.hidden_count == 1
+        assert len(net.layers) == 2
         assert net.layers[0].W.shape[0] == 16
 
     @pytest.mark.parametrize("kind", ["mlp", "dbn"])

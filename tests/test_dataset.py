@@ -32,7 +32,6 @@ class TestDatasetInvariants:
     def test_basic_properties(self):
         ds = make_ds()
         assert ds.n == 6 and ds.d == 4
-        assert ds.positives() == int(ds.labels.sum())
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

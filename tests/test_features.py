@@ -206,12 +206,6 @@ class TestSessionFeatureValues:
         assert feats["s1"].hour == 3
         assert feats["s2"].hour == 10
 
-    def test_hour_respects_timezone_offset(self, store):
-        table = EmbeddingTable(entries={}, dim=EMBED_DIM)
-        shifted = compute_session_features(store, table, tz_offset_hours=2)
-        assert shifted["s1"].hour == 5
-        assert shifted["s3"].hour == 0
-
     def test_click_counts(self, feats):
         assert feats["s2"].n_clicks == 3
         assert feats["s2"].n_distinct_items == 2
@@ -379,8 +373,8 @@ class TestAssembleDataset:
 class TestBalance:
     def test_equal_class_counts(self, feature_dataset):
         out = balance(feature_dataset, seed=3)
-        assert out.positives() * 2 == out.n
-        assert out.positives() == feature_dataset.positives()
+        assert int(out.labels.sum()) * 2 == out.n
+        assert int(out.labels.sum()) == int(feature_dataset.labels.sum())
 
     def test_rows_are_subset_of_input(self, feature_dataset):
         out = balance(feature_dataset, seed=3)
@@ -429,7 +423,7 @@ class TestFeaturizeStore:
         assert np.all(np.isfinite(feature_dataset.rows))
 
     def test_both_classes_present(self, feature_dataset):
-        assert 0 < feature_dataset.positives() < feature_dataset.n
+        assert 0 < int(feature_dataset.labels.sum()) < feature_dataset.n
 
     def test_requires_category_choice(self, store, embedding_table):
         with pytest.raises(ValueError, match="categories"):

@@ -17,20 +17,15 @@ from buyintent.rbm import (
     Rbm,
     cd1_update,
     dbn_pretrain,
-    energy,
-    exact_log_likelihood,
-    exact_partition,
-    free_energy,
     hidden_probs,
     init_rbm,
     reconstruction_cross_entropy,
-    sample_h_given_v,
-    sample_v_given_h,
     train_dbn,
     train_rbm,
     visible_probs,
 )
 from buyintent.util import as_rng
+from rbm_oracles import energy, exact_log_likelihood, exact_partition, free_energy
 
 
 def hand_rbm():
@@ -176,36 +171,6 @@ class TestConditionals:
         h = np.array([0.0, 1.0])
         want = 1.0 / (1.0 + np.exp(-(h @ rbm.W + rbm.c)))
         assert np.allclose(visible_probs(rbm, h), want)
-
-    def test_sampling_matches_probabilities(self):
-        rbm = random_rbm(3, 2, seed=9, scale=0.5)
-        v = np.array([1.0, 0.0, 1.0])
-        draws = np.stack(
-            [sample_h_given_v(rbm, v, seed=k) for k in range(4000)]
-        )
-        freq = draws.mean(axis=0)
-        assert np.allclose(freq, hidden_probs(rbm, v), atol=0.03)
-
-    def test_saturated_units_sample_deterministically(self):
-        rbm = Rbm(W=np.array([[50.0], [-50.0]]), b=np.zeros(2), c=np.zeros(1))
-        h = sample_h_given_v(rbm, np.array([1.0]), seed=0)
-        assert np.array_equal(h, [1.0, 0.0])
-        v = sample_v_given_h(
-            Rbm(W=np.array([[50.0]]), b=np.zeros(1), c=np.zeros(1)),
-            np.array([1.0]),
-            seed=0,
-        )
-        assert v[0] == 1.0
-
-    def test_samples_are_binary_and_seeded(self):
-        rbm = random_rbm(4, 3, seed=10)
-        V = (np.random.default_rng(11).random((6, 4)) < 0.5).astype(float)
-        a = sample_h_given_v(rbm, V, seed=5)
-        b = sample_h_given_v(rbm, V, seed=5)
-        c = sample_h_given_v(rbm, V, seed=6)
-        assert set(np.unique(a)) <= {0.0, 1.0}
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
 
 class TestCd1Update:

@@ -1,0 +1,68 @@
+"""src/ holds only what the pipeline runs.
+
+Every top-level function and class in the package must be used somewhere
+in src/ outside its own definition, or by the benchmark script. A helper
+that only its unit test calls gets a real caller or goes, with its test.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "buyintent"
+BENCH = ROOT / "bench" / "run.py"
+
+# Names kept without a pipeline caller, each with the reason.
+ALLOWED = {
+    "scorer_from_model": "the planned `score` command scores with saved parameters (ROADMAP item 3)",
+}
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """How often each name is read, accessed as an attribute or imported
+    in tree."""
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses[node.name] += 1
+    return uses
+
+
+def _top_level_definitions(tree: ast.Module):
+    return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def unused_definitions() -> list[str]:
+    modules = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    uses = sum((_uses(tree) for tree in modules.values()), Counter())
+    bench = BENCH.read_text(encoding="utf-8")
+    unused = []
+    for path, tree in modules.items():
+        for node in _top_level_definitions(tree):
+            name = node.name
+            if name in ALLOWED or re.search(rf"\b{re.escape(name)}\b", bench):
+                continue
+            if uses[name] == _uses(node)[name]:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_top_level_definition_has_a_caller():
+    assert unused_definitions() == []
+
+
+def test_allowlist_names_still_exist():
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in _top_level_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert set(ALLOWED) <= defined
