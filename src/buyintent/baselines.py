@@ -144,49 +144,64 @@ class TreeNode:
         return node
 
 
-def _gini(n_pos: int, n: int) -> float:
-    p = n_pos / n
-    return 2.0 * p * (1.0 - p)
+def _node(y) -> TreeNode:
+    return TreeNode(n_pos=int(y.sum()), n_total=len(y))
 
 
 def _best_split(X, y, feature_ids):
-    """Lowest weighted-Gini split over the candidate features, as
-    (impurity, feature, threshold); None when nothing splits."""
+    """Lowest weighted-Gini split of two or more rows over one or more
+    candidate features, as (impurity, feature, threshold); None when
+    nothing splits.
+
+    Every (boundary, feature) pair is scored at once from label prefix
+    sums down each sorted column. Positions between equal values are set
+    to inf, and argmin over the feature-major ravel picks the first
+    minimum in (feature, boundary) order, the tie rule of a loop over
+    features and then boundaries with a strict comparison.
+    """
     n = len(y)
-    best = None
-    for f in feature_ids:
-        xs = X[:, f]
-        order = np.argsort(xs, kind="mergesort")
-        xs_sorted = xs[order]
-        pos_prefix = np.cumsum(y[order])
-        boundaries = np.flatnonzero(xs_sorted[1:] > xs_sorted[:-1]) + 1
-        for i in boundaries:
-            left_pos = int(pos_prefix[i - 1])
-            right_pos = int(pos_prefix[-1]) - left_pos
-            score = (i * _gini(left_pos, i) + (n - i) * _gini(right_pos, n - i)) / n
-            if best is None or score < best[0]:
-                thr = (xs_sorted[i - 1] + xs_sorted[i]) / 2.0
-                best = (score, int(f), float(thr))
-    return best
+    Xf = X[:, feature_ids]
+    order = np.argsort(Xf, axis=0, kind="mergesort")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    left_pos = np.cumsum(y[order], axis=0)[:-1]
+    right_pos = int(y.sum()) - left_pos
+    i = np.arange(1, n)[:, None]
+    p = left_pos / i
+    gl = 2.0 * p * (1.0 - p)
+    p = right_pos / (n - i)
+    gr = 2.0 * p * (1.0 - p)
+    score = (i * gl + (n - i) * gr) / n
+    score[~(xs[1:] > xs[:-1])] = np.inf
+    f, b = divmod(int(np.argmin(score.T)), n - 1)
+    if score[b, f] == np.inf:
+        return None
+    thr = (xs[b, f] + xs[b + 1, f]) / 2.0
+    return float(score[b, f]), int(feature_ids[f]), float(thr)
 
 
 def _grow(X, y, mtry: int, rng) -> TreeNode:
-    n_pos = int(y.sum())
-    n = len(y)
-    node = TreeNode(n_pos=n_pos, n_total=n)
-    if n_pos in (0, n):
-        return node
-    feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
-    best = _best_split(X, y, feats)
-    if best is None:
-        return node
-    _, f, thr = best
-    mask = X[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _grow(X[mask], y[mask], mtry, rng)
-    node.right = _grow(X[~mask], y[~mask], mtry, rng)
-    return node
+    """Grow in preorder from an explicit stack: each node draws its
+    features before its left subtree is grown, and depth is not bounded
+    by the interpreter's recursion limit."""
+    root = _node(y)
+    stack = [(root, X, y)]
+    while stack:
+        node, X, y = stack.pop()
+        if node.n_pos in (0, node.n_total):
+            continue
+        feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
+        best = _best_split(X, y, feats)
+        if best is None:
+            continue
+        _, f, thr = best
+        mask = X[:, f] <= thr
+        node.feature = f
+        node.threshold = thr
+        node.left = _node(y[mask])
+        node.right = _node(y[~mask])
+        stack.append((node.right, X[~mask], y[~mask]))
+        stack.append((node.left, X[mask], y[mask]))
+    return root
 
 
 def default_mtry(d: int) -> int:
@@ -201,12 +216,6 @@ def train_tree(sample: Dataset, mtry: int | None = None, seed=0) -> TreeNode:
     if not 1 <= mtry <= sample.d:
         raise ValueError(f"mtry must be in [1, {sample.d}], got {mtry}")
     return _grow(sample.rows, sample.labels.astype(int), mtry, as_rng(seed))
-
-
-def tree_prob(node: TreeNode, x: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.prob
 
 
 @dataclass(eq=False)
@@ -258,12 +267,26 @@ def train_forest(
 
 
 def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Mean of per-tree leaf probabilities for each row."""
+    """Mean of per-tree leaf probabilities for each row.
+
+    Rows go down one tree at a time in index blocks and fill a
+    C-contiguous rows x trees matrix. Its mean along axis 1 adds each
+    row's tree probabilities in the same order as np.mean over that row's
+    list, so scores do not depend on how many rows are scored together.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != forest.n_features:
         raise ValueError(f"input has {X.shape[1]} features, forest expects {forest.n_features}")
-    out = np.zeros(X.shape[0])
-    for i, x in enumerate(X):
-        out[i] = np.mean([tree_prob(t, x) for t in forest.trees])
-    return out
-
+    probs = np.empty((X.shape[0], len(forest.trees)))
+    for t, tree in enumerate(forest.trees):
+        stack = [(tree, np.arange(X.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if node.is_leaf:
+                probs[idx, t] = node.prob
+                continue
+            go_left = X[idx, node.feature] <= node.threshold
+            for child, rows in ((node.left, idx[go_left]), (node.right, idx[~go_left])):
+                if rows.size:
+                    stack.append((child, rows))
+    return probs.mean(axis=1)

@@ -43,7 +43,7 @@ class Dataset:
             raise ValueError("rows must be finite")
         if self.labels.shape != (self.rows.shape[0],):
             raise ValueError("label count must equal row count")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not (self.labels <= 1).all():
             raise ValueError("labels must be binary")
         if len(self.feature_names) != self.rows.shape[1]:
             raise ValueError("feature_names length must equal column count")

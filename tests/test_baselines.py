@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buyintent.baselines import (
     Forest,
     LogisticModel,
     TreeNode,
+    _best_split,
     default_mtry,
     forest_scores,
     logistic_loss_and_gradients,
@@ -16,11 +22,11 @@ from buyintent.baselines import (
     train_forest,
     train_logistic,
     train_tree,
-    tree_prob,
 )
 from buyintent.dataset import Dataset
 from buyintent.evaluation import auc
-from buyintent.util import TrainingDiverged
+from buyintent.util import TrainingDiverged, as_rng
+from tree_oracles import best_split_loop, forest_scores_walk, grow_recursive
 
 
 def make_ds(rows, labels):
@@ -46,6 +52,19 @@ def separable_ds(n=80, seed=0, margin=2.0):
 def xor_ds():
     rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     return make_ds(rows, [0, 1, 1, 0])
+
+
+def one_tree(node, n_features):
+    return Forest(trees=[node], mtry=1, seed=0, bootstrap=False, n_features=n_features)
+
+
+def depth(node):
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in (node.left, node.right) if child is not None)
+    return deepest
 
 
 class TestLogisticGradients:
@@ -166,8 +185,7 @@ class TestDecisionTree:
     def test_xor_memorized_with_all_features(self):
         ds = xor_ds()
         node = train_tree(ds, mtry=2, seed=0)
-        for x, y in zip(ds.rows, ds.labels):
-            assert tree_prob(node, x) == float(y)
+        assert (forest_scores(one_tree(node, 2), ds.rows) == ds.labels).all()
 
     def test_constant_features_give_leaf(self):
         ds = make_ds([[1.0, 2.0]] * 4, [0, 1, 0, 1])
@@ -193,8 +211,16 @@ class TestDecisionTree:
         node = train_tree(ds, seed=2)
         clone = TreeNode.from_dict(node.to_dict())
         probe = rng.normal(size=(25, 3))
-        for x in probe:
-            assert tree_prob(clone, x) == tree_prob(node, x)
+        assert (forest_scores(one_tree(clone, 3), probe) == forest_scores(one_tree(node, 3), probe)).all()
+
+    def test_tree_deeper_than_the_recursion_limit_trains_and_scores(self):
+        # Sorted rows with alternating labels: every split peels off one
+        # row, so the tree is as deep as the sample is long.
+        n = 3000
+        ds = make_ds(np.arange(float(n))[:, None], np.arange(n) % 2)
+        node = train_tree(ds, mtry=1, seed=0)
+        assert depth(node) == n - 1
+        assert (forest_scores(one_tree(node, 1), ds.rows) == ds.labels).all()
 
     def test_default_mtry_is_sqrt_rounded_up(self):
         assert default_mtry(4) == 2
@@ -208,8 +234,7 @@ class TestForestTraining:
         ds = make_ds(rng.normal(size=(30, 3)), rng.integers(0, 2, 30))
         forest = train_forest(ds, n_trees=1, mtry=3, seed=8, bootstrap=False)
         plain = train_tree(ds, mtry=3, seed=99)
-        for x in ds.rows:
-            assert tree_prob(forest.trees[0], x) == tree_prob(plain, x)
+        assert (forest_scores(forest, ds.rows) == forest_scores(one_tree(plain, 3), ds.rows)).all()
 
     def test_separable_data_reaches_auc_one(self):
         ds = separable_ds(n=60, seed=1)
@@ -280,6 +305,122 @@ class TestForestPrediction:
         batch = forest_scores(forest, ds.rows)
         for i, x in enumerate(ds.rows):
             assert batch[i] == forest_scores(forest, x)[0]
+
+
+# Rounded draws give tied values, and both signed zeros appear, so the
+# split search meets runs of equal values that are not boundaries.
+tied_values = st.one_of(
+    st.sampled_from([-0.0, 0.0]),
+    st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+)
+
+
+@st.composite
+def split_problems(draw):
+    """(X, y, candidate features) with ties, signed zeros, an optional
+    constant column and optionally duplicated rows. A node with fewer
+    than two rows is pure, so the split search never sees one."""
+    n = draw(st.integers(2, 14))
+    d = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(tied_values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = draw(tied_values)
+    if draw(st.booleans()):
+        X[n // 2 :] = X[: n - n // 2]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=int)
+    feats = np.sort(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True)))
+    return X, y, feats
+
+
+def split_bits(best):
+    if best is None:
+        return None
+    score, feature, threshold = best
+    return np.float64(score).tobytes(), feature, np.float64(threshold).tobytes()
+
+
+class TestAgainstScalarOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_split_equals_the_per_feature_loop(self, problem):
+        X, y, feats = problem
+        best = _best_split(X, y, feats)
+        assert split_bits(best) == split_bits(best_split_loop(X, y, feats))
+        if best is not None:
+            assert [type(v) for v in best] == [float, int, float]
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_problems(), st.integers(0, 2**16))
+    def test_tree_equals_the_recursive_grower(self, problem, seed):
+        X, y, _ = problem
+        mtry = 1 + seed % X.shape[1]
+        node = train_tree(make_ds(X, y), mtry=mtry, seed=seed)
+        oracle = grow_recursive(X, y, mtry, as_rng(seed))
+        assert json.dumps(node.to_dict(), sort_keys=True) == json.dumps(oracle.to_dict(), sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_problems(), st.integers(1, 20), st.integers(0, 2**16), st.booleans())
+    def test_forest_scores_equal_the_per_row_walk(self, problem, n_trees, seed, bootstrap):
+        X, y, _ = problem
+        forest = train_forest(make_ds(X, y), n_trees=n_trees, mtry=1, seed=seed, bootstrap=bootstrap)
+        probe = np.vstack([X, np.random.default_rng(seed).normal(size=(5, X.shape[1]))])
+        assert forest_scores(forest, probe).tobytes() == forest_scores_walk(forest, probe).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**16))
+    def test_many_tree_means_equal_the_per_row_walk(self, n_trees, seed):
+        # Stumps with uneven leaf counts: the per-row sums cross numpy's
+        # pairwise-summation blocks once there are 8 or more trees.
+        rng = np.random.default_rng(seed)
+        trees = []
+        for _ in range(n_trees):
+            totals = rng.integers(1, 50, size=2)
+            left, right = (TreeNode(n_pos=int(rng.integers(0, t + 1)), n_total=int(t)) for t in totals)
+            trees.append(
+                TreeNode(
+                    n_pos=left.n_pos + right.n_pos,
+                    n_total=left.n_total + right.n_total,
+                    feature=0,
+                    threshold=float(rng.normal()),
+                    left=left,
+                    right=right,
+                )
+            )
+        forest = Forest(trees=trees, mtry=1, seed=0, bootstrap=False, n_features=1)
+        probe = rng.normal(size=(30, 1))
+        assert forest_scores(forest, probe).tobytes() == forest_scores_walk(forest, probe).tobytes()
+
+
+def golden_grid_ds(seed):
+    """Rounded (tied) values, a constant, a binary and a signed-zero
+    column, and a duplicated second half of the rows."""
+    rng = np.random.default_rng(seed)
+    n = 40 + 17 * seed
+    X = np.round(rng.normal(size=(n, 5)), 1)
+    X[:, 1] = 3.0
+    X[:, 2] = rng.integers(0, 2, n)
+    X[:, 3] = np.where(rng.random(n) < 0.5, -0.0, 0.0) + np.where(rng.random(n) < 0.3, 1.0, 0.0)
+    X[n // 2 :] = X[: n - n // 2]
+    y = (X[:, 0] + 0.5 * X[:, 2] + rng.normal(size=n) > 0).astype(np.uint8)
+    return make_ds(X, y)
+
+
+# Computed at commit 107549a, whose forest searched splits one feature and
+# one boundary at a time, grew trees by recursion and scored one row per
+# tree at a time. Any change to tree or score bytes fails here.
+GOLDEN_GRID_SHA256 = "36b1f080f9fdfc0dbfa8fa0f1e3f42719f789e929864b33829f14bb91c007667"
+
+
+def test_seeded_forest_grid_keeps_its_bytes():
+    h = hashlib.sha256()
+    for seed in range(3):
+        ds = golden_grid_ds(seed)
+        for mtry in (None, 1, ds.d):
+            for bootstrap in (True, False):
+                forest = train_forest(ds, n_trees=9, mtry=mtry, seed=seed, bootstrap=bootstrap)
+                h.update(json.dumps(forest.to_dict(), sort_keys=True).encode())
+                h.update(forest_scores(forest, ds.rows).tobytes())
+    assert h.hexdigest() == GOLDEN_GRID_SHA256
 
 
 class TestOnFixture:

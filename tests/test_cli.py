@@ -362,6 +362,9 @@ class TestTrain:
         # 2*sqrt(1000) rows to 2: bootstrap keeps the peel-one-run-per-split
         # shape, so the tree passes the default recursion limit. 1,000 runs
         # is the smallest count that still does so from a shallow stack.
+        # Growth uses an explicit stack and trains such a tree; the
+        # RecursionError comes from the recursive TreeNode.to_dict and the
+        # JSON writer when the model is saved.
         runs = np.ceil(2 * np.sqrt(np.arange(1000, 0, -1))).astype(int)
         ds = Dataset(
             rows=np.repeat(np.arange(1000.0), runs)[:, None],

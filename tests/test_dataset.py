@@ -57,6 +57,15 @@ class TestDatasetInvariants:
                 feature_names=["a"],
             )
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[2], [255], np.array([-1]), np.array([-1]).astype(np.uint8)],
+        ids=["2", "255", "minus-one", "minus-one-wrapped"],
+    )
+    def test_labels_outside_zero_one_rejected(self, labels):
+        with pytest.raises(ValueError, match="binary"):
+            Dataset(rows=np.zeros((1, 1)), labels=labels, feature_names=["a"])
+
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(rows=np.zeros((1, 2)), labels=np.array([0]), feature_names=["a"])
