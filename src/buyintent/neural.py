@@ -134,18 +134,30 @@ def init_ae_layer(n_visible: int, n_hidden: int, activation: str, rng) -> Autoen
     )
 
 
-def encode(layer: AutoencoderLayer, x: np.ndarray) -> np.ndarray:
+def _visible_input(layer: AutoencoderLayer, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.n_visible:
         raise ValueError(f"input has {x.shape[-1]} features, layer expects {layer.n_visible}")
+    return x
+
+
+def _encode(layer: AutoencoderLayer, x: np.ndarray) -> np.ndarray:
     return activate(layer.activation, x @ layer.W.T + layer.b)
+
+
+def _decode(layer: AutoencoderLayer, y: np.ndarray) -> np.ndarray:
+    return sigmoid(y @ layer.W + layer.b_prime)
+
+
+def encode(layer: AutoencoderLayer, x: np.ndarray) -> np.ndarray:
+    return _encode(layer, _visible_input(layer, x))
 
 
 def decode(layer: AutoencoderLayer, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != layer.n_hidden:
         raise ValueError(f"code has {y.shape[-1]} units, layer expects {layer.n_hidden}")
-    return sigmoid(y @ layer.W + layer.b_prime)
+    return _decode(layer, y)
 
 
 def corrupt(x: np.ndarray, noise_level: float, seed) -> np.ndarray:
@@ -167,7 +179,7 @@ def reconstruction_loss(t: np.ndarray, z: np.ndarray) -> float:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if t.shape != z.shape:
         raise ValueError(f"shape mismatch {t.shape} vs {z.shape}")
-    return float(0.5 * np.sum((t - z) ** 2) / t.shape[0])
+    return float(0.5 * ((t - z) ** 2).sum() / t.shape[0])
 
 
 @dataclass(eq=False)
@@ -196,9 +208,15 @@ def ae_layer_gradients(layer: AutoencoderLayer, x_orig: np.ndarray, x_corr: np.n
     xc = np.atleast_2d(np.asarray(x_corr, dtype=float))
     if t.shape != xc.shape:
         raise ValueError(f"shape mismatch {t.shape} vs {xc.shape}")
+    return _ae_gradients(layer, t, _visible_input(layer, xc))
+
+
+def _ae_gradients(layer: AutoencoderLayer, t: np.ndarray, xc: np.ndarray) -> GradientSet:
+    """ae_layer_gradients on float batches already known to be 2-D, of
+    one shape and of the layer's width."""
     n = t.shape[0]
-    y = encode(layer, xc)
-    z = decode(layer, y)
+    y = _encode(layer, xc)
+    z = _decode(layer, y)
     d_out = (z - t) * z * (1.0 - z)
     d_hid = (d_out @ layer.W.T) * activation_deriv(layer.activation, y)
     grad_W = (y.T @ d_out + d_hid.T @ xc) / n
@@ -252,7 +270,7 @@ def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Autoe
         for idx, lr in batches:
             xb = X[idx]
             xc = corrupt(xb, hp.input_noise_level, rng)
-            g = ae_layer_gradients(layer, xb, xc)
+            g = _ae_gradients(layer, xb, xc)
             vel_W = hp.momentum * vel_W - lr * (g.weights[0] + hp.l2_weight_cost * layer.W)
             vel_b = hp.momentum * vel_b - lr * g.biases[0]
             vel_bp = hp.momentum * vel_bp - lr * g.biases[1]
@@ -287,7 +305,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -351,12 +369,17 @@ def network_gradients(net: Network, X: np.ndarray, targets: np.ndarray, masks=No
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(targets, dtype=float))
+    return _network_gradients(net, X, T, masks)
+
+
+def _network_gradients(net: Network, X: np.ndarray, T: np.ndarray, masks) -> GradientSet:
+    """network_gradients on 2-D float rows and targets."""
     n = X.shape[0]
     acts = _forward_hidden(net, X, masks)
     head = net.layers[-1]
     logits = acts[-1] @ head.W.T + head.b
     logp = _log_softmax(logits)
-    loss = float(-np.sum(T * logp) / n)
+    loss = float(-(T * logp).sum() / n)
     delta = (np.exp(logp) - T) / n
     grads_W: list[np.ndarray] = [None] * len(net.layers)
     grads_b: list[np.ndarray] = [None] * len(net.layers)
@@ -441,7 +464,7 @@ def finetune(stack, X: np.ndarray, y: np.ndarray, hp: Hyperparams, seed, scaler=
                     (rng.random((len(idx), l.W.shape[0])) < keep) / keep
                     for l in net.layers[:-1]
                 ]
-            g = network_gradients(net, xb, tb, masks)
+            g = _network_gradients(net, xb, tb, masks)
             if not np.isfinite(g.loss):
                 raise TrainingDiverged(epoch, "cross-entropy loss")
             for i, layer in enumerate(net.layers):

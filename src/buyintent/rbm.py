@@ -58,6 +58,11 @@ def visible_probs(rbm: Rbm, h: np.ndarray) -> np.ndarray:
     return sigmoid(h @ rbm.W + rbm.c)
 
 
+def _check_unit_interval(V: np.ndarray) -> None:
+    if V.min() < 0.0 or V.max() > 1.0:
+        raise ValueError("batch entries must lie in [0, 1]")
+
+
 def cd1_update(rbm: Rbm, batch: np.ndarray, learning_rate: float, seed) -> Rbm:
     """One contrastive-divergence step, returning a new Rbm.
 
@@ -68,9 +73,14 @@ def cd1_update(rbm: Rbm, batch: np.ndarray, learning_rate: float, seed) -> Rbm:
     V = np.atleast_2d(_check_v(rbm, batch))
     if V.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    if V.min() < 0.0 or V.max() > 1.0:
-        raise ValueError("batch entries must lie in [0, 1]")
-    rng = as_rng(seed)
+    _check_unit_interval(V)
+    return _cd1_step(rbm, V, learning_rate, as_rng(seed))
+
+
+def _cd1_step(rbm: Rbm, V: np.ndarray, learning_rate: float, rng) -> Rbm:
+    """cd1_update on a batch already known to be 2-D, non-empty and
+    inside [0, 1]. A sum over rows divided by n is what mean(axis=0)
+    computes, without its Python wrapper."""
     n = V.shape[0]
     p_h0 = hidden_probs(rbm, V)
     h0 = (rng.random(p_h0.shape) < p_h0).astype(float)
@@ -78,8 +88,8 @@ def cd1_update(rbm: Rbm, batch: np.ndarray, learning_rate: float, seed) -> Rbm:
     v1 = (rng.random(p_v1.shape) < p_v1).astype(float)
     p_h1 = hidden_probs(rbm, v1)
     grad_W = (p_h0.T @ V - p_h1.T @ v1) / n
-    grad_b = (p_h0 - p_h1).mean(axis=0)
-    grad_c = (V - v1).mean(axis=0)
+    grad_b = (p_h0 - p_h1).sum(axis=0) / n
+    grad_c = (V - v1).sum(axis=0) / n
     return Rbm(
         W=rbm.W + learning_rate * grad_W,
         b=rbm.b + learning_rate * grad_b,
@@ -95,13 +105,17 @@ def reconstruction_cross_entropy(rbm: Rbm, V: np.ndarray) -> float:
 
 
 def train_rbm(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Rbm:
-    """Minibatch CD-1 over hp.epochs with the shared annealing schedule."""
+    """Minibatch CD-1 over hp.epochs with the shared annealing schedule.
+    X is checked against [0, 1] once, and only when some batch will
+    train on it, which is when cd1_update would have checked it."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if hp.epochs > 0 and X.shape[0] > 0:
+        _check_unit_interval(X)
     rng = as_rng(seed)
     rbm = init_rbm(X.shape[1], n_hidden, rng)
     for batches in _epochs(X.shape[0], hp, rng):
         for idx, lr in batches:
-            rbm = cd1_update(rbm, X[idx], lr, rng)
+            rbm = _cd1_step(rbm, X[idx], lr, rng)
     return rbm
 
 

@@ -20,13 +20,15 @@ class TrainingDiverged(RuntimeError):
 
 
 def sigmoid(x):
-    """Elementwise logistic function, overflow-safe for large |x|."""
+    """Elementwise logistic function, overflow-safe for large |x|.
+
+    With e = exp(-|x|) it is 1 / (1 + e) where x >= 0 and e / (1 + e)
+    below, the same IEEE operations as 1 / (1 + exp(-x)) and
+    exp(x) / (1 + exp(x)) on each side, without splitting the array.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

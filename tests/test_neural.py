@@ -7,11 +7,19 @@ explicit loops so a vectorization bug cannot hide in both places.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from buyintent.dataset import RangeScaler
+from buyintent.dataset import Dataset, RangeScaler
 from buyintent.neural import (
+    ACTIVATIONS,
     AutoencoderLayer,
     DenseLayer,
     Hyperparams,
@@ -38,6 +46,7 @@ from buyintent.neural import (
     train_sda,
 )
 from buyintent.util import TrainingDiverged, as_rng, sigmoid
+from network_oracles import finetune_loop, sigmoid_masked, train_ae_layer_loop
 
 
 def one_hot(y):
@@ -145,6 +154,66 @@ class TestActivations:
             activate("softsign", 0.0)
         with pytest.raises(ValueError):
             activation_deriv("softsign", np.ones(2))
+
+
+SIGMOID_SPECIALS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+    5e-324, -5e-324, 1e-310, -1e-310,  # subnormals
+    800.0, -800.0, 745.0, -745.0, -745.2, 709.8, -709.8, 36.8, -36.8,
+]
+
+VIEWS = [
+    lambda a: a,
+    lambda a: a[::2],
+    lambda a: a[::-1],
+    lambda a: a.T,
+    lambda a: a[..., ::3],
+]
+
+
+def bits_up_to_nan_sign(a):
+    """The float64 bits of a, with the sign bit of every NaN cleared."""
+    bits = np.asarray(a, dtype=np.float64).view(np.uint64)
+    return np.where(np.isnan(a), bits & np.uint64(0x7FFFFFFFFFFFFFFF), bits)
+
+
+class TestSigmoidAgainstMaskedOracle:
+    """sigmoid equals the boolean-mask form it replaced bit for bit,
+    except for the sign bit of a NaN: exp(-|x|) negates the NaN, so a
+    NaN in gives a NaN out whose sign may differ from the masked form's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=9),
+            elements=st.one_of(
+                st.sampled_from(SIGMOID_SPECIALS),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(-1000.0, 1000.0),
+            ),
+        ),
+        st.sampled_from(VIEWS),
+    )
+    def test_equals_the_masked_oracle(self, x, view):
+        x = view(x) if x.ndim else x
+        got, want = sigmoid(x), sigmoid_masked(x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(bits_up_to_nan_sign(got), bits_up_to_nan_sign(want))
+
+    def test_scalar_in_gives_python_float_out(self):
+        for x in (0.0, -3, np.float64(2.5), np.array(-1.0), np.array(800.0)):
+            assert type(sigmoid(x)) is float
+        assert sigmoid(0.0) == 0.5
+
+    def test_huge_inputs_stay_finite_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(800.0) == 1.0
+            assert sigmoid(-800.0) == 0.0
+            out = sigmoid(np.array([[-800.0, 800.0], [-1e308, 1e308]]))
+        assert np.isfinite(out).all()
 
 
 class TestEncodeDecode:
@@ -662,3 +731,112 @@ class TestEndToEndTrainers:
         net = train_mlp(balanced_dataset, hp, seed=2)
         p = network_predict(net, balanced_dataset.rows)
         assert np.all((p >= 0) & (p <= 1))
+
+
+def golden_network_ds(seed):
+    """150 rows, so every epoch is one full and one short minibatch,
+    with a constant, a binary and a rounded (tied) column."""
+    rng = np.random.default_rng(seed)
+    n, d = 150, 7
+    X = rng.normal(size=(n, d))
+    X[:, 1] = 2.5
+    X[:, 2] = rng.integers(0, 2, n)
+    X[:, 3] = np.round(X[:, 3], 1)
+    y = (X[:, 0] - 0.7 * X[:, 2] + 0.5 * rng.normal(size=n) > 0).astype(np.uint8)
+    return Dataset(rows=X, labels=y, feature_names=[f"f{i}" for i in range(d)], n_base_cols=d)
+
+
+GOLDEN_NETWORK_HPS = [
+    Hyperparams(hidden_units=(6, 4), activation="sigmoid", initial_learning_rate=0.2,
+                momentum=0.5, l2_weight_cost=0.001, dropout_fraction=0.2, epochs=12,
+                annealing_delay_fraction=0.5, input_noise_level=0.1),
+    Hyperparams(hidden_units=(5,), activation="relu", initial_learning_rate=0.1, epochs=10),
+    Hyperparams(hidden_units=(7, 3), activation="relu", initial_learning_rate=0.05,
+                momentum=0.9, l2_weight_cost=0.01, dropout_fraction=0.1, epochs=8,
+                annealing_delay_fraction=0.0, input_noise_level=0.2),
+]
+
+# Computed at commit 3166fb3, whose sigmoid split each array with a
+# boolean mask and whose trainers re-checked their inputs on every
+# minibatch. Any change to network or prediction bytes fails here.
+GOLDEN_NETWORK_SHA256 = "473df58c254257a26c0e9c56df71c56fc85e7cc166ac4b2aa421a354da542937"
+
+
+def test_seeded_network_grid_keeps_its_bytes():
+    from buyintent.rbm import train_dbn
+
+    h = hashlib.sha256()
+    for seed in range(2):
+        ds = golden_network_ds(seed)
+        probe = np.random.default_rng(100 + seed).normal(scale=2.0, size=(9, ds.d))
+        for hp in GOLDEN_NETWORK_HPS:
+            for train in (train_sda, train_dbn, train_mlp):
+                net = train(ds, hp, seed)
+                h.update(json.dumps(net.to_dict(), sort_keys=True).encode())
+                h.update(network_predict(net, ds.rows).tobytes())
+                h.update(np.float64(network_predict(net, probe[0])).tobytes())
+                # Unscaled copy with weights blown up 1000-fold, so hidden
+                # pre-activations reach the saturated and underflowing
+                # ends of the sigmoid (|x| of several hundred and more).
+                big = Network(
+                    layers=[DenseLayer(W=1000.0 * l.W, b=1000.0 * l.b) for l in net.layers],
+                    activation=net.activation,
+                )
+                h.update(network_predict(big, probe).tobytes())
+    assert h.hexdigest() == GOLDEN_NETWORK_SHA256
+
+
+def train_outcome(train, *args):
+    """The parameter bytes a trainer returns, or the error it raises."""
+    try:
+        model = train(*args)
+    except (ValueError, TrainingDiverged) as err:
+        return type(err).__name__, str(err)
+    layers = model.layers if isinstance(model, Network) else [model]
+    return [(l.W.tobytes(), l.b.tobytes(), getattr(l, "b_prime", l.b).tobytes()) for l in layers]
+
+
+@st.composite
+def training_problems(draw):
+    """Rows in [0, 1] (with exact 0s and 1s) whose count crosses the
+    minibatch size, and settings that turn each training knob on or off."""
+    n = draw(st.sampled_from([1, 2, 5, 40, 128, 129, 150, 300]))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.random((n, d))
+    X[rng.random((n, d)) < 0.2] = 0.0
+    X[rng.random((n, d)) < 0.1] = 1.0
+    hp = Hyperparams(
+        hidden_units=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+        initial_learning_rate=draw(st.sampled_from([0.0, 0.05, 0.25])),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        l2_weight_cost=draw(st.sampled_from([0.0, 0.001, 0.01])),
+        dropout_fraction=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        epochs=draw(st.integers(0, 3)),
+        annealing_delay_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        input_noise_level=draw(st.sampled_from([0.0, 0.1, 0.2])),
+    )
+    return X, hp, draw(st.integers(0, 2**16))
+
+
+class TestTrainersAgainstPerBatchLoops:
+    """train_ae_layer and finetune check their inputs once per stage and
+    then run unchecked steps; they match loops of the public, checked
+    step functions in network_oracles bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(training_problems())
+    def test_train_ae_layer_equals_corrupt_and_ae_layer_gradients(self, problem):
+        X, hp, seed = problem
+        h = hp.hidden_units[0]
+        assert train_outcome(train_ae_layer, X, h, hp, seed) == train_outcome(train_ae_layer_loop, X, h, hp, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(training_problems())
+    def test_finetune_equals_network_gradients(self, problem):
+        X, hp, seed = problem
+        y = np.random.default_rng(seed).integers(0, 2, X.shape[0])
+        stack = init_stack(X.shape[1], hp.hidden_units, hp, seed)
+        got = train_outcome(finetune, stack, X, y, hp, seed + 1)
+        assert got == train_outcome(finetune_loop, stack, X, y, hp, seed + 1)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buyintent.neural import Hyperparams, finetune, network_predict
 from buyintent.rbm import (
@@ -25,6 +27,7 @@ from buyintent.rbm import (
     visible_probs,
 )
 from buyintent.util import as_rng
+from network_oracles import train_rbm_loop
 from rbm_oracles import energy, exact_log_likelihood, exact_partition, free_energy
 
 
@@ -266,6 +269,70 @@ class TestTrainRbm:
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.b, b.b)
         assert np.array_equal(a.c, b.c)
+
+
+def rbm_outcome(X, n_hidden, hp, seed, train):
+    """The RBM's parameter bytes, or the ValueError raised instead."""
+    try:
+        rbm = train(X, n_hidden, hp, seed)
+    except ValueError as err:
+        return str(err)
+    return rbm.W.tobytes(), rbm.b.tobytes(), rbm.c.tobytes()
+
+
+OUT_OF_RANGE = [-1e-300, -0.5, 1.0000000000000002, 2.0, np.inf, -np.inf]
+
+
+@st.composite
+def rbm_problems(draw, plant_out_of_range):
+    """Rows in [0, 1] with exact 0s and 1s, row counts around the
+    minibatch size (zero included), and optionally one planted value
+    outside [0, 1]. NaN is left out: a min/max range check passes any
+    batch holding a NaN, so whether a NaN and an out-of-range value
+    share a batch decides the per-batch check, and datasets reject
+    non-finite rows before any trainer sees them."""
+    n = draw(st.sampled_from([0, 1, 3, 64, 128, 129, 200]))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.random((n, d))
+    X[rng.random((n, d)) < 0.2] = 0.0
+    X[rng.random((n, d)) < 0.1] = 1.0
+    if plant_out_of_range and n and draw(st.booleans()):
+        X.flat[draw(st.integers(0, n * d - 1))] = draw(st.sampled_from(OUT_OF_RANGE))
+    hp = Hyperparams(
+        initial_learning_rate=draw(st.sampled_from([0.0, 0.1, 0.25])),
+        epochs=draw(st.integers(0, 3)),
+        annealing_delay_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    return X, draw(st.integers(1, 5)), hp, draw(st.integers(0, 2**16))
+
+
+class TestTrainRbmChecksOnce:
+    """train_rbm checks X once and then runs unchecked CD-1 steps; it
+    matches a loop of public cd1_update calls, which check every batch,
+    bit for bit, and raises on exactly the inputs that loop raises on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rbm_problems(plant_out_of_range=False))
+    def test_equals_the_per_batch_cd1_update_loop(self, problem):
+        got = rbm_outcome(*problem, train_rbm)
+        assert not isinstance(got, str)
+        assert got == rbm_outcome(*problem, train_rbm_loop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rbm_problems(plant_out_of_range=True))
+    def test_rejects_exactly_when_the_loop_does(self, problem):
+        assert rbm_outcome(*problem, train_rbm) == rbm_outcome(*problem, train_rbm_loop)
+
+    def test_out_of_range_rejected_only_when_a_batch_trains(self):
+        X = np.array([[0.0, 1.5], [0.5, 0.25]])
+        hp = Hyperparams(initial_learning_rate=0.1, epochs=1)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            train_rbm(X, 2, hp, seed=0)
+        untrained = train_rbm(X, 2, Hyperparams(epochs=0), seed=0)
+        assert np.array_equal(untrained.W, init_rbm(2, 2, as_rng(0)).W)
+        empty = train_rbm(np.zeros((0, 2)), 2, hp, seed=0)
+        assert empty.W.shape == (2, 2)
 
 
 class TestDbn:
