@@ -1,5 +1,6 @@
 """Tied-weight denoising autoencoders, greedy stacking, and supervised
-fine-tuning with a softmax head.
+fine-tuning with a softmax head. One Layer record with one up map and
+one down map serves the autoencoder, the RBM (rbm.py) and the network.
 
 All gradients here are derived by hand and checked against central
 finite differences in the test suite; no autodiff anywhere. The encoder
@@ -12,7 +13,7 @@ which keeps least-squares targets in (0,1) after inputs are scaled to
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,56 +109,33 @@ def activation_deriv(kind: str, activations: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class AutoencoderLayer:
-    """One tied-weight layer: encode y = s(Wx + b), decode through the
-    transpose of the same W, z = sigmoid(W'y + b_prime)."""
+class Layer:
+    """One layer of weights, shared by the autoencoder, the RBM and the
+    network: W is hidden x visible, b the hidden bias and c the visible
+    bias (an RBM's c, an autoencoder's decoder bias). Only pretraining
+    reads c; a Network uses and saves W and b alone."""
 
     W: np.ndarray
     b: np.ndarray
-    b_prime: np.ndarray
-    activation: str = "sigmoid"
-
-    @property
-    def n_hidden(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def n_visible(self) -> int:
-        return self.W.shape[1]
+    c: np.ndarray | None = None
 
 
-def init_ae_layer(n_visible: int, n_hidden: int, activation: str, rng) -> AutoencoderLayer:
-    limit = 1.0 / np.sqrt(n_visible)
-    W = rng.uniform(-limit, limit, size=(n_hidden, n_visible))
-    return AutoencoderLayer(
-        W=W, b=np.zeros(n_hidden), b_prime=np.zeros(n_visible), activation=activation
-    )
+def init_layer(n_in: int, n_out: int, rng) -> Layer:
+    """W drawn uniform in +-1/sqrt(n_in), both biases zero."""
+    limit = 1.0 / np.sqrt(n_in)
+    W = rng.uniform(-limit, limit, size=(n_out, n_in))
+    return Layer(W=W, b=np.zeros(n_out), c=np.zeros(n_in))
 
 
-def _visible_input(layer: AutoencoderLayer, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.n_visible:
-        raise ValueError(f"input has {x.shape[-1]} features, layer expects {layer.n_visible}")
-    return x
+def up(layer: Layer, x: np.ndarray, activation: str = "sigmoid") -> np.ndarray:
+    """Hidden activations of visible rows: act(x W' + b)."""
+    return activate(activation, x @ layer.W.T + layer.b)
 
 
-def _encode(layer: AutoencoderLayer, x: np.ndarray) -> np.ndarray:
-    return activate(layer.activation, x @ layer.W.T + layer.b)
-
-
-def _decode(layer: AutoencoderLayer, y: np.ndarray) -> np.ndarray:
-    return sigmoid(y @ layer.W + layer.b_prime)
-
-
-def encode(layer: AutoencoderLayer, x: np.ndarray) -> np.ndarray:
-    return _encode(layer, _visible_input(layer, x))
-
-
-def decode(layer: AutoencoderLayer, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != layer.n_hidden:
-        raise ValueError(f"code has {y.shape[-1]} units, layer expects {layer.n_hidden}")
-    return _decode(layer, y)
+def down(layer: Layer, h: np.ndarray) -> np.ndarray:
+    """Visible probabilities of hidden rows through the same W:
+    sigmoid(h W + c)."""
+    return sigmoid(h @ layer.W + layer.c)
 
 
 def corrupt(x: np.ndarray, noise_level: float, seed) -> np.ndarray:
@@ -187,7 +165,7 @@ class GradientSet:
     """Per-parameter gradients plus the loss they were taken at.
 
     For an autoencoder layer: weights = [grad of the tied W] and
-    biases = [grad b, grad b_prime]. For a network: one entry per layer,
+    biases = [grad b, grad c]. For a network: one entry per layer,
     output head last.
     """
 
@@ -196,35 +174,26 @@ class GradientSet:
     loss: float
 
 
-def ae_layer_gradients(layer: AutoencoderLayer, x_orig: np.ndarray, x_corr: np.ndarray) -> GradientSet:
-    """Batch-averaged gradients of the reconstruction loss.
+def ae_layer_gradients(layer: Layer, t: np.ndarray, xc: np.ndarray, activation: str) -> GradientSet:
+    """Batch-averaged gradients of the reconstruction loss of target
+    rows t from corrupted rows xc, both 2-D float of the layer's width.
 
     Forward: y from the corrupted input, z from y. The output delta is
     (z - t) z (1 - z); the hidden delta backpropagates through the
     decoder copy of W and the hidden activation derivative. W collects
     its decoder-role term y'd_out plus its encoder-role term d_hid'x.
     """
-    t = np.atleast_2d(np.asarray(x_orig, dtype=float))
-    xc = np.atleast_2d(np.asarray(x_corr, dtype=float))
-    if t.shape != xc.shape:
-        raise ValueError(f"shape mismatch {t.shape} vs {xc.shape}")
-    return _ae_gradients(layer, t, _visible_input(layer, xc))
-
-
-def _ae_gradients(layer: AutoencoderLayer, t: np.ndarray, xc: np.ndarray) -> GradientSet:
-    """ae_layer_gradients on float batches already known to be 2-D, of
-    one shape and of the layer's width."""
     n = t.shape[0]
-    y = _encode(layer, xc)
-    z = _decode(layer, y)
+    y = up(layer, xc, activation)
+    z = down(layer, y)
     d_out = (z - t) * z * (1.0 - z)
-    d_hid = (d_out @ layer.W.T) * activation_deriv(layer.activation, y)
+    d_hid = (d_out @ layer.W.T) * activation_deriv(activation, y)
     grad_W = (y.T @ d_out + d_hid.T @ xc) / n
     grad_b = d_hid.sum(axis=0) / n
-    grad_b_prime = d_out.sum(axis=0) / n
+    grad_c = d_out.sum(axis=0) / n
     return GradientSet(
         weights=[grad_W],
-        biases=[grad_b, grad_b_prime],
+        biases=[grad_b, grad_c],
         loss=reconstruction_loss(t, z),
     )
 
@@ -254,46 +223,46 @@ def _epochs(n: int, hp: Hyperparams, rng):
         yield batches
 
 
-def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> AutoencoderLayer:
+def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Layer:
     """Denoising SGD training of one tied layer. Corruption is resampled
     for every presentation of every batch; a non-finite epoch loss
     raises TrainingDiverged.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rng = as_rng(seed)
-    layer = init_ae_layer(X.shape[1], n_hidden, hp.activation, rng)
+    layer = init_layer(X.shape[1], n_hidden, rng)
     vel_W = np.zeros_like(layer.W)
     vel_b = np.zeros_like(layer.b)
-    vel_bp = np.zeros_like(layer.b_prime)
+    vel_c = np.zeros_like(layer.c)
     for epoch, batches in enumerate(_epochs(X.shape[0], hp, rng)):
         epoch_loss = 0.0
         for idx, lr in batches:
             xb = X[idx]
             xc = corrupt(xb, hp.input_noise_level, rng)
-            g = _ae_gradients(layer, xb, xc)
+            g = ae_layer_gradients(layer, xb, xc, hp.activation)
             vel_W = hp.momentum * vel_W - lr * (g.weights[0] + hp.l2_weight_cost * layer.W)
             vel_b = hp.momentum * vel_b - lr * g.biases[0]
-            vel_bp = hp.momentum * vel_bp - lr * g.biases[1]
+            vel_c = hp.momentum * vel_c - lr * g.biases[1]
             layer.W += vel_W
             layer.b += vel_b
-            layer.b_prime += vel_bp
+            layer.c += vel_c
             epoch_loss += g.loss * len(idx)
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(epoch, "autoencoder reconstruction loss")
     return layer
 
 
-def stack_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> list[AutoencoderLayer]:
+def stack_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> list[Layer]:
     """Greedy layerwise pretraining: each layer trains on the clean
     encodings of the stack below it (corruption happens inside the
     layer's own training loop)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    layers: list[AutoencoderLayer] = []
+    layers: list[Layer] = []
     data = X
     for k, size in enumerate(layer_sizes):
         layer = train_ae_layer(data, size, hp, substream_seed(seed, 101, k))
         layers.append(layer)
-        data = encode(layer, data)
+        data = up(layer, data, hp.activation)
     return layers
 
 
@@ -310,17 +279,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class DenseLayer:
-    W: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(eq=False)
 class Network:
     """Feed-forward classifier: hidden layers plus a 2-class softmax
     head. Index 1 of the output is the buy class."""
 
-    layers: list[DenseLayer]
+    layers: list[Layer]
     activation: str
     scaler: RangeScaler | None = None
     dropout_fraction: float = 0.0
@@ -339,7 +302,7 @@ class Network:
     def from_dict(cls, d: dict) -> "Network":
         return cls(
             layers=[
-                DenseLayer(W=np.array(l["W"], dtype=float), b=np.array(l["b"], dtype=float))
+                Layer(W=np.array(l["W"], dtype=float), b=np.array(l["b"], dtype=float))
                 for l in d["layers"]
             ],
             activation=d["activation"],
@@ -351,29 +314,22 @@ class Network:
 def _forward_hidden(net: Network, X: np.ndarray, masks=None) -> list[np.ndarray]:
     """Activations per layer, input first, last hidden last."""
     acts = [X]
-    a = X
     for i, layer in enumerate(net.layers[:-1]):
-        a = activate(net.activation, a @ layer.W.T + layer.b)
+        a = up(layer, acts[-1], net.activation)
         if masks is not None:
             a = a * masks[i]
         acts.append(a)
     return acts
 
 
-def network_gradients(net: Network, X: np.ndarray, targets: np.ndarray, masks=None) -> GradientSet:
+def network_gradients(net: Network, X: np.ndarray, T: np.ndarray, masks=None) -> GradientSet:
     """Gradients of the mean cross-entropy between softmax outputs and
-    one-hot targets. The output delta is exactly (z - t) scaled by the
-    batch size; hidden deltas chain through the activation derivative.
-    Dropout masks, when given, scale hidden activations (already
-    inverted) and gate the corresponding deltas.
+    one-hot targets T, for 2-D float rows X of the network's width. The
+    output delta is exactly (z - t) scaled by the batch size; hidden
+    deltas chain through the activation derivative. Dropout masks, when
+    given, scale hidden activations (already inverted) and gate the
+    corresponding deltas.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _network_gradients(net, X, T, masks)
-
-
-def _network_gradients(net: Network, X: np.ndarray, T: np.ndarray, masks) -> GradientSet:
-    """network_gradients on 2-D float rows and targets."""
     n = X.shape[0]
     acts = _forward_hidden(net, X, masks)
     head = net.layers[-1]
@@ -398,16 +354,11 @@ def _network_gradients(net: Network, X: np.ndarray, T: np.ndarray, masks) -> Gra
 
 def build_network(stack, n_classes: int, hp: Hyperparams, seed, scaler=None) -> Network:
     """Assemble a Network from copies of the W and b of pretrained (or
-    fresh) hidden layers of any kind and a newly initialized softmax
-    head."""
+    fresh) hidden layers and a newly initialized softmax head."""
     if not stack:
         raise ValueError("network needs at least one hidden layer")
-    layers = [DenseLayer(W=l.W.copy(), b=l.b.copy()) for l in stack]
-    n_in = layers[-1].W.shape[0]
-    rng = as_rng(seed)
-    limit = 1.0 / np.sqrt(n_in)
-    head = DenseLayer(W=rng.uniform(-limit, limit, size=(n_classes, n_in)), b=np.zeros(n_classes))
-    layers.append(head)
+    layers = [Layer(W=l.W.copy(), b=l.b.copy()) for l in stack]
+    layers.append(init_layer(layers[-1].W.shape[0], n_classes, as_rng(seed)))
     return Network(
         layers=layers,
         activation=hp.activation,
@@ -416,19 +367,12 @@ def build_network(stack, n_classes: int, hp: Hyperparams, seed, scaler=None) -> 
     )
 
 
-def init_stack(n_visible: int, layer_sizes, hp: Hyperparams, seed) -> list[DenseLayer]:
+def init_stack(n_visible: int, layer_sizes, seed) -> list[Layer]:
     """Randomly initialized hidden layers with the same shapes a
     pretrained stack would have; the no-pretraining baseline."""
     rng = as_rng(seed)
-    layers: list[DenseLayer] = []
-    n_in = n_visible
-    for size in layer_sizes:
-        limit = 1.0 / np.sqrt(n_in)
-        layers.append(
-            DenseLayer(W=rng.uniform(-limit, limit, size=(size, n_in)), b=np.zeros(size))
-        )
-        n_in = size
-    return layers
+    sizes = [n_visible, *layer_sizes]
+    return [init_layer(n_in, n_out, rng) for n_in, n_out in zip(sizes, sizes[1:])]
 
 
 def _one_hot(y: np.ndarray) -> np.ndarray:
@@ -464,7 +408,7 @@ def finetune(stack, X: np.ndarray, y: np.ndarray, hp: Hyperparams, seed, scaler=
                     (rng.random((len(idx), l.W.shape[0])) < keep) / keep
                     for l in net.layers[:-1]
                 ]
-            g = _network_gradients(net, xb, tb, masks)
+            g = network_gradients(net, xb, tb, masks)
             if not np.isfinite(g.loss):
                 raise TrainingDiverged(epoch, "cross-entropy loss")
             for i, layer in enumerate(net.layers):
@@ -515,4 +459,4 @@ def train_sda(ds: Dataset, hp: Hyperparams, seed) -> Network:
 
 def train_mlp(ds: Dataset, hp: Hyperparams, seed) -> Network:
     """Random hidden layers and no pretraining stage."""
-    return train_network(ds, hp, seed, lambda X, sizes, hp, seed: init_stack(X.shape[1], sizes, hp, seed))
+    return train_network(ds, hp, seed, lambda X, sizes, hp, seed: init_stack(X.shape[1], sizes, seed))

@@ -29,21 +29,21 @@ from buyintent.neural import (
     ae_layer_gradients,
     build_network,
     corrupt,
-    decode,
-    encode,
-    init_ae_layer,
+    down,
+    init_layer,
     init_stack,
     network_gradients,
     network_predict,
     reconstruction_loss,
     train_mlp,
     train_sda,
+    up,
 )
 from buyintent.nmf import nmf_factorize, reduce_dataset
-from buyintent.rbm import init_rbm, train_dbn, train_rbm
+from buyintent.rbm import train_dbn, train_rbm
 from buyintent.synth import SynthConfig, generate
 from buyintent.util import as_rng
-from rbm_oracles import exact_log_likelihood, exact_partition, free_energy
+from rbm_oracles import exact_log_likelihood, exact_partition, free_energy, normal_init
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -176,18 +176,18 @@ def test_gradients_match_central_differences():
         n_rows = int(rng.integers(2, 9))
         activation = ["sigmoid", "relu"][seed % 2]
 
-        layer = init_ae_layer(n_vis, n_hid, activation, rng)
+        layer = init_layer(n_vis, n_hid, rng)
         t = rng.random((n_rows, n_vis))
         xc = corrupt(t, 0.1, seed=seed)
-        g = ae_layer_gradients(layer, t, xc)
+        g = ae_layer_gradients(layer, t, xc, activation)
 
         def ae_loss():
-            return reconstruction_loss(t, decode(layer, encode(layer, xc)))
+            return reconstruction_loss(t, down(layer, up(layer, xc, activation)))
 
         for arr, grad in [
             (layer.W, g.weights[0]),
             (layer.b, g.biases[0]),
-            (layer.b_prime, g.biases[1]),
+            (layer.c, g.biases[1]),
         ]:
             fd = np.zeros_like(arr)
             it = np.nditer(arr, flags=["multi_index"])
@@ -195,16 +195,16 @@ def test_gradients_match_central_differences():
                 i = it.multi_index
                 keep = arr[i]
                 arr[i] = keep + eps
-                up = ae_loss()
+                hi = ae_loss()
                 arr[i] = keep - eps
-                dn = ae_loss()
+                lo = ae_loss()
                 arr[i] = keep
-                fd[i] = (up - dn) / (2 * eps)
+                fd[i] = (hi - lo) / (2 * eps)
             worst = max(worst, scaled_gap(grad, fd))
 
         n_classes = int(rng.integers(2, 9))
         hp = Hyperparams(hidden_units=(n_hid,), activation=activation)
-        stack = init_stack(n_vis, (n_hid,), hp, seed)
+        stack = init_stack(n_vis, (n_hid,), seed)
         net = build_network(stack, n_classes, hp, seed)
         X = rng.random((n_rows, n_vis))
         T = np.eye(n_classes)[rng.integers(0, n_classes, n_rows)]
@@ -228,11 +228,11 @@ def test_gradients_match_central_differences():
                     i = it.multi_index
                     keep = arr[i]
                     arr[i] = keep + eps
-                    up = net_loss()
+                    hi = net_loss()
                     arr[i] = keep - eps
-                    dn = net_loss()
+                    lo = net_loss()
                     arr[i] = keep
-                    fd[i] = (up - dn) / (2 * eps)
+                    fd[i] = (hi - lo) / (2 * eps)
                 worst = max(worst, scaled_gap(grad, fd))
 
     elapsed = time.time() - t0
@@ -254,7 +254,7 @@ def test_rbm_probabilities_and_training():
         rng = as_rng(7000 + seed)
         n_vis = int(rng.integers(1, 8))
         n_hid = int(rng.integers(1, min(8, 15 - n_vis)))
-        rbm = init_rbm(n_vis, n_hid, rng, scale=0.7)
+        rbm = normal_init(n_vis, n_hid, rng, scale=0.7)
         z = exact_partition(rbm)
         for _ in range(8):
             v = (rng.random(n_vis) < 0.5).astype(float)
@@ -270,7 +270,7 @@ def test_rbm_probabilities_and_training():
     hp = Hyperparams(initial_learning_rate=0.25, epochs=500)
     improved = 0
     for seed in range(20):
-        before = exact_log_likelihood(init_rbm(3, 2, as_rng(seed)), patterns)
+        before = exact_log_likelihood(normal_init(3, 2, as_rng(seed)), patterns)
         rbm = train_rbm(patterns, 2, hp, seed)
         improved += exact_log_likelihood(rbm, patterns) > before
 

@@ -20,9 +20,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from buyintent.dataset import Dataset, RangeScaler
 from buyintent.neural import (
     ACTIVATIONS,
-    AutoencoderLayer,
-    DenseLayer,
     Hyperparams,
+    Layer,
     Network,
     _epochs,
     _learning_rate_at,
@@ -31,10 +30,9 @@ from buyintent.neural import (
     ae_layer_gradients,
     build_network,
     corrupt,
-    decode,
-    encode,
+    down,
     finetune,
-    init_ae_layer,
+    init_layer,
     init_stack,
     network_gradients,
     network_predict,
@@ -44,6 +42,7 @@ from buyintent.neural import (
     train_ae_layer,
     train_mlp,
     train_sda,
+    up,
 )
 from buyintent.util import TrainingDiverged, as_rng, sigmoid
 from network_oracles import finetune_loop, sigmoid_masked, train_ae_layer_loop
@@ -53,12 +52,12 @@ def one_hot(y):
     return np.eye(2)[np.asarray(y, dtype=int)]
 
 
-def random_layer(n_visible, n_hidden, activation="sigmoid", seed=0):
-    return init_ae_layer(n_visible, n_hidden, activation, as_rng(seed))
+def random_layer(n_visible, n_hidden, seed=0):
+    return init_layer(n_visible, n_hidden, as_rng(seed))
 
 
-def ae_loss(layer, t, xc):
-    return reconstruction_loss(t, decode(layer, encode(layer, xc)))
+def ae_loss(layer, t, xc, activation="sigmoid"):
+    return reconstruction_loss(t, down(layer, up(layer, xc, activation)))
 
 
 def net_forward_oracle(net, X):
@@ -221,7 +220,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(50)
         layer = random_layer(5, 3, seed=1)
         X = rng.normal(size=(4, 5))
-        got = encode(layer, X)
+        got = up(layer, X)
         for r in range(4):
             for h in range(3):
                 pre = sum(layer.W[h, v] * X[r, v] for v in range(5)) + layer.b[h]
@@ -231,39 +230,33 @@ class TestEncodeDecode:
         rng = np.random.default_rng(51)
         layer = random_layer(5, 3, seed=2)
         Y = rng.random((4, 3))
-        got = decode(layer, Y)
+        got = down(layer, Y)
         for r in range(4):
             for v in range(5):
-                pre = sum(layer.W[h, v] * Y[r, h] for h in range(3)) + layer.b_prime[v]
+                pre = sum(layer.W[h, v] * Y[r, h] for h in range(3)) + layer.c[v]
                 assert got[r, v] == pytest.approx(float(sigmoid(pre)), abs=1e-12)
 
     def test_decoder_is_sigmoid_even_for_relu_layers(self):
-        layer = random_layer(4, 3, activation="relu", seed=3)
-        z = decode(layer, np.random.default_rng(0).random((2, 3)))
+        layer = random_layer(4, 3, seed=3)
+        y = up(layer, np.random.default_rng(0).normal(size=(2, 4)), "relu")
+        z = down(layer, y)
         assert np.all((z > 0) & (z < 1))
 
     def test_weights_are_shared(self):
         layer = random_layer(4, 3, seed=4)
         y = np.random.default_rng(1).random((1, 3))
-        before = decode(layer, y)
+        before = down(layer, y)
         layer.W[:] = 0.0
-        after = decode(layer, y)
+        after = down(layer, y)
         assert not np.allclose(before, after)
-        assert np.allclose(after, sigmoid(layer.b_prime))
-
-    def test_dimension_mismatches(self):
-        layer = random_layer(4, 3)
-        with pytest.raises(ValueError, match="features"):
-            encode(layer, np.zeros(5))
-        with pytest.raises(ValueError, match="units"):
-            decode(layer, np.zeros(4))
+        assert np.allclose(after, sigmoid(layer.c))
 
     def test_init_shapes_and_bounds(self):
         layer = random_layer(9, 4, seed=5)
         assert layer.W.shape == (4, 9)
         assert np.all(np.abs(layer.W) <= 1.0 / 3.0)
         assert np.array_equal(layer.b, np.zeros(4))
-        assert np.array_equal(layer.b_prime, np.zeros(9))
+        assert np.array_equal(layer.c, np.zeros(9))
 
 
 class TestCorrupt:
@@ -318,19 +311,17 @@ class TestAutoencoderGradients:
     def test_perfect_reconstruction_gives_zero_gradients(self):
         layer = random_layer(6, 4, seed=10)
         xc = np.random.default_rng(11).random((5, 6))
-        t = decode(layer, encode(layer, xc))
-        g = ae_layer_gradients(layer, t, xc)
+        t = down(layer, up(layer, xc))
+        g = ae_layer_gradients(layer, t, xc, "sigmoid")
         assert np.allclose(g.weights[0], 0.0, atol=1e-15)
         assert np.allclose(g.biases[0], 0.0, atol=1e-15)
         assert np.allclose(g.biases[1], 0.0, atol=1e-15)
         assert g.loss == 0.0
 
     def test_zero_parameter_output_bias_gradient(self):
-        layer = AutoencoderLayer(
-            W=np.zeros((3, 2)), b=np.zeros(3), b_prime=np.zeros(2), activation="sigmoid"
-        )
+        layer = Layer(W=np.zeros((3, 2)), b=np.zeros(3), c=np.zeros(2))
         t = np.array([[1.0, 0.0]])
-        g = ae_layer_gradients(layer, t, t)
+        g = ae_layer_gradients(layer, t, t, "sigmoid")
         # z = 0.5 everywhere, so d_out = (0.5 - t) * 0.25
         assert np.allclose(g.biases[1], (0.5 - t[0]) * 0.25)
         assert np.allclose(g.weights[0][:, 0], 0.5 * (0.5 - 1.0) * 0.25)
@@ -338,39 +329,34 @@ class TestAutoencoderGradients:
     def test_loss_matches_forward_pass(self):
         layer = random_layer(5, 3, seed=12)
         x = np.random.default_rng(13).random((4, 5))
-        g = ae_layer_gradients(layer, x, x)
+        g = ae_layer_gradients(layer, x, x, "sigmoid")
         assert g.loss == pytest.approx(ae_loss(layer, x, x))
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
     def test_matches_central_differences(self, activation):
         for seed in range(5):
             rng = np.random.default_rng(1000 + seed)
-            layer = random_layer(5, 4, activation=activation, seed=seed)
+            layer = random_layer(5, 4, seed=seed)
             t = rng.random((6, 5))
             xc = corrupt(t, 0.1, seed=seed)
-            g = ae_layer_gradients(layer, t, xc)
+            g = ae_layer_gradients(layer, t, xc, activation)
             eps = 1e-5
             for arr, grad in [
                 (layer.W, g.weights[0]),
                 (layer.b, g.biases[0]),
-                (layer.b_prime, g.biases[1]),
+                (layer.c, g.biases[1]),
             ]:
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     i = it.multi_index
                     keep = arr[i]
                     arr[i] = keep + eps
-                    up = ae_loss(layer, t, xc)
+                    hi = ae_loss(layer, t, xc, activation)
                     arr[i] = keep - eps
-                    dn = ae_loss(layer, t, xc)
+                    lo = ae_loss(layer, t, xc, activation)
                     arr[i] = keep
-                    fd = (up - dn) / (2 * eps)
+                    fd = (hi - lo) / (2 * eps)
                     assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
-
-    def test_shape_mismatch(self):
-        layer = random_layer(4, 2)
-        with pytest.raises(ValueError, match="mismatch"):
-            ae_layer_gradients(layer, np.ones((2, 4)), np.ones((3, 4)))
 
 
 class TestEpochs:
@@ -412,38 +398,34 @@ class TestTrainAeLayer:
         X = self.make_data()
         hp = Hyperparams(initial_learning_rate=0.0, epochs=2, input_noise_level=0.0)
         layer = train_ae_layer(X, 3, hp, seed=5)
-        ref = init_ae_layer(X.shape[1], 3, "sigmoid", as_rng(5))
+        ref = init_layer(X.shape[1], 3, as_rng(5))
         assert np.array_equal(layer.W, ref.W)
         assert np.array_equal(layer.b, ref.b)
-        assert np.array_equal(layer.b_prime, ref.b_prime)
+        assert np.array_equal(layer.c, ref.c)
 
     def test_loss_improves(self):
         X = self.make_data(n=40)
         hp = Hyperparams(initial_learning_rate=0.2, epochs=40, input_noise_level=0.0)
         layer = train_ae_layer(X, 5, hp, seed=1)
-        init = init_ae_layer(X.shape[1], 5, "sigmoid", as_rng(1))
-
-        def loss(l):
-            return reconstruction_loss(X, decode(l, encode(l, X)))
-
-        assert loss(layer) < loss(init)
+        init = init_layer(X.shape[1], 5, as_rng(1))
+        assert ae_loss(layer, X, X) < ae_loss(init, X, X)
 
     def test_zero_epochs_trains_nothing(self):
         X = self.make_data()
         hp = Hyperparams(epochs=0)
         layer = train_ae_layer(X, 3, hp, seed=2)
-        assert np.array_equal(layer.W, init_ae_layer(X.shape[1], 3, "sigmoid", as_rng(2)).W)
+        assert np.array_equal(layer.W, init_layer(X.shape[1], 3, as_rng(2)).W)
 
     def test_single_step_equals_direct_update(self):
         X = self.make_data(n=10, d=5, seed=4)
         lr = 0.05
         hp = Hyperparams(initial_learning_rate=lr, epochs=1, input_noise_level=0.0)
         layer = train_ae_layer(X, 3, hp, seed=6)
-        ref = init_ae_layer(5, 3, "sigmoid", as_rng(6))
-        g = ae_layer_gradients(ref, X, X)
+        ref = init_layer(5, 3, as_rng(6))
+        g = ae_layer_gradients(ref, X, X, "sigmoid")
         assert np.allclose(layer.W, ref.W - lr * g.weights[0], atol=1e-13)
         assert np.allclose(layer.b, ref.b - lr * g.biases[0], atol=1e-13)
-        assert np.allclose(layer.b_prime, ref.b_prime - lr * g.biases[1], atol=1e-13)
+        assert np.allclose(layer.c, ref.c - lr * g.biases[1], atol=1e-13)
 
     def test_l2_decay_applies_to_weights_only(self):
         X = np.zeros((4, 3))
@@ -451,8 +433,8 @@ class TestTrainAeLayer:
             initial_learning_rate=0.1, epochs=1, input_noise_level=0.0, l2_weight_cost=0.01
         )
         layer = train_ae_layer(X, 2, hp, seed=3)
-        ref = init_ae_layer(3, 2, "sigmoid", as_rng(3))
-        g = ae_layer_gradients(ref, X, X)
+        ref = init_layer(3, 2, as_rng(3))
+        g = ae_layer_gradients(ref, X, X, "sigmoid")
         want_W = ref.W - 0.1 * (g.weights[0] + 0.01 * ref.W)
         assert np.allclose(layer.W, want_W, atol=1e-13)
         assert np.allclose(layer.b, ref.b - 0.1 * g.biases[0], atol=1e-13)
@@ -510,7 +492,7 @@ class TestSoftmax:
 class TestNetworkGradients:
     def fresh_net(self, n_in=4, n_hidden=3, activation="sigmoid", seed=0):
         hp = Hyperparams(hidden_units=(n_hidden,), activation=activation)
-        stack = init_stack(n_in, (n_hidden,), hp, seed)
+        stack = init_stack(n_in, (n_hidden,), seed)
         return build_network(stack, 2, hp, seed + 100)
 
     def test_loss_matches_oracle(self):
@@ -555,11 +537,11 @@ class TestNetworkGradients:
                         i = it.multi_index
                         keep = arr[i]
                         arr[i] = keep + eps
-                        up = net_loss_oracle(net, X, T)
+                        hi = net_loss_oracle(net, X, T)
                         arr[i] = keep - eps
-                        dn = net_loss_oracle(net, X, T)
+                        lo = net_loss_oracle(net, X, T)
                         arr[i] = keep
-                        fd = (up - dn) / (2 * eps)
+                        fd = (hi - lo) / (2 * eps)
                         assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
     def test_all_ones_masks_match_no_masks(self):
@@ -594,17 +576,17 @@ class TestFinetune:
     def test_zero_learning_rate_keeps_init(self):
         X, y = self.small_problem()
         hp = Hyperparams(hidden_units=(3,), initial_learning_rate=0.0, epochs=2)
-        stack = init_stack(4, (3,), hp, seed=1)
+        stack = init_stack(4, (3,), seed=1)
         snap = stack[0].W.copy()
         net = finetune(stack, X, y, hp, seed=9)
         assert np.array_equal(net.layers[0].W, snap)
-        ref_head = build_network(init_stack(4, (3,), hp, seed=1), 2, hp, as_rng(9))
+        ref_head = build_network(init_stack(4, (3,), seed=1), 2, hp, as_rng(9))
         assert np.array_equal(net.layers[-1].W, ref_head.layers[-1].W)
 
     def test_input_stack_is_not_mutated(self):
         X, y = self.small_problem()
         hp = Hyperparams(hidden_units=(3,), epochs=3)
-        stack = init_stack(4, (3,), hp, seed=2)
+        stack = init_stack(4, (3,), seed=2)
         snap = stack[0].W.copy()
         finetune(stack, X, y, hp, seed=0)
         assert np.array_equal(stack[0].W, snap)
@@ -613,9 +595,9 @@ class TestFinetune:
         X, y = self.small_problem(n=12)
         lr = 0.1
         hp = Hyperparams(hidden_units=(3,), initial_learning_rate=lr, epochs=1)
-        stack = init_stack(4, (3,), hp, seed=3)
+        stack = init_stack(4, (3,), seed=3)
         net = finetune(stack, X, y, hp, seed=7)
-        ref = build_network(init_stack(4, (3,), hp, seed=3), 2, hp, as_rng(7))
+        ref = build_network(init_stack(4, (3,), seed=3), 2, hp, as_rng(7))
         g = network_gradients(ref, X, one_hot(y))
         for i, layer in enumerate(ref.layers):
             assert np.allclose(net.layers[i].W, layer.W - lr * g.weights[i], atol=1e-13)
@@ -624,15 +606,15 @@ class TestFinetune:
     def test_training_reduces_cross_entropy(self):
         X, y = self.small_problem(n=60, seed=4)
         hp = Hyperparams(hidden_units=(6,), initial_learning_rate=0.2, epochs=60)
-        stack = init_stack(4, (6,), hp, seed=5)
-        before = build_network(init_stack(4, (6,), hp, seed=5), 2, hp, as_rng(8))
+        stack = init_stack(4, (6,), seed=5)
+        before = build_network(init_stack(4, (6,), seed=5), 2, hp, as_rng(8))
         net = finetune(stack, X, y, hp, seed=8)
         assert net_loss_oracle(net, X, one_hot(y)) < net_loss_oracle(before, X, one_hot(y))
 
     def test_non_finite_loss_raises_training_diverged(self):
         X, y = self.small_problem(n=140)
         hp = Hyperparams(hidden_units=(3,), activation="relu", epochs=2)
-        stack = [DenseLayer(W=np.full((3, 4), 1e308), b=np.zeros(3))]
+        stack = [Layer(W=np.full((3, 4), 1e308), b=np.zeros(3))]
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
             finetune(stack, X + 1.0, y, hp, seed=0)
         assert exc.value.epoch == 0
@@ -640,9 +622,9 @@ class TestFinetune:
     def test_dropout_changes_training(self):
         X, y = self.small_problem(n=40, seed=6)
         base = Hyperparams(hidden_units=(5,), epochs=5)
-        plain = finetune(init_stack(4, (5,), base, seed=1), X, y, base, seed=2)
+        plain = finetune(init_stack(4, (5,), seed=1), X, y, base, seed=2)
         noisy_hp = Hyperparams(hidden_units=(5,), epochs=5, dropout_fraction=0.3)
-        noisy = finetune(init_stack(4, (5,), noisy_hp, seed=1), X, y, noisy_hp, seed=2)
+        noisy = finetune(init_stack(4, (5,), seed=1), X, y, noisy_hp, seed=2)
         assert not np.array_equal(plain.layers[0].W, noisy.layers[0].W)
         assert noisy.dropout_fraction == 0.3
         assert np.isfinite(noisy.layers[0].W).all()
@@ -650,8 +632,8 @@ class TestFinetune:
     def test_deterministic(self):
         X, y = self.small_problem(n=25, seed=7)
         hp = Hyperparams(hidden_units=(4,), epochs=4, dropout_fraction=0.2)
-        a = finetune(init_stack(4, (4,), hp, seed=1), X, y, hp, seed=3)
-        b = finetune(init_stack(4, (4,), hp, seed=1), X, y, hp, seed=3)
+        a = finetune(init_stack(4, (4,), seed=1), X, y, hp, seed=3)
+        b = finetune(init_stack(4, (4,), seed=1), X, y, hp, seed=3)
         assert np.array_equal(a.layers[0].W, b.layers[0].W)
         assert np.array_equal(a.layers[-1].W, b.layers[-1].W)
 
@@ -660,8 +642,8 @@ class TestNetworkPredict:
     def test_zero_network_predicts_half(self):
         net = Network(
             layers=[
-                DenseLayer(W=np.zeros((3, 4)), b=np.zeros(3)),
-                DenseLayer(W=np.zeros((2, 3)), b=np.zeros(2)),
+                Layer(W=np.zeros((3, 4)), b=np.zeros(3)),
+                Layer(W=np.zeros((2, 3)), b=np.zeros(2)),
             ],
             activation="sigmoid",
         )
@@ -669,7 +651,7 @@ class TestNetworkPredict:
 
     def test_single_row_matches_batch(self):
         hp = Hyperparams(hidden_units=(3,))
-        net = build_network(init_stack(4, (3,), hp, seed=0), 2, hp, seed=1)
+        net = build_network(init_stack(4, (3,), seed=0), 2, hp, seed=1)
         X = np.random.default_rng(0).random((5, 4))
         batch = network_predict(net, X)
         assert batch.shape == (5,)
@@ -682,23 +664,23 @@ class TestNetworkPredict:
         hp = Hyperparams(hidden_units=(3,))
         raw = np.random.default_rng(1).random((8, 4)) * 50.0
         scaler = RangeScaler().fit(raw)
-        stack = init_stack(4, (3,), hp, seed=0)
+        stack = init_stack(4, (3,), seed=0)
         with_scaler = build_network(stack, 2, hp, seed=1, scaler=scaler)
-        without = build_network(init_stack(4, (3,), hp, seed=0), 2, hp, seed=1)
+        without = build_network(init_stack(4, (3,), seed=0), 2, hp, seed=1)
         got = network_predict(with_scaler, raw)
         want = network_predict(without, scaler.transform(raw))
         assert np.allclose(got, want)
 
     def test_dimension_mismatch(self):
         hp = Hyperparams(hidden_units=(3,))
-        net = build_network(init_stack(4, (3,), hp, seed=0), 2, hp, seed=1)
+        net = build_network(init_stack(4, (3,), seed=0), 2, hp, seed=1)
         with pytest.raises(ValueError, match="features"):
             network_predict(net, np.zeros(6))
 
     def test_dict_round_trip_preserves_outputs(self):
         hp = Hyperparams(hidden_units=(3,))
         scaler = RangeScaler().fit(np.random.default_rng(2).random((6, 4)))
-        net = build_network(init_stack(4, (3,), hp, seed=3), 2, hp, seed=4, scaler=scaler)
+        net = build_network(init_stack(4, (3,), seed=3), 2, hp, seed=4, scaler=scaler)
         clone = Network.from_dict(net.to_dict())
         X = np.random.default_rng(3).random((5, 4))
         assert np.allclose(network_predict(clone, X), network_predict(net, X))
@@ -779,7 +761,7 @@ def test_seeded_network_grid_keeps_its_bytes():
                 # pre-activations reach the saturated and underflowing
                 # ends of the sigmoid (|x| of several hundred and more).
                 big = Network(
-                    layers=[DenseLayer(W=1000.0 * l.W, b=1000.0 * l.b) for l in net.layers],
+                    layers=[Layer(W=1000.0 * l.W, b=1000.0 * l.b) for l in net.layers],
                     activation=net.activation,
                 )
                 h.update(network_predict(big, probe).tobytes())
@@ -793,7 +775,7 @@ def train_outcome(train, *args):
     except (ValueError, TrainingDiverged) as err:
         return type(err).__name__, str(err)
     layers = model.layers if isinstance(model, Network) else [model]
-    return [(l.W.tobytes(), l.b.tobytes(), getattr(l, "b_prime", l.b).tobytes()) for l in layers]
+    return [(l.W.tobytes(), l.b.tobytes(), None if l.c is None else l.c.tobytes()) for l in layers]
 
 
 @st.composite
@@ -822,8 +804,9 @@ def training_problems(draw):
 
 class TestTrainersAgainstPerBatchLoops:
     """train_ae_layer and finetune check their inputs once per stage and
-    then run unchecked steps; they match loops of the public, checked
-    step functions in network_oracles bit for bit."""
+    then run their step bodies unchecked; they match the loops in
+    network_oracles, which check every minibatch before the same step,
+    bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(training_problems())
@@ -837,6 +820,6 @@ class TestTrainersAgainstPerBatchLoops:
     def test_finetune_equals_network_gradients(self, problem):
         X, hp, seed = problem
         y = np.random.default_rng(seed).integers(0, 2, X.shape[0])
-        stack = init_stack(X.shape[1], hp.hidden_units, hp, seed)
+        stack = init_stack(X.shape[1], hp.hidden_units, seed)
         got = train_outcome(finetune, stack, X, y, hp, seed + 1)
         assert got == train_outcome(finetune_loop, stack, X, y, hp, seed + 1)

@@ -14,26 +14,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buyintent.neural import Hyperparams, finetune, network_predict
+from buyintent.neural import Hyperparams, Layer, down, finetune, network_predict, up
 from buyintent.rbm import (
-    Rbm,
     cd1_update,
     dbn_pretrain,
-    hidden_probs,
-    init_rbm,
     reconstruction_cross_entropy,
     train_dbn,
     train_rbm,
-    visible_probs,
 )
 from buyintent.util import as_rng
 from network_oracles import train_rbm_loop
-from rbm_oracles import energy, exact_log_likelihood, exact_partition, free_energy
+from rbm_oracles import energy, exact_log_likelihood, exact_partition, free_energy, normal_init
 
 
 def hand_rbm():
     """2 hidden x 2 visible with small distinct parameters."""
-    return Rbm(
+    return Layer(
         W=np.array([[0.5, -0.25], [0.125, 1.0]]),
         b=np.array([0.75, -0.5]),
         c=np.array([-1.0, 0.25]),
@@ -42,7 +38,7 @@ def hand_rbm():
 
 def random_rbm(n_visible, n_hidden, seed, scale=0.8):
     rng = np.random.default_rng(seed)
-    return Rbm(
+    return Layer(
         W=rng.normal(0.0, scale, size=(n_hidden, n_visible)),
         b=rng.normal(0.0, scale, size=n_hidden),
         c=rng.normal(0.0, scale, size=n_visible),
@@ -52,26 +48,28 @@ def random_rbm(n_visible, n_hidden, seed, scale=0.8):
 def energy_oracle(rbm, v, h):
     """Scalar-loop energy, the slow way."""
     total = 0.0
-    for i in range(rbm.n_hidden):
+    n_hidden, n_visible = rbm.W.shape
+    for i in range(n_hidden):
         total -= rbm.b[i] * h[i]
-        for j in range(rbm.n_visible):
+        for j in range(n_visible):
             total -= h[i] * rbm.W[i, j] * v[j]
-    for j in range(rbm.n_visible):
+    for j in range(n_visible):
         total -= rbm.c[j] * v[j]
     return total
 
 
 def partition_oracle(rbm):
     total = 0.0
-    for v in itertools.product([0.0, 1.0], repeat=rbm.n_visible):
-        for h in itertools.product([0.0, 1.0], repeat=rbm.n_hidden):
+    n_hidden, n_visible = rbm.W.shape
+    for v in itertools.product([0.0, 1.0], repeat=n_visible):
+        for h in itertools.product([0.0, 1.0], repeat=n_hidden):
             total += math.exp(-energy(rbm, np.array(v), np.array(h)))
     return total
 
 
 class TestEnergy:
     def test_hand_value(self):
-        rbm = Rbm(W=np.array([[2.0]]), b=np.array([1.0]), c=np.array([-1.0]))
+        rbm = Layer(W=np.array([[2.0]]), b=np.array([1.0]), c=np.array([-1.0]))
         # -b h - c v - h W v = -1 + 1 - 2
         assert energy(rbm, np.array([1.0]), np.array([1.0])) == -2.0
 
@@ -97,7 +95,7 @@ class TestEnergy:
 
 class TestFreeEnergy:
     def test_zero_parameters(self):
-        rbm = Rbm(W=np.zeros((3, 2)), b=np.zeros(3), c=np.zeros(2))
+        rbm = Layer(W=np.zeros((3, 2)), b=np.zeros(3), c=np.zeros(2))
         # each hidden unit contributes softplus(0) = ln 2
         assert free_energy(rbm, np.zeros(2)) == pytest.approx(-3 * np.log(2.0))
 
@@ -120,7 +118,7 @@ class TestFreeEnergy:
             assert batch[i] == pytest.approx(free_energy(rbm, V[i]))
 
     def test_large_preactivations_stay_finite(self):
-        rbm = Rbm(W=np.array([[700.0]]), b=np.array([700.0]), c=np.array([0.0]))
+        rbm = Layer(W=np.array([[700.0]]), b=np.array([700.0]), c=np.array([0.0]))
         out = free_energy(rbm, np.array([1.0]))
         assert np.isfinite(out)
         assert out == pytest.approx(-1400.0)
@@ -128,7 +126,7 @@ class TestFreeEnergy:
 
 class TestExactPartition:
     def test_zero_model_counts_states(self):
-        rbm = Rbm(W=np.zeros((2, 2)), b=np.zeros(2), c=np.zeros(2))
+        rbm = Layer(W=np.zeros((2, 2)), b=np.zeros(2), c=np.zeros(2))
         assert exact_partition(rbm) == pytest.approx(16.0)
 
     def test_matches_double_loop(self):
@@ -151,12 +149,12 @@ class TestExactPartition:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_guard(self):
-        rbm = Rbm(W=np.zeros((11, 10)), b=np.zeros(11), c=np.zeros(10))
+        rbm = Layer(W=np.zeros((11, 10)), b=np.zeros(11), c=np.zeros(10))
         with pytest.raises(ValueError, match="guard"):
             exact_partition(rbm)
 
     def test_log_likelihood_of_uniform_model(self):
-        rbm = Rbm(W=np.zeros((2, 3)), b=np.zeros(2), c=np.zeros(3))
+        rbm = Layer(W=np.zeros((2, 3)), b=np.zeros(2), c=np.zeros(3))
         V = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         # uniform over the 8 visible states
         assert exact_log_likelihood(rbm, V) == pytest.approx(-np.log(8.0))
@@ -167,20 +165,20 @@ class TestConditionals:
         rbm = hand_rbm()
         v = np.array([1.0, 0.0])
         want = 1.0 / (1.0 + np.exp(-(rbm.W @ v + rbm.b)))
-        assert np.allclose(hidden_probs(rbm, v), want)
+        assert np.allclose(up(rbm, v), want)
 
     def test_visible_probs_formula(self):
         rbm = hand_rbm()
         h = np.array([0.0, 1.0])
         want = 1.0 / (1.0 + np.exp(-(h @ rbm.W + rbm.c)))
-        assert np.allclose(visible_probs(rbm, h), want)
+        assert np.allclose(down(rbm, h), want)
 
 
 class TestCd1Update:
     def test_zero_learning_rate_is_identity(self):
         rbm = random_rbm(3, 2, seed=12)
         batch = (np.random.default_rng(13).random((5, 3)) < 0.5).astype(float)
-        out = cd1_update(rbm, batch, learning_rate=0.0, seed=0)
+        out = cd1_update(rbm, batch, learning_rate=0.0, rng=as_rng(0))
         assert np.array_equal(out.W, rbm.W)
         assert np.array_equal(out.b, rbm.b)
         assert np.array_equal(out.c, rbm.c)
@@ -188,16 +186,16 @@ class TestCd1Update:
     def test_returns_new_object(self):
         rbm = random_rbm(3, 2, seed=14)
         batch = np.zeros((2, 3))
-        out = cd1_update(rbm, batch, learning_rate=0.1, seed=0)
+        out = cd1_update(rbm, batch, learning_rate=0.1, rng=as_rng(0))
         assert out is not rbm
         assert out.W.shape == rbm.W.shape
 
     def test_deterministic(self):
         rbm = random_rbm(4, 3, seed=15)
         batch = (np.random.default_rng(16).random((8, 4)) < 0.5).astype(float)
-        a = cd1_update(rbm, batch, 0.1, seed=3)
-        b = cd1_update(rbm, batch, 0.1, seed=3)
-        c = cd1_update(rbm, batch, 0.1, seed=4)
+        a = cd1_update(rbm, batch, 0.1, as_rng(3))
+        b = cd1_update(rbm, batch, 0.1, as_rng(3))
+        c = cd1_update(rbm, batch, 0.1, as_rng(4))
         assert np.array_equal(a.W, b.W)
         assert not np.array_equal(a.W, c.W)
 
@@ -205,9 +203,9 @@ class TestCd1Update:
         # with huge symmetric weights the chain reproduces v exactly,
         # so only the hidden-probability difference term remains, and it
         # is zero too: the update must leave the model unchanged
-        rbm = Rbm(W=np.array([[60.0, 60.0]]), b=np.array([-30.0]), c=np.zeros(2))
+        rbm = Layer(W=np.array([[60.0, 60.0]]), b=np.array([-30.0]), c=np.zeros(2))
         batch = np.array([[1.0, 1.0]])
-        out = cd1_update(rbm, batch, learning_rate=0.5, seed=0)
+        out = cd1_update(rbm, batch, learning_rate=0.5, rng=as_rng(0))
         assert np.allclose(out.W, rbm.W)
         assert np.allclose(out.b, rbm.b)
         assert np.allclose(out.c, rbm.c)
@@ -215,20 +213,17 @@ class TestCd1Update:
     def test_probability_inputs_accepted(self):
         rbm = random_rbm(3, 2, seed=17)
         batch = np.random.default_rng(18).random((4, 3))
-        out = cd1_update(rbm, batch, 0.05, seed=1)
+        out = cd1_update(rbm, batch, 0.05, as_rng(1))
         assert np.isfinite(out.W).all()
 
     def test_out_of_range_inputs_rejected(self):
-        rbm = random_rbm(3, 2, seed=19)
+        # cd1_update trusts its batch; train_rbm, the stage that calls
+        # it, rejects values outside [0, 1] before the first step
+        hp = Hyperparams(initial_learning_rate=0.1, epochs=1)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            cd1_update(rbm, np.array([[0.0, 1.5, 0.0]]), 0.1, seed=0)
+            train_rbm(np.array([[0.0, 1.5, 0.0]]), 2, hp, seed=0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            cd1_update(rbm, np.array([[-0.1, 0.5, 0.0]]), 0.1, seed=0)
-
-    def test_empty_batch_rejected(self):
-        rbm = random_rbm(3, 2, seed=20)
-        with pytest.raises(ValueError, match="non-empty"):
-            cd1_update(rbm, np.zeros((0, 3)), 0.1, seed=0)
+            train_rbm(np.array([[-0.1, 0.5, 0.0]]), 2, hp, seed=0)
 
 
 class TestTrainRbm:
@@ -242,14 +237,14 @@ class TestTrainRbm:
         X = self.patterns()
         hp = Hyperparams(initial_learning_rate=0.25, epochs=150)
         rbm = train_rbm(X, 3, hp, seed=0)
-        init = init_rbm(4, 3, as_rng(0))
+        init = normal_init(4, 3, as_rng(0))
         assert reconstruction_cross_entropy(rbm, X) < reconstruction_cross_entropy(init, X)
         assert rbm.W.shape == (3, 4)
 
     def test_likelihood_improves_on_toy_patterns(self):
         X = self.patterns()
         hp = Hyperparams(initial_learning_rate=0.25, epochs=200)
-        init = init_rbm(4, 3, as_rng(5))
+        init = normal_init(4, 3, as_rng(5))
         before = exact_log_likelihood(init, X)
         rbm = train_rbm(X, 3, hp, seed=5)
         assert exact_log_likelihood(rbm, X) > before
@@ -258,7 +253,7 @@ class TestTrainRbm:
         X = self.patterns()
         hp = Hyperparams(epochs=0)
         rbm = train_rbm(X, 2, hp, seed=3)
-        ref = init_rbm(4, 2, as_rng(3))
+        ref = normal_init(4, 2, as_rng(3))
         assert np.array_equal(rbm.W, ref.W)
 
     def test_deterministic(self):
@@ -309,7 +304,7 @@ def rbm_problems(draw, plant_out_of_range):
 
 class TestTrainRbmChecksOnce:
     """train_rbm checks X once and then runs unchecked CD-1 steps; it
-    matches a loop of public cd1_update calls, which check every batch,
+    matches a loop that checks every batch before the same cd1_update,
     bit for bit, and raises on exactly the inputs that loop raises on."""
 
     @settings(max_examples=100, deadline=None)
@@ -330,7 +325,7 @@ class TestTrainRbmChecksOnce:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             train_rbm(X, 2, hp, seed=0)
         untrained = train_rbm(X, 2, Hyperparams(epochs=0), seed=0)
-        assert np.array_equal(untrained.W, init_rbm(2, 2, as_rng(0)).W)
+        assert np.array_equal(untrained.W, normal_init(2, 2, as_rng(0)).W)
         empty = train_rbm(np.zeros((0, 2)), 2, hp, seed=0)
         assert empty.W.shape == (2, 2)
 
@@ -340,7 +335,7 @@ class TestDbn:
         X = (np.random.default_rng(30).random((30, 6)) < 0.5).astype(float)
         hp = Hyperparams(initial_learning_rate=0.1, epochs=2)
         dbn = dbn_pretrain(X, (5, 3), hp, seed=0)
-        assert [(r.n_hidden, r.n_visible) for r in dbn] == [(5, 6), (3, 5)]
+        assert [r.W.shape for r in dbn] == [(5, 6), (3, 5)]
 
     def test_pretrain_deterministic(self):
         X = (np.random.default_rng(31).random((20, 4)) < 0.5).astype(float)
@@ -383,7 +378,7 @@ class TestDbn:
 
 class TestReconstructionCrossEntropy:
     def test_perfect_reconstruction_is_near_zero(self):
-        rbm = Rbm(
+        rbm = Layer(
             W=np.array([[80.0, -80.0]]), b=np.array([-40.0]), c=np.array([40.0, -40.0])
         )
         # v=[1,0] drives the hidden unit on and reconstructs [1,0]
@@ -391,6 +386,6 @@ class TestReconstructionCrossEntropy:
         assert val == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_model_gives_log2_per_unit(self):
-        rbm = Rbm(W=np.zeros((2, 3)), b=np.zeros(2), c=np.zeros(3))
+        rbm = Layer(W=np.zeros((2, 3)), b=np.zeros(2), c=np.zeros(3))
         V = np.array([[1.0, 0.0, 1.0]])
         assert reconstruction_cross_entropy(rbm, V) == pytest.approx(3 * np.log(2.0))

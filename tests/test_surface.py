@@ -3,6 +3,7 @@
 Every top-level function and class in the package must be used somewhere
 in src/ outside its own definition, or by the benchmark script. A helper
 that only its unit test calls gets a real caller or goes, with its test.
+Every name a module imports must be read in that module.
 """
 
 from __future__ import annotations
@@ -66,3 +67,25 @@ def test_allowlist_names_still_exist():
         for node in _top_level_definitions(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert set(ALLOWED) <= defined
+
+
+def unused_imports() -> list[str]:
+    """Names bound by an import in a src/ module and never read there;
+    `from __future__` imports are exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
