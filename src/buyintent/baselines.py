@@ -7,7 +7,7 @@ with midpoint thresholds and grow to full depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,49 +103,50 @@ def predict_logistic(model: LogisticModel, x: np.ndarray):
 
 
 @dataclass(eq=False)
-class TreeNode:
-    """Split node (feature, threshold, children) or leaf (counts only)."""
+class Tree:
+    """Nodes in growth order as parallel lists; node 0 is the root.
 
-    n_pos: int
-    n_total: int
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    A split node k sends rows with x[feature[k]] <= threshold[k] to
+    left[k] and the rest to right[k], both larger ids than k. A leaf has
+    feature, left and right -1 and scores n_pos / n_total.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    n_pos: list[int]
+    n_total: list[int]
 
-    @property
-    def prob(self) -> float:
-        return self.n_pos / self.n_total
+    def add_leaf(self, y) -> int:
+        """Append a leaf for the labels y and return its id."""
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.n_pos.append(int(y.sum()))
+        self.n_total.append(len(y))
+        return len(self.feature) - 1
 
     def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"n_pos": self.n_pos, "n_total": self.n_total}
-        return {
-            "n_pos": self.n_pos,
-            "n_total": self.n_total,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+        return dict(vars(self))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        node = cls(n_pos=d["n_pos"], n_total=d["n_total"])
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
-
-
-def _node(y) -> TreeNode:
-    return TreeNode(n_pos=int(y.sum()), n_total=len(y))
+    def from_dict(cls, d: dict, n_features: int) -> "Tree":
+        """A tree from its saved lists, checked so that scoring it ends,
+        stays in range and never divides by zero."""
+        tree = cls(**{column.name: list(d[column.name]) for column in fields(cls)})
+        n = len(tree.feature)
+        if n == 0 or any(len(column) != n for column in vars(tree).values()):
+            raise ValueError("tree node lists must be non-empty and of equal length")
+        for k, (f, lo, hi, pos, total) in enumerate(
+            zip(tree.feature, tree.left, tree.right, tree.n_pos, tree.n_total)
+        ):
+            if not 0 <= pos <= total or total < 1:
+                raise ValueError(f"tree node {k} has {pos} of {total} rows positive")
+            if f != -1 and not (0 <= f < n_features and k < lo < n and k < hi < n):
+                raise ValueError(f"tree node {k} splits on feature {f} into nodes {lo} and {hi}")
+        return tree
 
 
 def _best_split(X, y, feature_ids):
@@ -179,15 +180,16 @@ def _best_split(X, y, feature_ids):
     return float(score[b, f]), int(feature_ids[f]), float(thr)
 
 
-def _grow(X, y, mtry: int, rng) -> TreeNode:
+def _grow(X, y, mtry: int, rng) -> Tree:
     """Grow in preorder from an explicit stack: each node draws its
     features before its left subtree is grown, and depth is not bounded
-    by the interpreter's recursion limit."""
-    root = _node(y)
-    stack = [(root, X, y)]
+    by the interpreter's recursion limit. A split appends its two
+    children, so every child's id is larger than its parent's."""
+    tree = Tree(feature=[], threshold=[], left=[], right=[], n_pos=[], n_total=[])
+    stack = [(tree.add_leaf(y), X, y)]
     while stack:
-        node, X, y = stack.pop()
-        if node.n_pos in (0, node.n_total):
+        k, X, y = stack.pop()
+        if tree.n_pos[k] in (0, tree.n_total[k]):
             continue
         feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
         best = _best_split(X, y, feats)
@@ -195,20 +197,20 @@ def _grow(X, y, mtry: int, rng) -> TreeNode:
             continue
         _, f, thr = best
         mask = X[:, f] <= thr
-        node.feature = f
-        node.threshold = thr
-        node.left = _node(y[mask])
-        node.right = _node(y[~mask])
-        stack.append((node.right, X[~mask], y[~mask]))
-        stack.append((node.left, X[mask], y[mask]))
-    return root
+        tree.feature[k] = f
+        tree.threshold[k] = thr
+        tree.left[k] = tree.add_leaf(y[mask])
+        tree.right[k] = tree.add_leaf(y[~mask])
+        stack.append((tree.right[k], X[~mask], y[~mask]))
+        stack.append((tree.left[k], X[mask], y[mask]))
+    return tree
 
 
 def default_mtry(d: int) -> int:
     return int(np.ceil(np.sqrt(d)))
 
 
-def train_tree(sample: Dataset, mtry: int | None = None, seed=0) -> TreeNode:
+def train_tree(sample: Dataset, mtry: int | None = None, seed=0) -> Tree:
     """Unpruned Gini tree; mtry features are redrawn at every node."""
     if sample.n == 0:
         raise ValueError("cannot grow a tree on an empty sample")
@@ -220,7 +222,7 @@ def train_tree(sample: Dataset, mtry: int | None = None, seed=0) -> TreeNode:
 
 @dataclass(eq=False)
 class Forest:
-    trees: list[TreeNode]
+    trees: list[Tree]
     mtry: int
     seed: int
     bootstrap: bool
@@ -238,7 +240,7 @@ class Forest:
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
         return cls(
-            trees=[TreeNode.from_dict(t) for t in d["trees"]],
+            trees=[Tree.from_dict(t, d["n_features"]) for t in d["trees"]],
             mtry=d["mtry"],
             seed=d["seed"],
             bootstrap=d["bootstrap"],
@@ -279,14 +281,15 @@ def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"input has {X.shape[1]} features, forest expects {forest.n_features}")
     probs = np.empty((X.shape[0], len(forest.trees)))
     for t, tree in enumerate(forest.trees):
-        stack = [(tree, np.arange(X.shape[0]))]
+        stack = [(0, np.arange(X.shape[0]))]
         while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                probs[idx, t] = node.prob
+            k, idx = stack.pop()
+            f = tree.feature[k]
+            if f == -1:
+                probs[idx, t] = tree.n_pos[k] / tree.n_total[k]
                 continue
-            go_left = X[idx, node.feature] <= node.threshold
-            for child, rows in ((node.left, idx[go_left]), (node.right, idx[~go_left])):
+            go_left = X[idx, f] <= tree.threshold[k]
+            for child, rows in ((tree.left[k], idx[go_left]), (tree.right[k], idx[~go_left])):
                 if rows.size:
                     stack.append((child, rows))
     return probs.mean(axis=1)

@@ -46,7 +46,7 @@ from .synth import SynthConfig, generate
 from .util import TrainingDiverged
 
 MODEL_FORMAT = "buyintent-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def _dumps(obj) -> str:

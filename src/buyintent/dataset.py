@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,15 +61,7 @@ class Dataset:
     def take(self, idx) -> "Dataset":
         """Row subset as a new Dataset (metadata preserved)."""
         idx = np.asarray(idx)
-        return Dataset(
-            rows=self.rows[idx],
-            labels=self.labels[idx],
-            feature_names=list(self.feature_names),
-            aggregation=self.aggregation,
-            category_count=self.category_count,
-            seed=self.seed,
-            n_base_cols=self.n_base_cols,
-        )
+        return replace(self, rows=self.rows[idx], labels=self.labels[idx], feature_names=list(self.feature_names))
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -8,7 +8,7 @@ iterates stay nonnegative and the reconstruction error never increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,12 @@ def _init_factors(V, rank, rng):
     return W, H
 
 
+def _check_max_iters(max_iters: int) -> None:
+    # With no sweep the factors are only their random initialization.
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+
+
 def nmf_factorize(
     V: np.ndarray,
     rank: int,
@@ -62,10 +68,10 @@ def nmf_factorize(
         raise ValueError("V must be nonnegative")
     if not 1 <= rank <= min(V.shape):
         raise ValueError(f"rank must be in [1, {min(V.shape)}], got {rank}")
+    _check_max_iters(max_iters)
     rng = as_rng(seed)
     W, H = _init_factors(V, rank, rng)
     trace = [_frobenius(V, W, H)]
-    it = 0
     for it in range(1, max_iters + 1):
         H *= (W.T @ V) / (W.T @ W @ H + EPS)
         W *= (V @ H.T) / (W @ H @ H.T + EPS)
@@ -85,6 +91,7 @@ def nmf_transform(V: np.ndarray, H: np.ndarray, seed, max_iters: int = 500, tol:
         raise ValueError("V must be nonnegative")
     if V.shape[1] != H.shape[1]:
         raise ValueError(f"V has {V.shape[1]} columns, H expects {H.shape[1]}")
+    _check_max_iters(max_iters)
     rng = as_rng(seed)
     rank = H.shape[0]
     scale = np.sqrt(max(float(V.mean()), EPS) / rank)
@@ -110,13 +117,4 @@ def reduce_dataset(
     factors = nmf_factorize(agg, rank, seed, max_iters=max_iters, tol=tol)
     rows = np.hstack([ds.rows[:, : ds.n_base_cols], factors.W])
     names = ds.feature_names[: ds.n_base_cols] + [f"nmf_{i}" for i in range(rank)]
-    reduced = Dataset(
-        rows=rows,
-        labels=ds.labels.copy(),
-        feature_names=names,
-        aggregation=ds.aggregation,
-        category_count=ds.category_count,
-        seed=ds.seed,
-        n_base_cols=ds.n_base_cols,
-    )
-    return reduced, factors
+    return replace(ds, rows=rows, labels=ds.labels.copy(), feature_names=names), factors

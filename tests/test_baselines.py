@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from buyintent.baselines import (
     Forest,
     LogisticModel,
-    TreeNode,
+    Tree,
     _best_split,
     default_mtry,
     forest_scores,
@@ -26,7 +26,7 @@ from buyintent.baselines import (
 from buyintent.dataset import Dataset
 from buyintent.evaluation import auc
 from buyintent.util import TrainingDiverged, as_rng
-from tree_oracles import best_split_loop, forest_scores_walk, grow_recursive
+from tree_oracles import best_split_loop, depth, forest_scores_walk, grow_recursive, nested
 
 
 def make_ds(rows, labels):
@@ -58,13 +58,8 @@ def one_tree(node, n_features):
     return Forest(trees=[node], mtry=1, seed=0, bootstrap=False, n_features=n_features)
 
 
-def depth(node):
-    deepest, stack = 0, [(node, 0)]
-    while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in (node.left, node.right) if child is not None)
-    return deepest
+def leaf_tree(n_pos, n_total):
+    return Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], n_pos=[n_pos], n_total=[n_total])
 
 
 class TestLogisticGradients:
@@ -170,17 +165,20 @@ class TestTrainLogistic:
 class TestDecisionTree:
     def test_pure_sample_stays_leaf(self):
         ds = make_ds([[0.0], [1.0], [2.0]], [0, 0, 0])
-        node = train_tree(ds, seed=0)
-        assert node.is_leaf
-        assert node.prob == 0.0
+        tree = train_tree(ds, seed=0)
+        assert tree.to_dict() == leaf_tree(0, 3).to_dict()
 
     def test_two_point_split_uses_midpoint(self):
         ds = make_ds([[0.0], [1.0]], [0, 1])
-        node = train_tree(ds, mtry=1, seed=0)
-        assert node.feature == 0
-        assert node.threshold == 0.5
-        assert node.left.prob == 0.0
-        assert node.right.prob == 1.0
+        tree = train_tree(ds, mtry=1, seed=0)
+        assert tree.to_dict() == {
+            "feature": [0, -1, -1],
+            "threshold": [0.5, 0.0, 0.0],
+            "left": [1, -1, -1],
+            "right": [2, -1, -1],
+            "n_pos": [1, 0, 1],
+            "n_total": [2, 1, 1],
+        }
 
     def test_xor_memorized_with_all_features(self):
         ds = xor_ds()
@@ -189,9 +187,8 @@ class TestDecisionTree:
 
     def test_constant_features_give_leaf(self):
         ds = make_ds([[1.0, 2.0]] * 4, [0, 1, 0, 1])
-        node = train_tree(ds, mtry=2, seed=0)
-        assert node.is_leaf
-        assert node.prob == 0.5
+        tree = train_tree(ds, mtry=2, seed=0)
+        assert tree.to_dict() == leaf_tree(2, 4).to_dict()
 
     def test_mtry_bounds_checked(self):
         ds = xor_ds()
@@ -208,19 +205,19 @@ class TestDecisionTree:
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(31)
         ds = make_ds(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
-        node = train_tree(ds, seed=2)
-        clone = TreeNode.from_dict(node.to_dict())
+        tree = train_tree(ds, seed=2)
+        clone = Tree.from_dict(json.loads(json.dumps(tree.to_dict())), 3)
         probe = rng.normal(size=(25, 3))
-        assert (forest_scores(one_tree(clone, 3), probe) == forest_scores(one_tree(node, 3), probe)).all()
+        assert forest_scores(one_tree(clone, 3), probe).tobytes() == forest_scores(one_tree(tree, 3), probe).tobytes()
 
     def test_tree_deeper_than_the_recursion_limit_trains_and_scores(self):
         # Sorted rows with alternating labels: every split peels off one
         # row, so the tree is as deep as the sample is long.
         n = 3000
         ds = make_ds(np.arange(float(n))[:, None], np.arange(n) % 2)
-        node = train_tree(ds, mtry=1, seed=0)
-        assert depth(node) == n - 1
-        assert (forest_scores(one_tree(node, 1), ds.rows) == ds.labels).all()
+        tree = train_tree(ds, mtry=1, seed=0)
+        assert depth(tree) == n - 1
+        assert (forest_scores(one_tree(tree, 1), ds.rows) == ds.labels).all()
 
     def test_default_mtry_is_sqrt_rounded_up(self):
         assert default_mtry(4) == 2
@@ -265,17 +262,54 @@ class TestForestTraining:
     def test_round_trip_preserves_scores(self):
         ds = separable_ds(n=30, seed=6)
         forest = train_forest(ds, n_trees=4, seed=1)
-        clone = Forest.from_dict(forest.to_dict())
-        assert np.array_equal(forest_scores(clone, ds.rows), forest_scores(forest, ds.rows))
+        clone = Forest.from_dict(json.loads(json.dumps(forest.to_dict())))
+        assert forest_scores(clone, ds.rows).tobytes() == forest_scores(forest, ds.rows).tobytes()
+
+
+def stump_dict(**changes):
+    """A saved one-split tree on feature 1 of 2, with some lists replaced."""
+    d = {
+        "feature": [1, -1, -1],
+        "threshold": [0.5, 0.0, 0.0],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "n_pos": [3, 0, 3],
+        "n_total": [5, 2, 3],
+    }
+    return {**d, **changes}
+
+
+class TestTreeLoading:
+    def test_valid_tree_loads(self):
+        assert Tree.from_dict(stump_dict(), 2).to_dict() == stump_dict()
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"left": [0, -1, -1]}, "into nodes 0 and 2"),
+            ({"right": [2, -1, -1], "left": [3, -1, -1]}, "into nodes 3 and 2"),
+            ({"feature": [2, -1, -1]}, "feature 2"),
+            ({"n_pos": [0, 0, 0], "n_total": [5, 0, 3]}, "node 1 has 0 of 0"),
+            ({"threshold": [0.5, 0.0]}, "equal length"),
+            ({name: [] for name in stump_dict()}, "non-empty"),
+        ],
+        ids=["self-loop-child", "child-out-of-range", "feature-out-of-range", "zero-total", "unequal-lengths",
+             "empty"],
+    )
+    def test_malformed_tree_is_rejected(self, changes, named):
+        with pytest.raises(ValueError, match=named):
+            Tree.from_dict(stump_dict(**changes), 2)
+
+    def test_forest_checks_each_tree_against_its_feature_count(self):
+        d = {"mtry": 1, "seed": 0, "bootstrap": False, "n_features": 1, "trees": [stump_dict()]}
+        with pytest.raises(ValueError, match="feature 1"):
+            Forest.from_dict(d)
 
 
 class TestForestPrediction:
-    def leaf(self, prob):
-        return TreeNode(n_pos=int(prob * 10), n_total=10)
-
     def hand_forest(self, probs):
         return Forest(
-            trees=[self.leaf(p) for p in probs],
+            trees=[leaf_tree(int(p * 10), 10) for p in probs],
             mtry=1,
             seed=0,
             bootstrap=False,
@@ -354,9 +388,9 @@ class TestAgainstScalarOracles:
     def test_tree_equals_the_recursive_grower(self, problem, seed):
         X, y, _ = problem
         mtry = 1 + seed % X.shape[1]
-        node = train_tree(make_ds(X, y), mtry=mtry, seed=seed)
+        tree = train_tree(make_ds(X, y), mtry=mtry, seed=seed)
         oracle = grow_recursive(X, y, mtry, as_rng(seed))
-        assert json.dumps(node.to_dict(), sort_keys=True) == json.dumps(oracle.to_dict(), sort_keys=True)
+        assert json.dumps(nested(tree), sort_keys=True) == json.dumps(oracle, sort_keys=True)
 
     @settings(max_examples=100, deadline=None)
     @given(split_problems(), st.integers(1, 20), st.integers(0, 2**16), st.booleans())
@@ -374,16 +408,16 @@ class TestAgainstScalarOracles:
         rng = np.random.default_rng(seed)
         trees = []
         for _ in range(n_trees):
-            totals = rng.integers(1, 50, size=2)
-            left, right = (TreeNode(n_pos=int(rng.integers(0, t + 1)), n_total=int(t)) for t in totals)
+            totals = [int(t) for t in rng.integers(1, 50, size=2)]
+            pos = [int(rng.integers(0, t + 1)) for t in totals]
             trees.append(
-                TreeNode(
-                    n_pos=left.n_pos + right.n_pos,
-                    n_total=left.n_total + right.n_total,
-                    feature=0,
-                    threshold=float(rng.normal()),
-                    left=left,
-                    right=right,
+                Tree(
+                    feature=[0, -1, -1],
+                    threshold=[float(rng.normal()), 0.0, 0.0],
+                    left=[1, -1, -1],
+                    right=[2, -1, -1],
+                    n_pos=[sum(pos), *pos],
+                    n_total=[sum(totals), *totals],
                 )
             )
         forest = Forest(trees=trees, mtry=1, seed=0, bootstrap=False, n_features=1)
@@ -406,8 +440,9 @@ def golden_grid_ds(seed):
 
 
 # Computed at commit 107549a, whose forest searched splits one feature and
-# one boundary at a time, grew trees by recursion and scored one row per
-# tree at a time. Any change to tree or score bytes fails here.
+# one boundary at a time, grew trees by recursion, saved them as nested
+# dicts and scored one row per tree at a time. Trees are hashed in that
+# nested form, so any change to tree or score bytes fails here.
 GOLDEN_GRID_SHA256 = "36b1f080f9fdfc0dbfa8fa0f1e3f42719f789e929864b33829f14bb91c007667"
 
 
@@ -418,7 +453,8 @@ def test_seeded_forest_grid_keeps_its_bytes():
         for mtry in (None, 1, ds.d):
             for bootstrap in (True, False):
                 forest = train_forest(ds, n_trees=9, mtry=mtry, seed=seed, bootstrap=bootstrap)
-                h.update(json.dumps(forest.to_dict(), sort_keys=True).encode())
+                doc = {**forest.to_dict(), "trees": [nested(t) for t in forest.trees]}
+                h.update(json.dumps(doc, sort_keys=True).encode())
                 h.update(forest_scores(forest, ds.rows).tobytes())
     assert h.hexdigest() == GOLDEN_GRID_SHA256
 

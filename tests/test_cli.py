@@ -19,6 +19,7 @@ from buyintent.baselines import Forest
 from buyintent.dataset import Dataset, load_dataset, save_dataset
 from buyintent.ingest import load_store
 from buyintent.neural import Hyperparams, Network
+from tree_oracles import depth, nested
 
 
 def run_cli(argv):
@@ -272,6 +273,18 @@ class TestReduce:
         H = np.asarray(factors["H"])
         assert H.shape == (4, plain.d - 61)
 
+    @pytest.mark.parametrize("sweeps", ["0", "-5"])
+    def test_no_nmf_sweeps_is_a_structured_error(self, work, tmp_path, sweeps):
+        out = tmp_path / "r.bin"
+        rc, _, err = run_cli(
+            ["reduce", "--in", str(work["plain"]), "--rank", "4", "--max-iters", sweeps,
+             "--seed", "3", "--out", str(out)]
+        )
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": f"max_iters must be at least 1, got {sweeps}"}
+        assert not out.exists()
+
     def test_bad_rank_is_a_structured_error(self, work, tmp_path):
         rc, _, err = run_cli(
             ["reduce", "--in", str(work["plain"]), "--rank", "0",
@@ -296,7 +309,7 @@ class TestTrain:
     def test_lr_model_file_round_trips(self, work, lr_model):
         doc = cli.load_model(str(lr_model))
         assert doc["format"] == "buyintent-model"
-        assert doc["version"] == 1
+        assert doc["version"] == cli.MODEL_VERSION
         assert doc["kind"] == "lr"
         assert doc["seed"] == 1
 
@@ -357,14 +370,12 @@ class TestTrain:
         assert stderr_error(err)["detail"] == "epochs must be nonnegative"
         assert not out.exists()
 
-    def test_tree_deeper_than_the_recursion_limit_is_a_structured_error(self, tmp_path):
+    def test_tree_deeper_than_the_recursion_limit_saves_and_scores_like_a_retrain(self, tmp_path):
         # One feature, alternating labels, and runs that shrink from
         # 2*sqrt(1000) rows to 2: bootstrap keeps the peel-one-run-per-split
-        # shape, so the tree passes the default recursion limit. 1,000 runs
-        # is the smallest count that still does so from a shallow stack.
-        # Growth uses an explicit stack and trains such a tree; the
-        # RecursionError comes from the recursive TreeNode.to_dict and the
-        # JSON writer when the model is saved.
+        # shape, so the tree is 994 levels deep: too deep for a nested JSON
+        # document from a shallow stack. The saved node lists and the walks
+        # over them are flat, so such a tree saves, loads and scores.
         runs = np.ceil(2 * np.sqrt(np.arange(1000, 0, -1))).astype(int)
         ds = Dataset(
             rows=np.repeat(np.arange(1000.0), runs)[:, None],
@@ -379,10 +390,15 @@ class TestTrain:
             ["train", "--model", "rf", "--trees", "1", "--in", str(data),
              "--seed", "0", "--out", str(out)]
         )
-        assert rc == 1
-        assert len(err.strip().splitlines()) == 1
-        assert stderr_error(err)["error"] == "RecursionError"
-        assert not out.exists()
+        assert rc == 0, err
+        doc = cli.load_model(str(out))
+        tree = Forest.from_dict(doc["params"]).trees[0]
+        assert depth(tree) == 994
+        with pytest.raises(RecursionError):
+            json.dumps(nested(tree))
+        saved = cli.scorer_from_model(doc)(ds.rows)
+        retrained = cli.trainer_from_model(doc)(ds, doc["seed"])(ds.rows)
+        assert saved.tobytes() == retrained.tobytes()
 
     def test_sda_model_records_architecture(self, work, tmp_path):
         path = tmp_path / "sda.model.json"
@@ -439,6 +455,32 @@ class TestTrain:
         with pytest.raises(ValueError, match="unsupported model version"):
             cli.load_model(str(path))
 
+    def test_first_format_model_is_a_structured_error(self, work, tmp_path):
+        path = tmp_path / "v1.model.json"
+        doc = model_doc("rf", {"n_trees": 1, "mtry": None})
+        doc.update(version=1, params={"trees": [{"n_pos": 1, "n_total": 2}]})
+        path.write_text(json.dumps(doc))
+        rc, _, err = run_cli(
+            ["evaluate", "--model", str(path), "--in", str(work["balanced"]),
+             "--seed", "1", "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": "unsupported model version 1"}
+
+    def test_json_nested_past_the_recursion_limit_is_a_structured_error(self, work, tmp_path):
+        # json.load itself recurses once per nesting level.
+        path = tmp_path / "nested.model.json"
+        path.write_text("[" * 100_000)
+        report = tmp_path / "r.json"
+        rc, _, err = run_cli(
+            ["evaluate", "--model", str(path), "--in", str(work["balanced"]),
+             "--seed", "1", "--report", str(report)]
+        )
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_error(err)["error"] == "RecursionError"
+        assert not report.exists()
+
     def test_scorer_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             cli.scorer_from_model({"kind": "zz"})
@@ -447,7 +489,7 @@ class TestTrain:
 
 
 def model_doc(kind, config):
-    return {"format": "buyintent-model", "version": 1, "kind": kind,
+    return {"format": "buyintent-model", "version": cli.MODEL_VERSION, "kind": kind,
             "seed": 1, "config": config, "params": {}}
 
 

@@ -81,6 +81,11 @@ class TestFactorize:
         with pytest.raises(ValueError, match="rank"):
             nmf_factorize(V, rank=4, seed=0)
 
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_no_sweeps_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            nmf_factorize(np.ones((4, 3)), rank=1, seed=0, max_iters=max_iters)
+
     def test_non_matrix_rejected(self):
         with pytest.raises(ValueError, match="matrix"):
             nmf_factorize(np.ones(5), rank=1, seed=0)
@@ -109,6 +114,11 @@ class TestTransform:
         H_before = fit.H.copy()
         nmf_transform(V, fit.H, seed=5)
         assert np.array_equal(fit.H, H_before)
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_no_sweeps_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            nmf_transform(np.ones((3, 5)), np.ones((2, 5)), seed=0, max_iters=max_iters)
 
     def test_column_mismatch_rejected(self):
         H = np.ones((2, 6))

@@ -1,18 +1,17 @@
 """Scalar references for the random forest's batched code.
 
 best_split_loop scores one boundary of one feature at a time, and
-grow_recursive grows a tree depth-first by recursion; tree_prob_walk
-sends one row down one tree, and forest_scores_walk averages one row's
-per-tree probabilities with np.mean. The package's vectorised split
-search, stack-based grower and block traversal must match them bit for
-bit.
+grow_recursive grows a tree depth-first by recursion into the nested
+dict the first model format saved; nested converts a flat Tree to that
+dict without recursion. tree_prob_walk sends one row down one tree, and
+forest_scores_walk averages one row's per-tree probabilities with
+np.mean. The package's vectorised split search, stack-based grower and
+block traversal must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from buyintent.baselines import TreeNode
 
 
 def gini(n_pos: int, n: int) -> float:
@@ -42,10 +41,12 @@ def best_split_loop(X, y, feature_ids):
     return best
 
 
-def grow_recursive(X, y, mtry: int, rng) -> TreeNode:
+def grow_recursive(X, y, mtry: int, rng) -> dict:
+    """A leaf is {n_pos, n_total}; a split adds feature, threshold and
+    its left and right subtrees."""
     n_pos = int(y.sum())
     n = len(y)
-    node = TreeNode(n_pos=n_pos, n_total=n)
+    node = {"n_pos": n_pos, "n_total": n}
     if n_pos in (0, n):
         return node
     feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
@@ -54,17 +55,38 @@ def grow_recursive(X, y, mtry: int, rng) -> TreeNode:
         return node
     _, f, thr = best
     mask = X[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = grow_recursive(X[mask], y[mask], mtry, rng)
-    node.right = grow_recursive(X[~mask], y[~mask], mtry, rng)
+    node["feature"] = f
+    node["threshold"] = thr
+    node["left"] = grow_recursive(X[mask], y[mask], mtry, rng)
+    node["right"] = grow_recursive(X[~mask], y[~mask], mtry, rng)
     return node
 
 
-def tree_prob_walk(node: TreeNode, x: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.prob
+def nested(tree) -> dict:
+    """grow_recursive's dict for a flat Tree, linked in one pass."""
+    nodes = [{"n_pos": pos, "n_total": total} for pos, total in zip(tree.n_pos, tree.n_total)]
+    for k, f in enumerate(tree.feature):
+        if f != -1:
+            nodes[k].update(
+                feature=f, threshold=tree.threshold[k], left=nodes[tree.left[k]], right=nodes[tree.right[k]]
+            )
+    return nodes[0]
+
+
+def depth(tree) -> int:
+    """Levels below the root of a Tree's deepest leaf."""
+    level = [0] * len(tree.feature)
+    for k, f in enumerate(tree.feature):
+        if f != -1:
+            level[tree.left[k]] = level[tree.right[k]] = level[k] + 1
+    return max(level)
+
+
+def tree_prob_walk(tree, x: np.ndarray) -> float:
+    k = 0
+    while tree.feature[k] != -1:
+        k = tree.left[k] if x[tree.feature[k]] <= tree.threshold[k] else tree.right[k]
+    return tree.n_pos[k] / tree.n_total[k]
 
 
 def forest_scores_walk(forest, X: np.ndarray) -> np.ndarray:
