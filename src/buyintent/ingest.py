@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import sys
 from dataclasses import dataclass, field, replace
 
 log = logging.getLogger(__name__)
@@ -18,6 +19,9 @@ CLICK_EVENT_TYPES = frozenset({"pageview", "basketview"})
 REQUIRED_FIELDS = ("user_id", "session_id", "timestamp", "event_type", "item_id")
 
 MS_PER_HOUR = 3_600_000
+
+# 9999-12-31T23:59:59.999Z, the last millisecond a datetime can hold.
+MAX_TIMESTAMP_MS = 253_402_300_799_999
 
 
 @dataclass(eq=True, frozen=True)
@@ -147,18 +151,30 @@ def _validate_event(obj: dict) -> str | None:
         if obj.get(name) is None:
             return f"missing required field '{name}'"
     etype = obj["event_type"]
-    if etype not in EVENT_TYPES:
+    if not isinstance(etype, str) or etype not in EVENT_TYPES:
         return f"unknown event_type '{etype}'"
     ts = obj["timestamp"]
-    if not isinstance(ts, (int, float)) or isinstance(ts, bool) or float(ts) != int(ts):
+    if (
+        not isinstance(ts, (int, float))
+        or isinstance(ts, bool)
+        or (isinstance(ts, float) and not ts.is_integer())  # also NaN and the infinities
+    ):
         return "timestamp must be an integer (milliseconds since epoch)"
-    if int(ts) < 0:
+    if ts < 0:
         return "timestamp must be >= 0"
+    if ts > MAX_TIMESTAMP_MS:
+        return f"timestamp must be <= {MAX_TIMESTAMP_MS} (9999-12-31T23:59:59.999Z)"
     price = obj.get("price")
     if price is not None:
         if etype not in PRICED_EVENT_TYPES:
             return f"price not allowed on '{etype}' events"
-        if not isinstance(price, (int, float)) or isinstance(price, bool) or float(price) < 0:
+        # Both bounds are false for NaN; the upper one also rejects
+        # infinity and any int too large to become a float.
+        if (
+            not isinstance(price, (int, float))
+            or isinstance(price, bool)
+            or not 0 <= price <= sys.float_info.max
+        ):
             return "price must be a nonnegative number"
     return None
 
@@ -295,13 +311,18 @@ STORE_VERSION = 1
 
 
 def save_store(store: SessionStore, path) -> None:
-    """Persist a store as canonical JSON; round-trips bit-exactly."""
-    doc = {
-        "format": STORE_FORMAT,
-        "version": STORE_VERSION,
-        "duplicates_dropped": store.duplicates_dropped,
-        "sessions": [
-            {
+    """Persist a store as canonical JSON; round-trips bit-exactly.
+
+    The document is one object with sorted keys and no whitespace. Its
+    top level is written here and each session record by json.dumps,
+    whose C encoder gives the same bytes as encoding the whole document
+    in one call, without building it in memory.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        dropped, fmt = json.dumps(store.duplicates_dropped), json.dumps(STORE_FORMAT)
+        fh.write(f'{{"duplicates_dropped":{dropped},"format":{fmt},"sessions":[')
+        for i, s in enumerate(store.ordered_sessions()):
+            rec = {
                 "session_id": s.session_id,
                 "user_id": s.user_id,
                 "label": s.label,
@@ -321,12 +342,8 @@ def save_store(store: SessionStore, path) -> None:
                     for e in s.events
                 ],
             }
-            for s in store.ordered_sessions()
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+            fh.write(("," if i else "") + json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        fh.write(f'],"version":{json.dumps(STORE_VERSION)}}}\n')
 
 
 def load_store(path) -> SessionStore:

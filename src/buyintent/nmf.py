@@ -36,6 +36,12 @@ def _frobenius(V, W, H) -> float:
     return float(np.sqrt(np.sum(R * R)))
 
 
+def _residual_norm(V, WH) -> float:
+    """_frobenius given the product W @ H."""
+    R = V - WH
+    return float(np.sqrt(np.sum(R * R)))
+
+
 def _init_factors(V, rank, rng):
     scale = np.sqrt(max(float(V.mean()), EPS) / rank)
     W = rng.uniform(0.0, 1.0, size=(V.shape[0], rank)) * scale
@@ -96,10 +102,15 @@ def nmf_transform(V: np.ndarray, H: np.ndarray, seed, max_iters: int = 500, tol:
     rank = H.shape[0]
     scale = np.sqrt(max(float(V.mean()), EPS) / rank)
     W = rng.uniform(0.0, 1.0, size=(V.shape[0], rank)) * scale
-    prev = _frobenius(V, W, H)
+    # H is fixed, so V H^T is the same every sweep, and the W H of one
+    # sweep's error is the W H of the next sweep's update.
+    VHt = V @ H.T
+    WH = W @ H
+    prev = _residual_norm(V, WH)
     for _ in range(max_iters):
-        W *= (V @ H.T) / (W @ H @ H.T + EPS)
-        err = _frobenius(V, W, H)
+        W *= VHt / (WH @ H.T + EPS)
+        WH = W @ H
+        err = _residual_norm(V, WH)
         if prev > 0 and (prev - err) / prev < tol:
             break
         prev = err

@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,30 @@ class TestIngest:
         )
         assert rc == 0
         assert again.read_bytes() == work["store"].read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, raw",
+        [("timestamp", "1e400"), ("timestamp", "-Infinity"), ("timestamp", "NaN"),
+         ("timestamp", str(10**20)), ("timestamp", "253402300800000"), ("price", "NaN"),
+         ("price", "Infinity")],
+    )
+    def test_one_unrepresentable_value_is_one_parse_error(self, work, tmp_path, field, raw):
+        lines = (work["corpus"] / "events.jsonl").read_text().splitlines(True)
+        k = next(i for i, line in enumerate(lines) if f'"{field}":' in line)
+        lines[k] = re.sub(rf'"{field}":[0-9.]+', f'"{field}":{raw}', lines[k])
+        log = tmp_path / "events.jsonl"
+        log.write_text("".join(lines))
+        store = tmp_path / "store.json"
+        rc, out, _ = run_cli(["ingest", "--input", str(log), "--out", str(store)])
+        assert rc == 0
+        assert json.loads(out)["parse_errors"] == 1
+        json.loads(store.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in store"))
+        rc, _, _ = run_cli(
+            ["featurize", "--store", str(store), "--embeddings",
+             str(work["corpus"] / "embeddings.tsv"), "--categories", "12",
+             "--out", str(tmp_path / "plain.bin")]
+        )
+        assert rc == 0
 
     @pytest.mark.parametrize("hours", ["inf", "0", "-5"])
     @pytest.mark.parametrize("empty", [True, False])

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from buyintent.ingest import (
+    EVENT_TYPES,
+    MAX_TIMESTAMP_MS,
     MS_PER_HOUR,
     ParseResult,
     RawEvent,
     Session,
+    SessionStore,
     apply_prediction_window,
     exclude_prediction_window,
     filter_min_clicks,
@@ -21,6 +27,7 @@ from buyintent.ingest import (
     save_store,
     sessionize,
 )
+from io_oracles import save_store_dump
 
 DAY = 24 * MS_PER_HOUR
 
@@ -96,6 +103,79 @@ class TestParseEvents:
             lines(base_obj(event_type="buy", price=-1)).splitlines(True)
         )
         assert "price" in result.errors[0].reason
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["NaN", "Infinity", "-Infinity", "1e400", str(10**20), str(MAX_TIMESTAMP_MS + 1), str(-(10**400))],
+        ids=lambda raw: raw if len(raw) < 25 else f"{len(raw)}-char int",
+    )
+    def test_unrepresentable_timestamp_is_one_issue(self, raw):
+        text = lines(base_obj()) + lines(base_obj(timestamp=0)).replace('"timestamp": 0', f'"timestamp": {raw}')
+        result = parse_events(text.splitlines(True))
+        assert len(result.events) == 1
+        assert [(e.line_no, "timestamp" in e.reason) for e in result.errors] == [(2, True)]
+
+    def test_last_representable_millisecond_parses(self):
+        result = parse_events(lines(base_obj(timestamp=float(MAX_TIMESTAMP_MS))).splitlines(True))
+        assert not result.errors
+        assert result.events[0].timestamp == MAX_TIMESTAMP_MS
+        assert type(result.events[0].timestamp) is int
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["NaN", "Infinity", "-Infinity", "1e400", str(10**400)],
+        ids=lambda raw: raw if len(raw) < 25 else f"{len(raw)}-char int",
+    )
+    def test_non_finite_price_is_one_issue(self, raw):
+        text = lines(base_obj(event_type="basketview", price=0)).replace('"price": 0', f'"price": {raw}')
+        result = parse_events(text.splitlines(True))
+        assert not result.events
+        assert [e.reason for e in result.errors] == ["price must be a nonnegative number"]
+
+    @pytest.mark.parametrize("etype", [[], {}, ["buy"], 3])
+    def test_event_type_that_is_not_a_string_is_one_issue(self, etype):
+        result = parse_events(lines(base_obj(event_type=etype)).splitlines(True))
+        assert not result.events
+        assert result.errors[0].reason.startswith("unknown event_type")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(None),
+                st.tuples(
+                    st.sampled_from(sorted(EVENT_TYPES)),
+                    st.one_of(
+                        st.floats(),
+                        st.integers(),
+                        st.sampled_from([10**20, 10**400, -(10**400), MAX_TIMESTAMP_MS, MAX_TIMESTAMP_MS + 1]),
+                        st.booleans(),
+                        st.text(max_size=5),
+                    ),
+                    st.one_of(
+                        st.none(),
+                        st.floats(),
+                        st.integers(),
+                        st.sampled_from([10**400, -(10**400), 0]),
+                        st.booleans(),
+                        st.text(max_size=5),
+                    ),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_any_timestamp_or_price_parses_or_is_one_issue(self, drawn):
+        text = "".join(
+            " \n" if d is None else lines(base_obj(event_type=d[0], timestamp=d[1], price=d[2]))
+            for d in drawn
+        )
+        result = parse_events(text.splitlines(True))
+        blank = sum(1 for d in drawn if d is None)
+        assert len(result.events) + len(result.errors) + blank == len(drawn)
+        for e in result.events:
+            assert type(e.timestamp) is int and 0 <= e.timestamp <= MAX_TIMESTAMP_MS
+            assert e.price is None or (math.isfinite(e.price) and e.price >= 0)
 
     def test_bytes_input_and_blank_lines(self):
         payload = ("\n" + lines(base_obj()) + "\n").encode("utf-8")
@@ -252,6 +332,15 @@ class TestIngestReport:
         assert doc["events_parsed"] == 0
 
 
+# Ids and descriptions with non-ASCII, control and lone surrogate characters.
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "\ud800", "é", "\U0001f600"])
+    ),
+    max_size=6,
+)
+
+
 class TestStorePersistence:
     def test_round_trip_bit_exact(self, tmp_path, store):
         p1 = tmp_path / "store1.json"
@@ -264,6 +353,43 @@ class TestStorePersistence:
         sid = next(iter(store.sessions))
         assert reloaded.sessions[sid].events == store.sessions[sid].events
         assert reloaded.sessions[sid].usable == store.sessions[sid].usable
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Session,
+                session_id=TEXT,
+                user_id=TEXT,
+                events=st.lists(
+                    st.builds(
+                        RawEvent,
+                        user_id=TEXT,
+                        session_id=TEXT,
+                        timestamp=st.integers(0, MAX_TIMESTAMP_MS),
+                        event_type=st.sampled_from(sorted(EVENT_TYPES)),
+                        item_id=TEXT,
+                        category_id=st.none() | TEXT,
+                        price=st.none() | st.sampled_from([0.1, 1e-7, 1e16, 0.0]) | st.floats(),
+                        description=st.none() | TEXT,
+                    ),
+                    max_size=4,
+                ),
+                bought_items=st.sets(TEXT, max_size=3),
+                label=st.sampled_from(["buy", "non_buy"]),
+                usable=st.booleans(),
+            ),
+            max_size=5,
+            unique_by=lambda s: s.session_id,
+        ),
+        st.integers(0, 10**6),
+    )
+    def test_bytes_equal_the_whole_document_dump(self, tmp_path_factory, sessions, dropped):
+        store = SessionStore({s.session_id: s for s in sessions}, {}, duplicates_dropped=dropped)
+        root = tmp_path_factory.mktemp("stores")
+        save_store(store, root / "store.json")
+        save_store_dump(store, root / "oracle.json")
+        assert (root / "store.json").read_bytes() == (root / "oracle.json").read_bytes()
 
     def test_format_guard(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from buyintent.nmf import nmf_factorize, nmf_transform, reduce_dataset
 from buyintent.dataset import Dataset
+from io_oracles import nmf_transform_loop
 
 
 def random_nonneg(rng, n, d):
@@ -124,6 +127,28 @@ class TestTransform:
         H = np.ones((2, 6))
         with pytest.raises(ValueError, match="columns"):
             nmf_transform(np.ones((3, 5)), H, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 25),
+        d=st.integers(1, 10),
+        rank=st.integers(1, 8),
+        zeros=st.sampled_from([0.0, 0.5, 1.0]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        max_iters=st.integers(1, 80),
+        tol=st.sampled_from([0.0, 1e-5, 1e-2, 0.5, 1.0, -np.inf]),
+    )
+    @example(n=12, d=6, rank=3, zeros=0.0, data_seed=1, seed=2, max_iters=1, tol=1e-5)
+    @example(n=12, d=6, rank=3, zeros=0.0, data_seed=1, seed=2, max_iters=80, tol=1.0)  # stops after one sweep
+    @example(n=12, d=6, rank=3, zeros=1.0, data_seed=1, seed=2, max_iters=80, tol=1e-5)  # V = 0
+    def test_bytes_equal_the_recomputing_loop(self, n, d, rank, zeros, data_seed, seed, max_iters, tol):
+        rng = np.random.default_rng(data_seed)
+        V = rng.uniform(0.0, 3.0, size=(n, d)) * (rng.random((n, d)) >= zeros)
+        H = rng.uniform(0.0, 1.0, size=(rank, d))
+        got = nmf_transform(V, H, seed, max_iters=max_iters, tol=tol)
+        want = nmf_transform_loop(V, H, seed, max_iters=max_iters, tol=tol)
+        assert got.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)

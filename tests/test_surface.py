@@ -3,7 +3,8 @@
 Every top-level function and class in the package must be used somewhere
 in src/ outside its own definition, or by the benchmark script. A helper
 that only its unit test calls gets a real caller or goes, with its test.
-Every name a module imports must be read in that module.
+Every name a module imports must be read in that module, and no module
+writes JSON through json.dump.
 """
 
 from __future__ import annotations
@@ -89,3 +90,29 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def json_dump_calls() -> list[str]:
+    """Calls of json.dump, or imports of it, in src/ modules. json.dump
+    encodes in pure Python and writes each token on its own; json.dumps
+    runs the C encoder and gives the same bytes."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            called = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dump"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+            )
+            imported = isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                alias.name == "dump" for alias in node.names
+            )
+            if called or imported:
+                calls.append(f"{path.name}:{node.lineno}")
+    return calls
+
+
+def test_no_json_dump_to_a_file():
+    assert json_dump_calls() == []
