@@ -43,14 +43,10 @@ from .neural import Hyperparams, Network, network_predict, train_mlp, train_sda
 from .nmf import reduce_dataset
 from .rbm import train_dbn
 from .synth import SynthConfig, generate
-from .util import TrainingDiverged
+from .util import TrainingDiverged, dumps
 
 MODEL_FORMAT = "buyintent-model"
 MODEL_VERSION = 2
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _digest(path: str) -> str:
@@ -72,7 +68,7 @@ def _write_manifest(out_path: str, command: str, args: dict, inputs: list[str], 
         "wall_seconds": round(time.time() - started, 3),
     }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(_dumps(manifest) + "\n")
+        fh.write(dumps(manifest) + "\n")
 
 
 def _write_text(path: str, text: str):
@@ -95,7 +91,7 @@ def _cmd_synth(args) -> int:
     outputs = [result.events_path, result.truth_path, result.embeddings_path, result.config_path]
     _write_manifest(result.events_path, "synth", vars(args), [], outputs, args.seed, started)
     print(
-        _dumps(
+        dumps(
             {
                 "n_sessions": result.n_sessions,
                 "n_buy_sessions": result.n_buy_sessions,
@@ -134,7 +130,7 @@ def _cmd_featurize(args) -> int:
     meta_path = args.out + ".meta.json"
     _write_text(
         meta_path,
-        _dumps(
+        dumps(
             {
                 "n": ds.n,
                 "d": ds.d,
@@ -152,7 +148,7 @@ def _cmd_featurize(args) -> int:
         args.out, "featurize", vars(args), [args.store, args.embeddings],
         [args.out, meta_path], args.balance_seed, started,
     )
-    print(_dumps({"n": ds.n, "d": ds.d, "positives": int(ds.labels.sum())}))
+    print(dumps({"n": ds.n, "d": ds.d, "positives": int(ds.labels.sum())}))
     return 0
 
 
@@ -164,7 +160,7 @@ def _cmd_reduce(args) -> int:
     factors_path = args.out + ".factors.json"
     _write_text(
         factors_path,
-        _dumps(
+        dumps(
             {
                 "rank": factors.rank,
                 "n_iters": factors.n_iters,
@@ -175,7 +171,7 @@ def _cmd_reduce(args) -> int:
         + "\n",
     )
     _write_manifest(args.out, "reduce", vars(args), [args.infile], [args.out, factors_path], args.seed, started)
-    print(_dumps({"rank": factors.rank, "n_iters": factors.n_iters, "final_error": factors.error}))
+    print(dumps({"rank": factors.rank, "n_iters": factors.n_iters, "final_error": factors.error}))
     return 0
 
 
@@ -222,7 +218,7 @@ def _load_hp_file(path: str) -> dict:
 
 
 def _model_payload(kind: str, seed: int, config: dict, params: dict) -> str:
-    return _dumps(
+    return dumps(
         {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -301,7 +297,7 @@ def _cmd_train(args) -> int:
     model = MODEL_KINDS[args.model].fit(ds, config, args.seed)
     _write_text(args.out, _model_payload(args.model, args.seed, config, model.to_dict()) + "\n")
     _write_manifest(args.out, "train", vars(args), [args.infile], [args.out], args.seed, started)
-    print(_dumps({"kind": args.model, "out": args.out}))
+    print(dumps({"kind": args.model, "out": args.out}))
     return 0
 
 
@@ -384,7 +380,7 @@ def _cmd_search(args) -> int:
         ds, budget=args.budget, seed=args.seed,
         model_name=args.model, dataset_name=args.infile.rsplit("/", 1)[-1],
     )
-    body = _dumps(
+    body = dumps(
         {
             "best_hyperparams": result.best_hyperparams.to_dict(),
             "best_report": json.loads(result.best_report.to_json()),
@@ -483,7 +479,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, TrainingDiverged, KeyError, RecursionError) as exc:
         sys.stderr.write(
-            _dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
+            dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
         )
         return 1
 

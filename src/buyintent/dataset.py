@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .util import dumps
+
 MAGIC = b"BYDS1\n"
 
 
@@ -76,7 +78,7 @@ def save_dataset(ds: Dataset, path) -> None:
         "seed": ds.seed,
         "n_base_cols": ds.n_base_cols,
     }
-    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(payload)))

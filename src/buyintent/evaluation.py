@@ -9,7 +9,6 @@ know about it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .neural import Hyperparams
-from .util import TrainingDiverged, as_rng, substream_seed
+from .util import TrainingDiverged, as_rng, dumps, substream_seed
 
 
 def auc(scores, labels) -> float:
@@ -103,7 +102,7 @@ class EvalReport:
             "auc": self.auc,
             "extras": self.extras,
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+        return dumps(body)
 
 
 def cross_validate(trainer, ds: Dataset, k: int = 10, seed=0, model_name: str = "model", dataset_name: str = "dataset") -> EvalReport:

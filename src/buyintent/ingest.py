@@ -9,6 +9,8 @@ import logging
 import sys
 from dataclasses import dataclass, field, replace
 
+from .util import dumps
+
 log = logging.getLogger(__name__)
 
 EVENT_TYPES = frozenset({"pageview", "basketview", "buy", "adclick", "adview"})
@@ -123,6 +125,9 @@ def parse_events(stream) -> ParseResult:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             errors.append(ParseIssue(line_no, f"invalid JSON: {exc.msg}"))
+            continue
+        except RecursionError:
+            errors.append(ParseIssue(line_no, "invalid JSON: nested too deeply"))
             continue
         if not isinstance(obj, dict):
             errors.append(ParseIssue(line_no, "line is not a JSON object"))
@@ -314,12 +319,12 @@ def save_store(store: SessionStore, path) -> None:
     """Persist a store as canonical JSON; round-trips bit-exactly.
 
     The document is one object with sorted keys and no whitespace. Its
-    top level is written here and each session record by json.dumps,
+    top level is written here and each session record by util.dumps,
     whose C encoder gives the same bytes as encoding the whole document
     in one call, without building it in memory.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        dropped, fmt = json.dumps(store.duplicates_dropped), json.dumps(STORE_FORMAT)
+        dropped, fmt = dumps(store.duplicates_dropped), dumps(STORE_FORMAT)
         fh.write(f'{{"duplicates_dropped":{dropped},"format":{fmt},"sessions":[')
         for i, s in enumerate(store.ordered_sessions()):
             rec = {
@@ -342,8 +347,8 @@ def save_store(store: SessionStore, path) -> None:
                     for e in s.events
                 ],
             }
-            fh.write(("," if i else "") + json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        fh.write(f'],"version":{json.dumps(STORE_VERSION)}}}\n')
+            fh.write(("," if i else "") + dumps(rec))
+        fh.write(f'],"version":{dumps(STORE_VERSION)}}}\n')
 
 
 def load_store(path) -> SessionStore:

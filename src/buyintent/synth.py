@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import as_rng, sigmoid
+from .util import as_rng, dumps, sigmoid
 
 WORDS_PER_DESC = (3, 7)
 ITEMS_PER_CATEGORY = 6
@@ -88,10 +88,6 @@ class SynthResult:
     bayes_auc: float
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _calibrate_alpha(raw: np.ndarray, target_rate: float) -> float:
     """Bisect the intercept so the mean intent equals the buy rate."""
     lo, hi = -30.0, 30.0
@@ -147,6 +143,23 @@ def _build_catalog(cfg: SynthConfig, rng):
     return categories, items, vectors
 
 
+def _cdf(p) -> np.ndarray:
+    """The table Generator.choice(n, p=p) searches: the cumulative sum
+    of p scaled so its last entry is exactly 1.
+
+    int(cdf.searchsorted(rng.random(), side="right")) then takes the
+    same one double from the stream and returns the same index as
+    rng.choice(len(p), p=p), without choice's per-call checks of p.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+# sessions per user: 1, 2 or 3 with these odds
+SESSIONS_PER_USER_CDF = _cdf([0.6, 0.25, 0.15])
+
+
 def _plan_sessions(cfg: SynthConfig, rng):
     """Draw the latent structure of every session before any labels:
     who browses, which categories, how fast, and when."""
@@ -155,7 +168,7 @@ def _plan_sessions(cfg: SynthConfig, rng):
     sid = 0
     window_ms = cfg.weeks * 7 * MS_PER_DAY
     for u in range(cfg.n_users):
-        n_sessions = int(rng.choice([1, 2, 3], p=[0.6, 0.25, 0.15]))
+        n_sessions = 1 + int(SESSIONS_PER_USER_CDF.searchsorted(rng.random(), side="right"))
         for _ in range(n_sessions):
             interest_mask = rng.random(N_SIGNAL_CATEGORIES) < 0.5
             interests = [c for c, on in zip(signal_cats, interest_mask) if on]
@@ -231,17 +244,18 @@ def _emit_session(cfg, plan, label: str, impulsive: bool, categories, items, rng
     cats = plan["interests"]
     # one view per interest first, so viewed-category indicators equal
     # the planted interest mask exactly
-    click_cats = list(cats) + [cats[int(rng.integers(0, len(cats)))] for _ in range(plan["n_clicks"] - len(cats))]
+    click_cats = list(cats) + [cats[int(k)] for k in rng.integers(0, len(cats), size=plan["n_clicks"] - len(cats))]
     dwell_scale = float(np.exp(3.4 + 0.5 * plan["dwell_factor"]))
     # premium shoppers open premium items, budget shoppers budget ones
     tiers = np.arange(ITEMS_PER_CATEGORY) / (ITEMS_PER_CATEGORY - 1) - 0.5
     tier_logits = STYLE_CONCENTRATION * plan["style"] * tiers
     tier_probs = np.exp(tier_logits - tier_logits.max())
     tier_probs /= tier_probs.sum()
+    tier_cdf = _cdf(tier_probs)
     clicked_items: list[dict] = []
     for c in click_cats:
         cat = categories[c]
-        item = items[cat][int(rng.choice(ITEMS_PER_CATEGORY, p=tier_probs))]
+        item = items[cat][int(tier_cdf.searchsorted(rng.random(), side="right"))]
         clicked_items.append(item)
         events.append(
             {
@@ -328,9 +342,9 @@ def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
             label = "buy" if labels[i] else "non_buy"
             n_buy += int(labels[i])
             for ev in _emit_session(cfg, plan, label, bool(impulsive[i]), categories, items, rng):
-                ev_fh.write(_dumps(ev) + "\n")
+                ev_fh.write(dumps(ev) + "\n")
             tr_fh.write(
-                _dumps(
+                dumps(
                     {
                         "session_id": plan["sid"],
                         "user_id": plan["user"],
@@ -343,13 +357,13 @@ def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
 
     with open(embeddings_path, "w", encoding="utf-8") as fh:
         for word in sorted(vectors):
-            vals = "\t".join(f"{v:.8f}" for v in vectors[word])
+            vals = "\t".join(f"{v:.8f}" for v in vectors[word].tolist())
             fh.write(f"{word}\t{vals}\n")
 
     ceiling = bayes_optimal_auc(truth_path)
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write(
-            _dumps(
+            dumps(
                 {
                     "config": cfg.to_dict(),
                     "derived": {

@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+# json.dumps builds a new encoder on every call that passes options;
+# one shared encoder gives the same bytes without that cost
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def dumps(obj) -> str:
+    """Canonical compact JSON: sorted keys, no whitespace, ASCII only."""
+    return _COMPACT.encode(obj)
 
 
 class TrainingDiverged(RuntimeError):

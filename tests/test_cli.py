@@ -219,6 +219,15 @@ class TestIngest:
         assert json.loads(stdout)["parse_errors"] == 1
         assert out.read_bytes() == work["store"].read_bytes()
 
+    def test_line_nested_past_the_recursion_limit_is_a_parse_error(self, work, tmp_path):
+        log = tmp_path / "events.jsonl"
+        log.write_bytes((work["corpus"] / "events.jsonl").read_bytes() + b"[" * 100_000 + b"\n")
+        out = tmp_path / "s.json"
+        rc, stdout, _ = run_cli(["ingest", "--input", str(log), "--out", str(out)])
+        assert rc == 0
+        assert json.loads(stdout)["parse_errors"] == 1
+        assert out.read_bytes() == work["store"].read_bytes()
+
 
 class TestFeaturize:
     def test_meta_sidecar_describes_the_dataset(self, work):

@@ -70,6 +70,12 @@ class TestParseEvents:
         assert result.errors[0].line_no == 2
         assert "JSON" in result.errors[0].reason
 
+    def test_line_nested_past_the_recursion_limit_is_one_issue(self):
+        text = lines(base_obj(timestamp=1)) + "[" * 100_000 + "\n" + lines(base_obj(timestamp=2))
+        result = parse_events(text.splitlines(True))
+        assert [e.timestamp for e in result.events] == [1, 2]
+        assert [(e.line_no, e.reason) for e in result.errors] == [(2, "invalid JSON: nested too deeply")]
+
     def test_missing_field(self):
         obj = base_obj()
         del obj["item_id"]

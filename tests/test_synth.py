@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buyintent.ingest import ingest_events, parse_events
-from buyintent.synth import SynthConfig, bayes_optimal_auc, generate
+from buyintent.synth import SESSIONS_PER_USER_CDF, SynthConfig, _cdf, bayes_optimal_auc, generate
 
 
 def small_cfg(**kw):
@@ -193,3 +196,116 @@ class TestBayesCeiling:
         cfg = small_cfg(n_users=300, nonlinear=True, seed=6)
         result = generate(cfg, str(tmp_path / "out"))
         assert result.bayes_auc > 0.6
+
+
+OUTPUT_FILES = ("events.jsonl", "truth.jsonl", "embeddings.tsv", "config.json")
+
+# sha256 of each config's OUTPUT_FILES, in that order, as the generator
+# wrote them before its draws went through _cdf and util.dumps
+GOLDEN_SYNTH = {
+    "linear": (
+        dict(n_users=80, n_categories=12, buy_rate=0.1, weeks=2, seed=5, impulsive_fraction=0.0),
+        (
+            "2268c3e90d222b4fca668f7809211d7fce9f376b428302b1676b0577cc73336c",
+            "96c9805f5cf91c9b5e8f6b4e0cd1b6e14a18d545d0efefa52bfa2dde0df2e2b6",
+            "00bcf635419e7b851d6db42e3ddf6888faca9aae5b2a7168613192e56992315d",
+            "4048f3b3e44978d3407c130cbb53217467d382074fcb1c66f31beed6cc5eb1a3",
+        ),
+    ),
+    "nonlinear": (
+        dict(n_users=80, n_categories=12, buy_rate=0.1, nonlinear=True, weeks=2, seed=6, impulsive_fraction=0.0),
+        (
+            "bd9be8cde0b5bba32df26d0d1a992f92ff2407d5d0d1736836f2ce8882ff3b0f",
+            "e45e1b002c07387dc4dd8c774b3512f2a5c65c7433d0fddb08047751486907e4",
+            "df618077b5df422a8b1c3876cdc6a9842807b66d690c7b0f3dfb7a3ff79d63cc",
+            "e250cd25afd244e10783a430dc48ce9283937575b73e9c83e139fff6f068a6b9",
+        ),
+    ),
+    "impulsive": (
+        dict(n_users=80, n_categories=12, buy_rate=0.3, weeks=2, seed=7, impulsive_fraction=0.5),
+        (
+            "94346eb32db066047eb9c3d10a26ae62016c176a1da2ea80b25c0b9c5ebf3eff",
+            "e8dc82271a86d89abff675d90f09b1498f95d9eff0902b1bc6351adae73969de",
+            "f4f714c0617947d788acfbac7a1c49b89d6415586ced568b2b54285efa9f0952",
+            "69dd0115ff93f7507b270ec3a039d52b5ea82955b76232c3f3d7674b34a9fde4",
+        ),
+    ),
+    "257-categories": (
+        dict(n_users=60, n_categories=257, buy_rate=0.1, nonlinear=True, weeks=1, seed=8),
+        (
+            "2e0e37ff0e1b3f60d9aec89ef5567cb684ff5f569f33b76d476cac13ba4ed042",
+            "f5d505f5af8d3ca048892d2f58a5113e5d867219807f7dbce4a08539a3c8ea10",
+            "3923abcf92e5f2c0e08602d3e13ab0c3635659145f6e19b79eac0f408ec077d9",
+            "b1120b8744a6a610c55706bc7489e450342a1d804ceefe068a92fb38e3c3dd6e",
+        ),
+    ),
+    "three-weeks": (
+        dict(n_users=60, n_categories=12, buy_rate=0.1, weeks=3, seed=9),
+        (
+            "248413bb44623fd4e321b02184ea8cebfff183ed54479803f393a3b2b6f35dbc",
+            "00b1197065e77e549ab164aefac99a192c70b08386e67dcb85ec507eda970f17",
+            "6a9724d02d7f3d062c70902903ba0dc2eed07825b11eed3a3da8f11034a4d391",
+            "06bdec7d5db80abf797c59ee66bdf6ea226cad66ad518540308e4257b5cea1de",
+        ),
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SYNTH))
+    def test_outputs_keep_their_sha256(self, tmp_path, name):
+        kwargs, digests = GOLDEN_SYNTH[name]
+        generate(SynthConfig(**kwargs), str(tmp_path))
+        got = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in OUTPUT_FILES]
+        assert dict(zip(OUTPUT_FILES, got)) == dict(zip(OUTPUT_FILES, digests))
+
+
+CHOICE_CHANGED = (
+    "numpy's Generator.choice(n, p=p) no longer draws like "
+    "cdf.searchsorted(random(), side='right') with cdf = cumsum(p) / cumsum(p)[-1]; "
+    "synth's item and session-count draws copy that rule, so its golden bytes move with it"
+)
+
+
+class TestDrawContract:
+    """synth replaces Generator.choice with a search of the same CDF and
+    k scalar Generator.integers calls with one call of size k; each
+    replacement must return the same values and leave the generator in
+    the same state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        weights=st.sampled_from([3, 6]).flatmap(
+            lambda n: st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n)
+        ),
+        draws=st.integers(1, 30),
+    )
+    def test_cdf_search_equals_generator_choice(self, seed, weights, draws):
+        p = np.array(weights) / np.sum(weights)
+        cdf = _cdf(p)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [int(cdf.searchsorted(ours.random(), side="right")) for _ in range(draws)]
+        want = [int(theirs.choice(len(p), p=p)) for _ in range(draws)]
+        assert got == want, CHOICE_CHANGED
+        assert ours.bit_generator.state == theirs.bit_generator.state, CHOICE_CHANGED
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_sessions_per_user_table_equals_generator_choice(self, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [1 + int(SESSIONS_PER_USER_CDF.searchsorted(ours.random(), side="right")) for _ in range(50)]
+        want = [int(theirs.choice([1, 2, 3], p=[0.6, 0.25, 0.15])) for _ in range(50)]
+        assert got == want, CHOICE_CHANGED
+        assert ours.bit_generator.state == theirs.bit_generator.state, CHOICE_CHANGED
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), high=st.integers(1, 10), k=st.integers(0, 25))
+    def test_one_sized_integers_call_equals_scalar_calls(self, seed, high, k):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [int(v) for v in ours.integers(0, high, size=k)]
+        want = [int(theirs.integers(0, high)) for _ in range(k)]
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        # the half-used 32-bit word must carry over to the next draw too
+        assert ours.integers(0, 1 << 20) == theirs.integers(0, 1 << 20)
