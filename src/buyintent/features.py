@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from datetime import date, timedelta, timezone, datetime
+from dataclasses import dataclass, field
+from datetime import date
 from statistics import median
 
 import numpy as np
 
 from .dataset import Dataset
-from .ingest import MS_PER_HOUR, Session, SessionStore
+from .ingest import CLICK_EVENT_TYPES, MS_PER_HOUR, SessionStore
 
 log = logging.getLogger(__name__)
 
 EMBED_DIM = 50
+
+MS_PER_DAY = 24 * MS_PER_HOUR
+# date.toordinal() of epoch day 0, Thursday 1970-01-01.
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 DEFAULT_STOPWORDS = frozenset(
     """a an and are as at be by for from has have in is it its of on or that the
@@ -70,16 +74,31 @@ class SessionFeatures:
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """Token -> 50-dim vector lookup with a stopword set."""
+    """Token -> 50-dim vector lookup with a stopword set.
+
+    Construction stacks the vectors of the non-stopword tokens into one
+    (tokens, dim) matrix; row_of maps each of those tokens to its row.
+    """
 
     entries: dict[str, np.ndarray]
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
     dim: int = EMBED_DIM
+    row_of: dict[str, int] = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for tok, vec in self.entries.items():
             if vec.shape != (self.dim,):
                 raise ValueError(f"embedding for '{tok}' has length {vec.shape}, want {self.dim}")
+        kept = [tok for tok in self.entries if tok not in self.stopwords]
+        self.row_of = {tok: i for i, tok in enumerate(kept)}
+        self.matrix = np.array([self.entries[tok] for tok in kept]).reshape(len(kept), self.dim)
+
+    def token_rows(self, text: str) -> list[int]:
+        """Matrix rows of text's in-vocabulary, non-stopword tokens, in
+        token order."""
+        row_of = self.row_of
+        return [row_of[tok] for tok in tokenize(text) if tok in row_of]
 
 
 def load_embedding_table(path) -> EmbeddingTable:
@@ -101,28 +120,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def embed_description(text: str, table: EmbeddingTable) -> np.ndarray:
-    """Mean embedding of the in-vocabulary, non-stopword tokens; the
-    zero vector when nothing remains."""
-    vecs = [
-        table.entries[tok]
-        for tok in tokenize(text)
-        if tok not in table.stopwords and tok in table.entries
-    ]
-    if not vecs:
-        return np.zeros(table.dim)
-    return np.mean(vecs, axis=0)
-
-
-def item_durations(session: Session) -> dict[str, float]:
-    """Seconds spent per item, from gaps between consecutive clicks.
+def item_durations(clicks) -> dict[str, float]:
+    """Seconds spent per item, from gaps between a session's
+    consecutive clicks (its click_events(), in time order).
 
     Each click's dwell is the time to the next click; the last click
     gets the median dwell of the session's other clicks (0 when it is
     the only one). Per-item duration sums the dwells of that item's
     clicks.
     """
-    clicks = session.click_events()
     if not clicks:
         return {}
     gaps = [
@@ -148,13 +154,14 @@ def click_buy_ratio(user_sessions) -> dict[str, float]:
     buys: dict[str, int] = {}
     out: dict[str, float] = {}
     for sess in ordered:
-        items = sorted({e.item_id for e in sess.click_events()})
+        session_clicks = sess.click_events()
+        items = sorted({e.item_id for e in session_clicks})
         if items:
             ratios = [buys.get(i, 0) / clicks[i] if clicks.get(i) else 0.0 for i in items]
             out[sess.session_id] = float(np.mean(ratios))
         else:
             out[sess.session_id] = 0.0
-        for ev in sess.click_events():
+        for ev in session_clicks:
             clicks[ev.item_id] = clicks.get(ev.item_id, 0) + 1
         for ev in sess.events:
             if ev.event_type == "buy":
@@ -185,7 +192,13 @@ def _user_prior_stats(user_sessions) -> tuple[dict[str, float], dict[str, float]
 
 
 def compute_session_features(store: SessionStore, table: EmbeddingTable) -> dict[str, SessionFeatures]:
-    """SessionFeatures for every usable session in the store."""
+    """SessionFeatures for every usable session in the store.
+
+    A session's description vector is the mean of the table rows of
+    every in-vocabulary, non-stopword token of its feature events'
+    descriptions, in event order; each distinct description is
+    tokenized once per call.
+    """
     ratio: dict[str, float] = {}
     s_before: dict[str, float] = {}
     past_price: dict[str, float] = {}
@@ -196,38 +209,42 @@ def compute_session_features(store: SessionStore, table: EmbeddingTable) -> dict
         sb, pp = _user_prior_stats(sessions)
         s_before.update(sb)
         past_price.update(pp)
-        ts = [
-            e.timestamp
-            for s in sessions
-            for e in s.feature_events()
-            if e.event_type == "pageview"
-        ]
+        ts = [e.timestamp for s in sessions for e in s.events if e.event_type == "pageview"]
         user_pageviews[user_id] = np.array(sorted(ts), dtype=np.int64)
 
+    rows_of: dict[str, list[int]] = {}
     out: dict[str, SessionFeatures] = {}
     for sess in store.ordered_sessions():
         if not sess.usable:
             continue
         feats = sess.feature_events()
-        durations = item_durations(sess)
+        clicks = [e for e in feats if e.event_type in CLICK_EVENT_TYPES]
         prices = [e.price for e in feats if e.price is not None]
-        texts = " ".join(e.description for e in feats if e.description)
+        rows: list[int] = []
+        for e in feats:
+            if e.description:
+                desc_rows = rows_of.get(e.description)
+                if desc_rows is None:
+                    desc_rows = rows_of[e.description] = table.token_rows(e.description)
+                rows += desc_rows
         ref = feats[-1].timestamp
-        views = user_pageviews[sess.user_id]
-        day_ms = 24 * MS_PER_HOUR
+        # pageviews at or before ref - 24 h, ref - 7 d and ref
+        past_day, past_week, upto_ref = user_pageviews[sess.user_id].searchsorted(
+            (ref - MS_PER_DAY, ref - 7 * MS_PER_DAY, ref), side="right"
+        )
         out[sess.session_id] = SessionFeatures(
-            duration_before_purchase=(feats[-1].timestamp - feats[0].timestamp) / 1000.0,
+            duration_before_purchase=(ref - feats[0].timestamp) / 1000.0,
             click_buy_ratio=ratio[sess.session_id],
             median_sessions_before_buy=s_before[sess.session_id],
             price=float(np.mean(prices)) if prices else 0.0,
-            item_duration_total=float(sum(durations.values())),
+            item_duration_total=float(sum(item_durations(clicks).values())),
             hour=int(sess.events[0].timestamp // MS_PER_HOUR % 24),
-            n_clicks=len(sess.click_events()),
-            n_distinct_items=len({e.item_id for e in sess.click_events()}),
+            n_clicks=len(clicks),
+            n_distinct_items=len({e.item_id for e in clicks}),
             avg_purchase_price=past_price[sess.session_id],
-            views_24h=int(np.sum((views > ref - day_ms) & (views <= ref))),
-            views_week=int(np.sum((views > ref - 7 * day_ms) & (views <= ref))),
-            desc_vector=embed_description(texts, table),
+            views_24h=int(upto_ref - past_day),
+            views_week=int(upto_ref - past_week),
+            desc_vector=table.matrix[rows].mean(axis=0) if rows else np.zeros(table.dim),
         )
     return out
 
@@ -241,20 +258,14 @@ class AggregateFragment:
     session_ids: list[str]
 
 
-def _utc_date(ts_ms: int) -> date:
-    return datetime.fromtimestamp(ts_ms / 1000.0, tz=timezone.utc).date()
-
-
-def _week_monday(d: date) -> date:
-    return d - timedelta(days=d.isocalendar()[2] - 1)
-
-
 def aggregate_pageviews(store: SessionStore, categories, scheme: str) -> AggregateFragment:
     """Count pageviews per product category and calendar time bucket.
 
     Buckets are ISO weeks spanning the store's observation window;
     the semiweekly scheme splits each week into days 1-3 and 4-7.
     Categories not observed anywhere in the store are an error.
+    Buckets come from integer UTC days: epoch day 0 is a Thursday, so
+    day - (day + 3) % 7 is the day's Monday.
     """
     if scheme not in ("weekly", "semiweekly"):
         raise ValueError(f"unknown aggregation scheme '{scheme}'")
@@ -264,50 +275,50 @@ def aggregate_pageviews(store: SessionStore, categories, scheme: str) -> Aggrega
     observed = {
         e.category_id
         for s in store.sessions.values()
-        for e in s.feature_events()
+        for e in s.events
         if e.event_type == "pageview" and e.category_id is not None
     }
     unknown = [c for c in categories if c not in observed]
     if unknown:
         raise ValueError(f"categories not present in store: {unknown[:5]}")
 
-    session_ids = [s.session_id for s in store.ordered_sessions() if s.usable]
-    all_ts = [
-        e.timestamp
-        for sid in session_ids
-        for e in store.sessions[sid].feature_events()
-    ]
-    if not all_ts:
+    sessions = [s for s in store.ordered_sessions() if s.usable]
+    session_ids = [s.session_id for s in sessions]
+    if not sessions:
         return AggregateFragment(np.zeros((0, 0)), [], [])
 
-    first, last = _week_monday(_utc_date(min(all_ts))), _week_monday(_utc_date(max(all_ts)))
-    weeks: list[date] = []
-    cur = first
-    while cur <= last:
-        weeks.append(cur)
-        cur += timedelta(days=7)
-    halves = ["h1", "h2"] if scheme == "semiweekly" else [""]
+    # a repeated category counts in the column of its last occurrence
+    cat_col = {cat: i for i, cat in enumerate(categories)}
+    rows, stamps, cats, bounds = [], [], [], []
+    for row, sess in enumerate(sessions):
+        feats = sess.feature_events()
+        bounds += (min(e.timestamp for e in feats), max(e.timestamp for e in feats))
+        for e in feats:
+            if e.event_type == "pageview" and e.category_id in cat_col:
+                rows.append(row)
+                stamps.append(e.timestamp)
+                cats.append(cat_col[e.category_id])
 
-    col_of: dict[tuple, int] = {}
+    first_day, last_day = min(bounds) // MS_PER_DAY, max(bounds) // MS_PER_DAY
+    first_monday = first_day - (first_day + 3) % 7
+    n_weeks = (last_day - first_monday) // 7 + 1
+    halves = ["h1", "h2"] if scheme == "semiweekly" else [""]
     names: list[str] = []
-    for monday in weeks:
-        iso = monday.isocalendar()
+    for week in range(n_weeks):
+        iso = date.fromordinal(_EPOCH_ORDINAL + first_monday + 7 * week).isocalendar()
         for half in halves:
             for cat in categories:
-                name = f"cat_{cat}_{iso[0]}w{iso[1]:02d}" + (f"_{half}" if half else "")
-                col_of[(monday, half, cat)] = len(names)
-                names.append(name)
+                names.append(f"cat_{cat}_{iso[0]}w{iso[1]:02d}" + (f"_{half}" if half else ""))
 
-    cat_set = set(categories)
-    matrix = np.zeros((len(session_ids), len(names)))
-    for row, sid in enumerate(session_ids):
-        for ev in store.sessions[sid].feature_events():
-            if ev.event_type != "pageview" or ev.category_id not in cat_set:
-                continue
-            d = _utc_date(ev.timestamp)
-            half = "" if scheme == "weekly" else ("h1" if d.isocalendar()[2] <= 3 else "h2")
-            matrix[row, col_of[(_week_monday(d), half, ev.category_id)]] += 1.0
-    return AggregateFragment(matrix, names, session_ids)
+    day = np.array(stamps, dtype=np.int64) // MS_PER_DAY - first_monday
+    bucket = (day // 7) * len(halves)
+    if scheme == "semiweekly":
+        bucket += day % 7 >= 3  # Thursday opens the second half
+    cell = (np.array(rows, dtype=np.int64) * len(names) + bucket * len(categories)
+            + np.array(cats, dtype=np.int64))
+    # unit weights make bincount count straight into float64
+    counts = np.bincount(cell, weights=np.ones(len(cell)), minlength=len(sessions) * len(names))
+    return AggregateFragment(counts.reshape(len(sessions), len(names)), names, session_ids)
 
 
 def assemble_dataset(
@@ -384,7 +395,7 @@ def top_categories(store: SessionStore, k: int) -> list[str]:
         raise ValueError(f"category count must be at least 1, got {k}")
     counts: dict[str, int] = {}
     for sess in store.sessions.values():
-        for ev in sess.feature_events():
+        for ev in sess.events:
             if ev.event_type == "pageview" and ev.category_id is not None:
                 counts[ev.category_id] = counts.get(ev.category_id, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

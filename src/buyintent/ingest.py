@@ -8,6 +8,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .util import dumps
 
@@ -26,9 +27,13 @@ MS_PER_HOUR = 3_600_000
 MAX_TIMESTAMP_MS = 253_402_300_799_999
 
 
-@dataclass(eq=True, frozen=True)
-class RawEvent:
-    """One timestamped user interaction. Timestamps are integer ms UTC."""
+class RawEvent(NamedTuple):
+    """One timestamped user interaction. Timestamps are integer ms UTC.
+
+    A named tuple: immutable and hashable, and cheaper to build than a
+    frozen dataclass, which matters once per event in every stage that
+    reads a log or a store.
+    """
 
     user_id: str
     session_id: str
@@ -351,25 +356,93 @@ def save_store(store: SessionStore, path) -> None:
         fh.write(f'],"version":{dumps(STORE_VERSION)}}}\n')
 
 
+# The types save_store writes for each event field; load_store accepts
+# an int price too.
+_EVENT_FIELD_TYPES = {
+    "user_id": {str},
+    "session_id": {str},
+    "timestamp": {int},
+    "event_type": {str},
+    "item_id": {str},
+    "category_id": {str, type(None)},
+    "price": {int, float, type(None)},
+    "description": {str, type(None)},
+}
+_SESSION_KEYS = {"session_id", "user_id", "label", "usable", "bought_items", "events"}
+
+
 def load_store(path) -> SessionStore:
+    """Read a store written by save_store.
+
+    A document that is not a store, or whose sessions and events lack
+    the keys, types and ranges save_store writes, raises ValueError
+    naming the path. Every session needs an event, and a usable one a
+    feature event. Event fields are checked a column at a time over
+    the whole store, so the check costs a constant per event.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != STORE_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise ValueError(f"{path}: not a session store file")
     if doc.get("version") != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version {doc.get('version')}")
+    try:
+        return _read_sessions(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed session store: {exc}") from None
+
+
+def _read_sessions(doc: dict) -> SessionStore:
+    records = doc.get("sessions")
+    if not isinstance(records, list):
+        raise ValueError("'sessions' must be a list")
     sessions: dict[str, Session] = {}
     user_index: dict[str, list[str]] = {}
-    for rec in doc["sessions"]:
-        events = [RawEvent(**ev) for ev in rec["events"]]
+    all_events: list[RawEvent] = []
+    for n, rec in enumerate(records):
+        if not isinstance(rec, dict) or rec.keys() != _SESSION_KEYS:
+            raise ValueError(f"session {n} must be an object with keys {sorted(_SESSION_KEYS)}")
+        sid, bought = rec["session_id"], rec["bought_items"]
+        if not (
+            type(sid) is str
+            and type(rec["user_id"]) is str
+            and rec["label"] in ("buy", "non_buy")
+            and type(rec["usable"]) is bool
+            and type(bought) is list
+            and all(type(item) is str for item in bought)
+            and type(rec["events"]) is list
+        ):
+            raise ValueError(f"session {n} has a field of the wrong type or value")
+        if sid in sessions:
+            raise ValueError(f"session {sid!r} appears twice")
+        try:
+            events = [RawEvent(**ev) for ev in rec["events"]]
+        except TypeError as exc:
+            raise ValueError(f"session {sid!r} has a malformed event: {exc}") from None
+        if not events:
+            raise ValueError(f"session {sid!r} has no events")
+        if rec["usable"] and all(e.event_type == "buy" for e in events):
+            raise ValueError(f"usable session {sid!r} has no feature events")
+        all_events += events
         sess = Session(
-            session_id=rec["session_id"],
+            session_id=sid,
             user_id=rec["user_id"],
             events=events,
-            bought_items=set(rec["bought_items"]),
+            bought_items=set(bought),
             label=rec["label"],
             usable=rec["usable"],
         )
-        sessions[sess.session_id] = sess
-        user_index.setdefault(sess.user_id, []).append(sess.session_id)
+        sessions[sid] = sess
+        user_index.setdefault(sess.user_id, []).append(sid)
+    if all_events:
+        columns = dict(zip(RawEvent._fields, zip(*all_events)))
+        for name, allowed in _EVENT_FIELD_TYPES.items():
+            wrong = set(map(type, columns[name])) - allowed
+            if wrong:
+                raise ValueError(f"event field '{name}' has type {min(t.__name__ for t in wrong)}")
+        stamps, types = columns["timestamp"], set(columns["event_type"])
+        if min(stamps) < 0 or max(stamps) > MAX_TIMESTAMP_MS:
+            raise ValueError(f"event timestamps must lie in [0, {MAX_TIMESTAMP_MS}]")
+        if not types <= EVENT_TYPES:
+            raise ValueError(f"unknown event_type '{min(types - EVENT_TYPES)}'")
     return SessionStore(sessions, user_index, doc.get("duplicates_dropped", 0))

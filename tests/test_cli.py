@@ -275,6 +275,71 @@ class TestFeaturize:
         assert stderr_error(err)["detail"] == f"category count must be at least 1, got {count}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme, last_column", [("weekly", "cat_c_9999w52"), ("semiweekly", "cat_c_9999w52_h2")])
+    def test_events_in_the_final_week_of_9999_featurize(self, work, tmp_path, scheme, last_column):
+        # Monday 9999-12-27 and the last representable millisecond,
+        # Friday 9999-12-31T23:59:59.999Z
+        last = 253_402_300_799_999
+        stamps = [last - 4 * 86_400_000 - k * 60_000 for k in range(6)] + [last - k * 60_000 for k in range(6)]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"user_id": "u", "session_id": f"s{k // 6}", "timestamp": ts,
+                        "event_type": "pageview", "item_id": f"i{k}", "category_id": "c"}) + "\n"
+            for k, ts in enumerate(stamps)
+        ))
+        store, out = tmp_path / "store.json", tmp_path / "late.bin"
+        assert run_cli(["ingest", "--input", str(events), "--out", str(store)])[0] == 0
+        rc, _, err = run_cli(
+            ["featurize", "--store", str(store), "--embeddings", str(work["corpus"] / "embeddings.tsv"),
+             "--scheme", scheme, "--categories", "1", "--out", str(out)]
+        )
+        assert (rc, err) == (0, "")
+        ds = load_dataset(out)
+        assert ds.feature_names[61:][-1] == last_column
+        assert ds.rows[:, 61:].sum() == 12
+
+
+def _corrupt(doc, probe):
+    """The store document doc with one malformation."""
+    first = doc["sessions"][0]
+    if probe == "extra-event-key":
+        first["events"][0]["extra"] = 1
+    elif probe == "missing-timestamp":
+        del first["events"][0]["timestamp"]
+    elif probe == "sessions-not-a-list":
+        doc["sessions"] = 5
+    elif probe == "top-level-list":
+        return [doc]
+    elif probe == "usable-session-without-events":
+        usable = next(rec for rec in doc["sessions"] if rec["usable"])
+        usable["events"] = []
+    elif probe == "string-timestamp":
+        first["events"][0]["timestamp"] = str(first["events"][0]["timestamp"])
+    elif probe == "repeated-session":
+        doc["sessions"].append(first)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "probe",
+    ["extra-event-key", "missing-timestamp", "sessions-not-a-list", "top-level-list",
+     "usable-session-without-events", "string-timestamp", "repeated-session"],
+)
+def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
+    bad = tmp_path / "bad.store.json"
+    bad.write_text(json.dumps(_corrupt(json.loads(work["store"].read_text()), probe)))
+    out = tmp_path / "bad.bin"
+    rc, _, err = run_cli(
+        ["featurize", "--store", str(bad), "--embeddings", str(work["corpus"] / "embeddings.tsv"),
+         "--categories", "12", "--out", str(out)]
+    )
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1
+    error = stderr_error(err)
+    assert error["error"] == "ValueError"
+    assert error["detail"].startswith(f"{bad}: ")
+    assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def reduced(work):
@@ -756,3 +821,83 @@ class TestPipelineReproducibility:
                 assert rc == 0
             outputs[tag] = [p.read_bytes() for p in (store, ds, reduced, model, report)]
         assert outputs["one"] == outputs["two"]
+
+
+# sha256 of ingest -> featurize outputs on two small corpora, under each
+# scheme with and without balancing, computed at a4c6325 (before the
+# one-pass featurizer); a change to the store writer, the features or
+# the dataset writer that moves a byte fails here.
+GOLDEN_CORPORA = {
+    "linear-2w": SYNTH_FLAGS,
+    "nonlinear-3w": ["--users", "200", "--categories", "40", "--buy-rate", "0.1", "--signal", "0.8",
+                     "--nonlinear", "--weeks", "3", "--seed", "3"],
+}
+GOLDEN_STORE_SHA256 = {
+    "linear-2w": "1a763b2da20b318d637b3f2f1b552e3336750368553178d50c936431ac265e37",
+    "nonlinear-3w": "a6b674a82cd9e1d17cd3b5a97fca8643ae486dd6362bcecc1adc36132679daf7",
+}
+# (corpus, scheme, --balance-seed) -> sha256 of the .dataset and its .meta.json
+GOLDEN_FEATURIZE_SHA256 = {
+    ("linear-2w", "weekly", None): (
+        "e62bae434ea781874a6db48b4c829b57de5ae65ea47beaf3c54eed4643091286",
+        "1fa911fe7379ee3c0c3a6991e76991519b724f7231befa8d85b67eb159428075",
+    ),
+    ("linear-2w", "weekly", "5"): (
+        "d0965b7a1640c57af07837064c7374d7199ca479bfa31d628bd9a706d90e1a09",
+        "181eefee415b6a6340f702ab2f80cdb88baf25da74cc29aac9c3899f68cc0f62",
+    ),
+    ("linear-2w", "semiweekly", None): (
+        "6419d2e834e59235406906793e063be66d77b20b44041cbfa5464e341556e0bc",
+        "fb732d2734efe5ba9f3e565d3848b0dc8c561b461ac0c59b20ea836041c587fb",
+    ),
+    ("linear-2w", "semiweekly", "5"): (
+        "648177f402bb1471f2018bc7ee4a8fed4c8998901ca704e723bfeab0e23617e8",
+        "c6c6adf7d69ef8864f6d40f0e0c9280ca06e276ef631f8b041294e03ac3caa41",
+    ),
+    ("nonlinear-3w", "weekly", None): (
+        "0881917ecd0c2de702bad870c23176d94ba6f91bd1107a15a2f3a16eb665226d",
+        "1de018c7f05e6aac6b99d5af9bceff566e9901d78a94ca64281b8c7d6c0d89af",
+    ),
+    ("nonlinear-3w", "weekly", "8"): (
+        "ea4b1b89531b845be3e6de261e9aa7d3377d23e4b7e436ceebcbc2ddee69428c",
+        "9e7c7a21544378c4fd01c8e098232a613a9b644a690b3dc5851f75035ff27ef6",
+    ),
+    ("nonlinear-3w", "semiweekly", None): (
+        "b185b49561bffe094bd8483415a7e900e6f91fec2308c34738a7b707c88fa793",
+        "ab33c04a9d1d348930c59e627a69d960d0a4f3a7b45a0cbbb01ab2de2d35ce1a",
+    ),
+    ("nonlinear-3w", "semiweekly", "8"): (
+        "28876534092bf4c345b584db635a4c0c8a4693caee5e6fc6f15026c89abdece0",
+        "b1a28a5da3f1e90081187f4cb29351ede9ffd32728da3d2871590d6c99bde9bd",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_stores(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    stores = {}
+    for name, flags in GOLDEN_CORPORA.items():
+        corpus, store = root / name, root / f"{name}.store.json"
+        assert run_cli(["synth", *flags, "--out", str(corpus)])[0] == 0
+        assert run_cli(["ingest", "--input", str(corpus / "events.jsonl"), "--out", str(store)])[0] == 0
+        stores[name] = (corpus, store)
+    return stores
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CORPORA))
+    def test_store_keeps_its_sha256(self, golden_stores, name):
+        assert file_sha(golden_stores[name][1]) == GOLDEN_STORE_SHA256[name]
+
+    @pytest.mark.parametrize("name, scheme, seed", sorted(GOLDEN_FEATURIZE_SHA256, key=str))
+    def test_dataset_keeps_its_sha256(self, golden_stores, tmp_path, name, scheme, seed):
+        corpus, store = golden_stores[name]
+        out = tmp_path / "golden.dataset"
+        argv = ["featurize", "--store", str(store), "--embeddings", str(corpus / "embeddings.tsv"),
+                "--scheme", scheme, "--categories", GOLDEN_CORPORA[name][3], "--out", str(out)]
+        if seed is not None:
+            argv += ["--balance-seed", seed]
+        assert run_cli(argv)[0] == 0
+        got = (file_sha(out), file_sha(tmp_path / "golden.dataset.meta.json"))
+        assert got == GOLDEN_FEATURIZE_SHA256[(name, scheme, seed)]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from buyintent.features import (
     EMBED_DIM,
@@ -17,13 +20,13 @@ from buyintent.features import (
     click_buy_ratio,
     compute_session_features,
     constant_columns,
-    embed_description,
     item_durations,
     featurize_store,
     tokenize,
     top_categories,
 )
-from buyintent.ingest import MS_PER_HOUR, RawEvent, sessionize
+from buyintent.ingest import MAX_TIMESTAMP_MS, MS_PER_HOUR, RawEvent, apply_prediction_window, sessionize
+from feature_oracles import aggregate_pageviews_dates, compute_session_features_loop
 
 DAY = 24 * MS_PER_HOUR
 
@@ -44,6 +47,12 @@ def tiny_table(dim=3, **vectors):
     return EmbeddingTable(entries=entries, stopwords=frozenset({"the", "a"}), dim=dim)
 
 
+def embed_description(text, table):
+    """The description vector of a one-pageview session described by text."""
+    store = sessionize([ev(description=text)])
+    return compute_session_features(store, table)["s1"].desc_vector
+
+
 class TestItemDurations:
     def test_last_click_gets_median_of_other_dwells(self):
         sess = sessionize(
@@ -53,17 +62,17 @@ class TestItemDurations:
                 ev(ts=50_000, item="A"),
             ]
         ).sessions["s1"]
-        out = item_durations(sess)
+        out = item_durations(sess.click_events())
         # dwells 30, 20, then median(30, 20) = 25 for the final click
         assert out == {"A": 55.0, "B": 20.0}
 
     def test_single_click_is_zero(self):
         sess = sessionize([ev(ts=0, item="A")]).sessions["s1"]
-        assert item_durations(sess) == {"A": 0.0}
+        assert item_durations(sess.click_events()) == {"A": 0.0}
 
     def test_two_clicks_same_item(self):
         sess = sessionize([ev(ts=0, item="A"), ev(ts=10_000, item="A")]).sessions["s1"]
-        assert item_durations(sess) == {"A": 20.0}
+        assert item_durations(sess.click_events()) == {"A": 20.0}
 
     def test_buy_events_do_not_carry_dwell(self):
         with_buy = sessionize(
@@ -74,13 +83,13 @@ class TestItemDurations:
             ]
         ).sessions["s1"]
         without = sessionize([ev(ts=0, item="A"), ev(ts=30_000, item="B")]).sessions["s1"]
-        assert item_durations(with_buy) == item_durations(without)
+        assert item_durations(with_buy.click_events()) == item_durations(without.click_events())
 
     def test_basketviews_count_as_clicks(self):
         sess = sessionize(
             [ev(ts=0, item="A"), ev(ts=10_000, etype="basketview", item="A", price=2.0)]
         ).sessions["s1"]
-        assert item_durations(sess) == {"A": 20.0}
+        assert item_durations(sess.click_events()) == {"A": 20.0}
 
 
 class TestClickBuyRatio:
@@ -431,3 +440,107 @@ class TestFeaturizeStore:
 
     def test_no_constant_columns_on_fixture(self, feature_dataset):
         assert constant_columns(feature_dataset) == []
+
+
+WEEK = 7 * DAY
+MAX_DAY = MAX_TIMESTAMP_MS // DAY
+# Description pieces: table tokens in other cases, stopwords, separators,
+# and characters whose lowercase differs in length or by context (final
+# sigma, the Kelvin sign, dotted capital I).
+PIECES = ["red", "RED", "shoe", "k", "i", "the", "a", "42", " ", "-", ",", "\u03a3", "\u212a", "\u0130", "\u03c2", "\u0131", "\u00e9"]
+JOINED = st.tuples(st.sampled_from([" ", ""]), st.lists(st.sampled_from(PIECES), max_size=6))
+DESCRIPTION = st.none() | st.just("") | JOINED.map(lambda t: t[0].join(t[1])) | st.text(max_size=8)
+VOCAB = ["red", "shoe", "k", "i", "the", "42", "size"]
+
+
+def window_start():
+    """A UTC day to start a window at: anywhere in range, or at the
+    first Monday (epoch day 4), the days around it, or the last weeks
+    of 9999."""
+    return st.integers(0, MAX_DAY) | st.sampled_from([0, 3, 4, 5, 6, MAX_DAY - 11, MAX_DAY - 4, MAX_DAY])
+
+
+OFFSET = st.integers(0, 3 * WEEK) | st.sampled_from(
+    [0, 1, DAY - 1, DAY, 3 * DAY - 1, 3 * DAY, 4 * DAY - 1, 4 * DAY, WEEK - 1, WEEK, 2 * WEEK - 1]
+)
+
+
+@st.composite
+def stores(draw):
+    """A sessionized store of up to 3 users over a window of at most
+    three weeks, with the prediction window applied."""
+    start = draw(window_start()) * DAY
+    events = []
+    for _ in range(draw(st.integers(1, 14))):
+        etype = draw(st.sampled_from(["pageview", "pageview", "basketview", "buy", "adview"]))
+        priced = etype in ("buy", "basketview")
+        events.append(
+            ev(
+                user=f"u{draw(st.integers(0, 2))}",
+                sid=f"s{draw(st.integers(0, 4))}",
+                ts=min(start + draw(OFFSET), MAX_TIMESTAMP_MS),
+                etype=etype,
+                item=draw(st.sampled_from("ABC")),
+                category_id=draw(st.none() | st.sampled_from(["c1", "c2", "c3"])),
+                price=draw(st.none() | st.floats(0, 1e6)) if priced else None,
+                description=draw(DESCRIPTION),
+            )
+        )
+    store = sessionize(events)
+    return apply_prediction_window(store, draw(st.sampled_from([1, MS_PER_HOUR, DAY, WEEK])))
+
+
+def vocab_tables():
+    # values whose sums round, so a change of summation order shows
+    value = st.floats(-1e3, 1e3) | st.sampled_from([0.1, 0.2, 0.7, 1 / 3, 1e3 + 0.1, -2.9, 1e-9])
+    vectors = st.lists(value, min_size=4, max_size=4)
+    table = st.fixed_dictionaries({tok: vectors for tok in VOCAB})
+    missing = st.sets(st.sampled_from(VOCAB), max_size=3)
+    return st.tuples(table, missing).map(
+        lambda t: tiny_table(dim=4, **{tok: vec for tok, vec in t[0].items() if tok not in t[1]})
+    )
+
+
+class TestOracleEquality:
+    """compute_session_features and aggregate_pageviews are bit-equal to
+    the first forms kept in tests/feature_oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(store=stores(), table=vocab_tables())
+    def test_features_equal_the_oracle(self, store, table):
+        got = compute_session_features(store, table)
+        want = compute_session_features_loop(store, table)
+        assert got.keys() == want.keys()
+        for sid, feats in want.items():
+            assert got[sid].scalar_row().tobytes() == feats.scalar_row().tobytes()
+            assert got[sid].desc_vector.dtype == feats.desc_vector.dtype
+            assert got[sid].desc_vector.tobytes() == feats.desc_vector.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(store=stores(), k=st.integers(1, 3), scheme=st.sampled_from(["weekly", "semiweekly"]))
+    def test_fragments_equal_the_oracle(self, store, k, scheme):
+        cats = top_categories(store, k)
+        try:
+            want = aggregate_pageviews_dates(store, cats, scheme)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                aggregate_pageviews(store, cats, scheme)
+            return
+        except OverflowError:
+            # the oracle steps past the Monday of the final ISO week of 9999
+            got = aggregate_pageviews(store, cats, scheme)
+            assert got.column_names[-1].startswith(f"cat_{cats[-1]}_9999w52")
+            return
+        got = aggregate_pageviews(store, cats, scheme)
+        assert got.column_names == want.column_names
+        assert got.session_ids == want.session_ids
+        assert got.matrix.shape == want.matrix.shape
+        assert got.matrix.dtype == want.matrix.dtype
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DESCRIPTION.filter(lambda d: d is not None), max_size=5))
+    @example(["\u03a3", "\u03a3a"])
+    @example(["a\u03a3", "b"])
+    def test_joined_text_tokenizes_like_its_parts(self, descriptions):
+        assert tokenize(" ".join(descriptions)) == [t for d in descriptions for t in tokenize(d)]

@@ -409,6 +409,36 @@ class TestStorePersistence:
         with pytest.raises(ValueError):
             load_store(bad)
 
+    @pytest.mark.parametrize(
+        "where, key, value, named",
+        [
+            ("session", "label", "maybe", "wrong type or value"),
+            ("session", "usable", 1, "wrong type or value"),
+            ("session", "bought_items", [7], "wrong type or value"),
+            ("session", "extra", 1, "must be an object with keys"),
+            ("event", "event_type", "click", "unknown event_type 'click'"),
+            ("event", "timestamp", -1, "timestamps must lie in"),
+            ("event", "timestamp", MAX_TIMESTAMP_MS + 1, "timestamps must lie in"),
+            ("event", "timestamp", True, "'timestamp' has type bool"),
+            ("event", "price", "5", "'price' has type str"),
+            ("event", "category_id", 3, "'category_id' has type int"),
+            ("event", "description", ["red"], "'description' has type list"),
+            ("event", "event_type", "buy", "has no feature events"),
+        ],
+    )
+    def test_malformed_record_names_the_file(self, tmp_path, where, key, value, named):
+        path = tmp_path / "store.json"
+        save_store(sessionize([ev(sid="s1", ts=0), ev(sid="s1", ts=1000, item="B")]), path)
+        doc = json.loads(path.read_text())
+        session = doc["sessions"][0]
+        for rec in [session] if where == "session" else session["events"]:
+            rec[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed session store") as excinfo:
+            load_store(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert named in str(excinfo.value)
+
 
 class TestUserSessions:
     def test_chronological_order(self):
