@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .neural import Hyperparams
+from .neural import MAX_UNITS, Hyperparams
 from .util import TrainingDiverged, as_rng, dumps, substream_seed
 
 
@@ -151,7 +151,6 @@ class SearchSpace:
     log-uniformly; everything else uniformly within its bounds."""
 
     depth_choices: tuple[int, ...] = (1,)
-    max_units: int = 500
     activations: tuple[str, ...] = ("sigmoid", "relu")
     with_input_noise: bool = False
 
@@ -161,7 +160,7 @@ class SearchSpace:
         sizes = []
         for i in range(depth):
             floor = 16 if (i == 0 and depth == 1) else 64
-            sizes.append(int(rng.integers(floor, self.max_units + 1)))
+            sizes.append(int(rng.integers(floor, MAX_UNITS + 1)))
         epochs_hi = 150 if depth > 1 else 100
         return Hyperparams(
             hidden_units=tuple(sizes),

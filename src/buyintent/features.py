@@ -51,28 +51,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(eq=False)
-class SessionFeatures:
-    """The engineered per-session values, one field per output column
-    plus the 50-dim description embedding."""
-
-    duration_before_purchase: float
-    click_buy_ratio: float
-    median_sessions_before_buy: float
-    price: float
-    item_duration_total: float
-    hour: int
-    n_clicks: int
-    n_distinct_items: int
-    avg_purchase_price: float
-    views_24h: int
-    views_week: int
-    desc_vector: np.ndarray
-
-    def scalar_row(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in SCALAR_FEATURES], dtype=float)
-
-
-@dataclass(eq=False)
 class EmbeddingTable:
     """Token -> 50-dim vector lookup with a stopword set.
 
@@ -191,11 +169,13 @@ def _user_prior_stats(user_sessions) -> tuple[dict[str, float], dict[str, float]
     return sessions_before, past_price
 
 
-def compute_session_features(store: SessionStore, table: EmbeddingTable) -> dict[str, SessionFeatures]:
-    """SessionFeatures for every usable session in the store.
+def compute_session_features(store: SessionStore, sessions, table: EmbeddingTable) -> np.ndarray:
+    """One float64 row per session of sessions, in their order: the
+    SCALAR_FEATURES values, then the description vector.
 
-    A session's description vector is the mean of the table rows of
-    every in-vocabulary, non-stopword token of its feature events'
+    Historical values read each user's sessions in store. A session's
+    description vector is the mean of the table rows of every
+    in-vocabulary, non-stopword token of its feature events'
     descriptions, in event order; each distinct description is
     tokenized once per call.
     """
@@ -204,19 +184,18 @@ def compute_session_features(store: SessionStore, table: EmbeddingTable) -> dict
     past_price: dict[str, float] = {}
     user_pageviews: dict[str, np.ndarray] = {}
     for user_id in store.user_index:
-        sessions = store.user_sessions(user_id)
-        ratio.update(click_buy_ratio(sessions))
-        sb, pp = _user_prior_stats(sessions)
+        user_sessions = store.user_sessions(user_id)
+        ratio.update(click_buy_ratio(user_sessions))
+        sb, pp = _user_prior_stats(user_sessions)
         s_before.update(sb)
         past_price.update(pp)
-        ts = [e.timestamp for s in sessions for e in s.events if e.event_type == "pageview"]
+        ts = [e.timestamp for s in user_sessions for e in s.events if e.event_type == "pageview"]
         user_pageviews[user_id] = np.array(sorted(ts), dtype=np.int64)
 
+    n_scalar = len(SCALAR_FEATURES)
+    out = np.zeros((len(sessions), n_scalar + table.dim))
     rows_of: dict[str, list[int]] = {}
-    out: dict[str, SessionFeatures] = {}
-    for sess in store.ordered_sessions():
-        if not sess.usable:
-            continue
+    for i, sess in enumerate(sessions):
         feats = sess.feature_events()
         clicks = [e for e in feats if e.event_type in CLICK_EVENT_TYPES]
         prices = [e.price for e in feats if e.price is not None]
@@ -232,20 +211,23 @@ def compute_session_features(store: SessionStore, table: EmbeddingTable) -> dict
         past_day, past_week, upto_ref = user_pageviews[sess.user_id].searchsorted(
             (ref - MS_PER_DAY, ref - 7 * MS_PER_DAY, ref), side="right"
         )
-        out[sess.session_id] = SessionFeatures(
-            duration_before_purchase=(ref - feats[0].timestamp) / 1000.0,
-            click_buy_ratio=ratio[sess.session_id],
-            median_sessions_before_buy=s_before[sess.session_id],
-            price=float(np.mean(prices)) if prices else 0.0,
-            item_duration_total=float(sum(item_durations(clicks).values())),
-            hour=int(sess.events[0].timestamp // MS_PER_HOUR % 24),
-            n_clicks=len(clicks),
-            n_distinct_items=len({e.item_id for e in clicks}),
-            avg_purchase_price=past_price[sess.session_id],
-            views_24h=int(upto_ref - past_day),
-            views_week=int(upto_ref - past_week),
-            desc_vector=table.matrix[rows].mean(axis=0) if rows else np.zeros(table.dim),
+        sid = sess.session_id
+        # in SCALAR_FEATURES order
+        out[i, :n_scalar] = (
+            (ref - feats[0].timestamp) / 1000.0,
+            ratio[sid],
+            s_before[sid],
+            float(np.mean(prices)) if prices else 0.0,
+            float(sum(item_durations(clicks).values())),
+            sess.events[0].timestamp // MS_PER_HOUR % 24,
+            len(clicks),
+            len({e.item_id for e in clicks}),
+            past_price[sid],
+            upto_ref - past_day,
+            upto_ref - past_week,
         )
+        if rows:
+            out[i, n_scalar:] = table.matrix[rows].mean(axis=0)
     return out
 
 
@@ -255,37 +237,23 @@ class AggregateFragment:
 
     matrix: np.ndarray
     column_names: list[str]
-    session_ids: list[str]
 
 
-def aggregate_pageviews(store: SessionStore, categories, scheme: str) -> AggregateFragment:
-    """Count pageviews per product category and calendar time bucket.
+def aggregate_pageviews(sessions, categories, scheme: str) -> AggregateFragment:
+    """Count each session's pageviews per product category and calendar
+    time bucket, one row per session of sessions, in their order.
 
-    Buckets are ISO weeks spanning the store's observation window;
-    the semiweekly scheme splits each week into days 1-3 and 4-7.
-    Categories not observed anywhere in the store are an error.
-    Buckets come from integer UTC days: epoch day 0 is a Thursday, so
+    Buckets are ISO weeks spanning the sessions' feature events; the
+    semiweekly scheme splits each week into days 1-3 and 4-7. Buckets
+    come from integer UTC days: epoch day 0 is a Thursday, so
     day - (day + 3) % 7 is the day's Monday.
     """
     if scheme not in ("weekly", "semiweekly"):
         raise ValueError(f"unknown aggregation scheme '{scheme}'")
-    categories = list(categories)
     if not categories:
         raise ValueError("category list must be non-empty")
-    observed = {
-        e.category_id
-        for s in store.sessions.values()
-        for e in s.events
-        if e.event_type == "pageview" and e.category_id is not None
-    }
-    unknown = [c for c in categories if c not in observed]
-    if unknown:
-        raise ValueError(f"categories not present in store: {unknown[:5]}")
-
-    sessions = [s for s in store.ordered_sessions() if s.usable]
-    session_ids = [s.session_id for s in sessions]
     if not sessions:
-        return AggregateFragment(np.zeros((0, 0)), [], [])
+        return AggregateFragment(np.zeros((0, 0)), [])
 
     # a repeated category counts in the column of its last occurrence
     cat_col = {cat: i for i, cat in enumerate(categories)}
@@ -318,54 +286,7 @@ def aggregate_pageviews(store: SessionStore, categories, scheme: str) -> Aggrega
             + np.array(cats, dtype=np.int64))
     # unit weights make bincount count straight into float64
     counts = np.bincount(cell, weights=np.ones(len(cell)), minlength=len(sessions) * len(names))
-    return AggregateFragment(counts.reshape(len(sessions), len(names)), names, session_ids)
-
-
-def assemble_dataset(
-    store: SessionStore,
-    features: dict[str, SessionFeatures],
-    fragment: AggregateFragment,
-    scheme: str,
-    categories,
-) -> Dataset:
-    """Concatenate scalar features, description dims, and aggregation
-    columns into a labeled Dataset, one row per usable session."""
-    session_ids = fragment.session_ids
-    missing = [sid for sid in session_ids if sid not in features]
-    if missing:
-        raise ValueError(f"features missing for sessions: {missing[:5]}")
-    if not session_ids:
-        base_names = SCALAR_FEATURES + [f"desc_{i:02d}" for i in range(EMBED_DIM)]
-        return Dataset(
-            rows=np.zeros((0, len(base_names))),
-            labels=np.zeros(0, dtype=np.uint8),
-            feature_names=base_names,
-            aggregation=scheme,
-            category_count=len(list(categories)),
-            n_base_cols=len(base_names),
-        )
-    scalars = np.stack([features[sid].scalar_row() for sid in session_ids])
-    desc = np.stack([features[sid].desc_vector for sid in session_ids])
-    if fragment.matrix.shape[0] != len(session_ids):
-        raise ValueError("fragment row count does not match session count")
-    rows = np.hstack([scalars, desc, fragment.matrix])
-    labels = np.array(
-        [1 if store.sessions[sid].label == "buy" else 0 for sid in session_ids],
-        dtype=np.uint8,
-    )
-    names = (
-        SCALAR_FEATURES
-        + [f"desc_{i:02d}" for i in range(EMBED_DIM)]
-        + fragment.column_names
-    )
-    return Dataset(
-        rows=rows,
-        labels=labels,
-        feature_names=names,
-        aggregation=scheme,
-        category_count=len(list(categories)),
-        n_base_cols=len(SCALAR_FEATURES) + EMBED_DIM,
-    )
+    return AggregateFragment(counts.reshape(len(sessions), len(names)), names)
 
 
 def balance(ds: Dataset, seed: int) -> Dataset:
@@ -413,21 +334,26 @@ def featurize_store(
     store: SessionStore,
     table: EmbeddingTable,
     scheme: str = "weekly",
-    categories=None,
-    n_categories: int | None = None,
+    *,
+    n_categories: int,
 ) -> Dataset:
-    """Full featurization: engineered features + aggregation + labels.
+    """Full featurization: one row per usable session, in session-id
+    order, of engineered features, the top n_categories categories'
+    aggregation columns and the buy label.
 
-    Either an explicit category list or a top-n_categories count must be
-    given. The result is unbalanced; apply balance() afterwards.
+    The result is unbalanced; apply balance() afterwards.
     """
-    if categories is None:
-        if n_categories is None:
-            raise ValueError("pass categories or n_categories")
-        categories = top_categories(store, n_categories)
-    feats = compute_session_features(store, table)
-    fragment = aggregate_pageviews(store, categories, scheme)
-    ds = assemble_dataset(store, feats, fragment, scheme, categories)
+    categories = top_categories(store, n_categories)
+    sessions = [s for s in store.ordered_sessions() if s.usable]
+    fragment = aggregate_pageviews(sessions, categories, scheme)
+    ds = Dataset(
+        rows=np.hstack([compute_session_features(store, sessions, table), fragment.matrix]),
+        labels=np.array([s.label == "buy" for s in sessions], dtype=np.uint8),
+        feature_names=SCALAR_FEATURES + [f"desc_{i:02d}" for i in range(EMBED_DIM)] + fragment.column_names,
+        aggregation=scheme,
+        category_count=len(categories),
+        n_base_cols=len(SCALAR_FEATURES) + EMBED_DIM,
+    )
     const = constant_columns(ds)
     if const:
         log.warning("%d constant feature columns (first: %s)", len(const), const[:3])

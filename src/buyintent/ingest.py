@@ -10,6 +10,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .util import dumps
 
 log = logging.getLogger(__name__)
@@ -377,8 +379,9 @@ def load_store(path) -> SessionStore:
     A document that is not a store, or whose sessions and events lack
     the keys, types and ranges save_store writes, raises ValueError
     naming the path. Every session needs an event, and a usable one a
-    feature event. Event fields are checked a column at a time over
-    the whole store, so the check costs a constant per event.
+    feature event, and a session's events must be in time order. Event
+    fields are checked a column at a time over the whole store, so the
+    check costs a constant per event.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -399,6 +402,7 @@ def _read_sessions(doc: dict) -> SessionStore:
     sessions: dict[str, Session] = {}
     user_index: dict[str, list[str]] = {}
     all_events: list[RawEvent] = []
+    starts: list[int] = []
     for n, rec in enumerate(records):
         if not isinstance(rec, dict) or rec.keys() != _SESSION_KEYS:
             raise ValueError(f"session {n} must be an object with keys {sorted(_SESSION_KEYS)}")
@@ -423,6 +427,7 @@ def _read_sessions(doc: dict) -> SessionStore:
             raise ValueError(f"session {sid!r} has no events")
         if rec["usable"] and all(e.event_type == "buy" for e in events):
             raise ValueError(f"usable session {sid!r} has no feature events")
+        starts.append(len(all_events))
         all_events += events
         sess = Session(
             session_id=sid,
@@ -445,4 +450,10 @@ def _read_sessions(doc: dict) -> SessionStore:
             raise ValueError(f"event timestamps must lie in [0, {MAX_TIMESTAMP_MS}]")
         if not types <= EVENT_TYPES:
             raise ValueError(f"unknown event_type '{min(types - EVENT_TYPES)}'")
+        step = np.diff(np.array(stamps, dtype=np.int64))
+        step[np.array(starts[1:], dtype=np.int64) - 1] = 0  # a session may start before the last one ends
+        back = np.flatnonzero(step < 0)
+        if back.size:
+            sid = list(sessions)[np.searchsorted(starts, back[0], side="right") - 1]
+            raise ValueError(f"session {sid!r} has events out of time order")
     return SessionStore(sessions, user_index, doc.get("duplicates_dropped", 0))

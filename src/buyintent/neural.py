@@ -24,6 +24,9 @@ BATCH_SIZE = 128
 
 ACTIVATIONS = ("sigmoid", "relu")
 
+# the most units a hidden layer may have under search and validate_ranges
+MAX_UNITS = 500
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -75,8 +78,8 @@ class Hyperparams:
             raise ValueError("initial_learning_rate below 0.001")
         for i, h in enumerate(self.hidden_units):
             floor = 16 if (i == 0 and not deep) else 64
-            if not floor <= h <= 500:
-                raise ValueError(f"hidden layer {i} must have {floor}..500 units, got {h}")
+            if not floor <= h <= MAX_UNITS:
+                raise ValueError(f"hidden layer {i} must have {floor}..{MAX_UNITS} units, got {h}")
         return self
 
     def to_dict(self) -> dict:

@@ -4,10 +4,12 @@ These are the package's first forms of three feature steps.
 embed_description_joined tokenizes a session's descriptions joined by
 spaces and averages the looked-up vectors with np.mean over a list.
 compute_session_features_loop builds each session's feature and click
-lists afresh for every value and counts the view windows with boolean
-masks. aggregate_pageviews_dates buckets each pageview through a UTC
-datetime and steps from Monday to Monday with timedelta, which raises
-OverflowError once the last event falls in the final ISO week of 9999.
+lists afresh for every value, counts the view windows with boolean
+masks and lays the values out by name in SCALAR_FEATURES order, one row
+per usable session in session-id order. aggregate_pageviews_dates
+buckets each pageview through a UTC datetime and steps from Monday to
+Monday with timedelta, which raises OverflowError once the last event
+falls in the final ISO week of 9999.
 features.compute_session_features and features.aggregate_pageviews
 must match them bit for bit everywhere else.
 """
@@ -19,8 +21,8 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 
 from buyintent.features import (
+    SCALAR_FEATURES,
     AggregateFragment,
-    SessionFeatures,
     _user_prior_stats,
     click_buy_ratio,
     item_durations,
@@ -40,7 +42,7 @@ def embed_description_joined(text: str, table) -> np.ndarray:
     return np.mean(vecs, axis=0)
 
 
-def compute_session_features_loop(store, table) -> dict[str, SessionFeatures]:
+def compute_session_features_loop(store, table) -> np.ndarray:
     ratio: dict[str, float] = {}
     s_before: dict[str, float] = {}
     past_price: dict[str, float] = {}
@@ -59,7 +61,7 @@ def compute_session_features_loop(store, table) -> dict[str, SessionFeatures]:
         ]
         user_pageviews[user_id] = np.array(sorted(ts), dtype=np.int64)
 
-    out: dict[str, SessionFeatures] = {}
+    out = []
     for sess in store.ordered_sessions():
         if not sess.usable:
             continue
@@ -70,7 +72,7 @@ def compute_session_features_loop(store, table) -> dict[str, SessionFeatures]:
         ref = feats[-1].timestamp
         views = user_pageviews[sess.user_id]
         day_ms = 24 * MS_PER_HOUR
-        out[sess.session_id] = SessionFeatures(
+        scalars = dict(
             duration_before_purchase=(feats[-1].timestamp - feats[0].timestamp) / 1000.0,
             click_buy_ratio=ratio[sess.session_id],
             median_sessions_before_buy=s_before[sess.session_id],
@@ -82,9 +84,10 @@ def compute_session_features_loop(store, table) -> dict[str, SessionFeatures]:
             avg_purchase_price=past_price[sess.session_id],
             views_24h=int(np.sum((views > ref - day_ms) & (views <= ref))),
             views_week=int(np.sum((views > ref - 7 * day_ms) & (views <= ref))),
-            desc_vector=embed_description_joined(texts, table),
         )
-    return out
+        row = np.array([scalars[name] for name in SCALAR_FEATURES], dtype=float)
+        out.append(np.concatenate([row, embed_description_joined(texts, table)]))
+    return np.array(out).reshape(len(out), len(SCALAR_FEATURES) + table.dim)
 
 
 def _utc_date(ts_ms: int) -> date:
@@ -101,15 +104,6 @@ def aggregate_pageviews_dates(store, categories, scheme: str) -> AggregateFragme
     categories = list(categories)
     if not categories:
         raise ValueError("category list must be non-empty")
-    observed = {
-        e.category_id
-        for s in store.sessions.values()
-        for e in s.feature_events()
-        if e.event_type == "pageview" and e.category_id is not None
-    }
-    unknown = [c for c in categories if c not in observed]
-    if unknown:
-        raise ValueError(f"categories not present in store: {unknown[:5]}")
 
     session_ids = [s.session_id for s in store.ordered_sessions() if s.usable]
     all_ts = [
@@ -118,7 +112,7 @@ def aggregate_pageviews_dates(store, categories, scheme: str) -> AggregateFragme
         for e in store.sessions[sid].feature_events()
     ]
     if not all_ts:
-        return AggregateFragment(np.zeros((0, 0)), [], [])
+        return AggregateFragment(np.zeros((0, 0)), [])
 
     first, last = _week_monday(_utc_date(min(all_ts))), _week_monday(_utc_date(max(all_ts)))
     weeks: list[date] = []
@@ -147,4 +141,4 @@ def aggregate_pageviews_dates(store, categories, scheme: str) -> AggregateFragme
             d = _utc_date(ev.timestamp)
             half = "" if scheme == "weekly" else ("h1" if d.isocalendar()[2] <= 3 else "h2")
             matrix[row, col_of[(_week_monday(d), half, ev.category_id)]] += 1.0
-    return AggregateFragment(matrix, names, session_ids)
+    return AggregateFragment(matrix, names)

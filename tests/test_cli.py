@@ -317,17 +317,21 @@ def _corrupt(doc, probe):
         first["events"][0]["timestamp"] = str(first["events"][0]["timestamp"])
     elif probe == "repeated-session":
         doc["sessions"].append(first)
+    elif probe == "reversed-events":
+        first["events"].reverse()
     return doc
 
 
 @pytest.mark.parametrize(
     "probe",
     ["extra-event-key", "missing-timestamp", "sessions-not-a-list", "top-level-list",
-     "usable-session-without-events", "string-timestamp", "repeated-session"],
+     "usable-session-without-events", "string-timestamp", "repeated-session", "reversed-events"],
 )
 def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     bad = tmp_path / "bad.store.json"
-    bad.write_text(json.dumps(_corrupt(json.loads(work["store"].read_text()), probe)))
+    doc = json.loads(work["store"].read_text())
+    first_sid = doc["sessions"][0]["session_id"]
+    bad.write_text(json.dumps(_corrupt(doc, probe)))
     out = tmp_path / "bad.bin"
     rc, _, err = run_cli(
         ["featurize", "--store", str(bad), "--embeddings", str(work["corpus"] / "embeddings.tsv"),
@@ -338,6 +342,8 @@ def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     error = stderr_error(err)
     assert error["error"] == "ValueError"
     assert error["detail"].startswith(f"{bad}: ")
+    if probe == "reversed-events":
+        assert f"session {first_sid!r}" in error["detail"]
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from buyintent.evaluation import (
     kfold_split,
     random_search,
 )
-from buyintent.neural import Hyperparams
+from buyintent.neural import MAX_UNITS, Hyperparams
 from buyintent.util import TrainingDiverged
 
 
@@ -229,16 +229,39 @@ class TestCrossValidate:
         assert a.fold_aucs == b.fold_aucs
         assert a.fold_aucs != c.fold_aucs
 
-    def test_trainer_sees_only_training_rows(self):
-        ds = signal_ds(n=40, seed=4)
-        seen = []
+    @pytest.mark.parametrize(
+        ("evaluate", "n_test"),
+        [
+            (lambda trainer, ds: cross_validate(trainer, ds, k=4, seed=0), 0),
+            (lambda trainer, ds: holdout_evaluate(trainer, ds, seed=0), 10),
+        ],
+        ids=["cross_validate", "holdout_evaluate"],
+    )
+    def test_trainer_sees_only_training_rows(self, evaluate, n_test):
+        base = signal_ds(n=40, seed=4)
+        rows = base.rows.copy()
+        rows[:, 0] = np.arange(base.n)  # a unique id per row
+        ds = make_ds(rows, base.labels)
+        fits = []  # per trained model: the ids it trained on, the ids it scored
 
         def spy_trainer(train, seed):
-            seen.append(train.n)
-            return lambda rows: np.atleast_2d(rows)[:, 0]
+            trained, scored = set(train.rows[:, 0]), set()
+            fits.append((trained, scored))
 
-        cross_validate(spy_trainer, ds, k=4, seed=0)
-        assert seen == [30, 30, 30, 30]
+            def score(X):
+                scored.update(X[:, 0])
+                return X[:, 1]
+
+            return score
+
+        evaluate(spy_trainer, ds)
+        assert len(fits) == 4
+        # every holdout model scores the one test quarter; cv has none
+        test = set.intersection(*(scored for _, scored in fits))
+        assert len(test) == n_test
+        for trained, scored in fits:
+            assert trained.isdisjoint(scored)
+            assert trained | (scored - test) == set(range(ds.n)) - test
 
 
 class TestHoldoutEvaluate:
@@ -267,14 +290,14 @@ class TestHoldoutEvaluate:
 
 class TestSearchSpace:
     def test_samples_respect_bounds(self):
-        space = SearchSpace(depth_choices=(1, 2), max_units=200, with_input_noise=True)
+        space = SearchSpace(depth_choices=(1, 2), with_input_noise=True)
         rng = np.random.default_rng(0)
         for _ in range(200):
             hp = space.sample(rng)
             hp.validate_ranges()
             assert 0.001 <= hp.initial_learning_rate <= 0.25
             assert len(hp.hidden_units) in (1, 2)
-            assert all(h <= 200 for h in hp.hidden_units)
+            assert all(h <= MAX_UNITS for h in hp.hidden_units)
             assert 0.0 <= hp.input_noise_level <= 0.2
 
     def test_learning_rate_is_log_spread(self):

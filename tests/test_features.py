@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -15,7 +16,6 @@ from buyintent.features import (
     SCALAR_FEATURES,
     EmbeddingTable,
     aggregate_pageviews,
-    assemble_dataset,
     balance,
     click_buy_ratio,
     compute_session_features,
@@ -25,7 +25,14 @@ from buyintent.features import (
     tokenize,
     top_categories,
 )
-from buyintent.ingest import MAX_TIMESTAMP_MS, MS_PER_HOUR, RawEvent, apply_prediction_window, sessionize
+from buyintent.ingest import (
+    MAX_TIMESTAMP_MS,
+    MS_PER_HOUR,
+    RawEvent,
+    SessionStore,
+    apply_prediction_window,
+    sessionize,
+)
 from feature_oracles import aggregate_pageviews_dates, compute_session_features_loop
 
 DAY = 24 * MS_PER_HOUR
@@ -47,10 +54,16 @@ def tiny_table(dim=3, **vectors):
     return EmbeddingTable(entries=entries, stopwords=frozenset({"the", "a"}), dim=dim)
 
 
+def usable(store):
+    """The store's usable sessions in session-id order, as featurize_store
+    lists them."""
+    return [s for s in store.ordered_sessions() if s.usable]
+
+
 def embed_description(text, table):
     """The description vector of a one-pageview session described by text."""
     store = sessionize([ev(description=text)])
-    return compute_session_features(store, table)["s1"].desc_vector
+    return compute_session_features(store, usable(store), table)[0, len(SCALAR_FEATURES):]
 
 
 class TestItemDurations:
@@ -203,59 +216,67 @@ class TestSessionFeatureValues:
         return sessionize(events)
 
     @pytest.fixture()
-    def feats(self, store):
+    def rows(self, store):
         table = EmbeddingTable(entries={}, dim=EMBED_DIM)
-        return compute_session_features(store, table)
+        return compute_session_features(store, usable(store), table)
+
+    @pytest.fixture()
+    def feats(self, rows):
+        """feats(session id, feature name): one value of rows, whose rows
+        are s1..s4 in order."""
+        return lambda sid, name: rows[int(sid[1:]) - 1, SCALAR_FEATURES.index(name)]
 
     def test_duration_before_purchase(self, feats):
-        assert feats["s1"].duration_before_purchase == pytest.approx(60.0)
-        assert feats["s2"].duration_before_purchase == pytest.approx(40.0)
+        assert feats("s1", "duration_before_purchase") == pytest.approx(60.0)
+        assert feats("s2", "duration_before_purchase") == pytest.approx(40.0)
 
     def test_hour_of_first_event(self, feats):
-        assert feats["s1"].hour == 3
-        assert feats["s2"].hour == 10
+        assert feats("s1", "hour") == 3
+        assert feats("s2", "hour") == 10
 
     def test_click_counts(self, feats):
-        assert feats["s2"].n_clicks == 3
-        assert feats["s2"].n_distinct_items == 2
-        assert feats["s4"].n_clicks == 1
+        assert feats("s2", "n_clicks") == 3
+        assert feats("s2", "n_distinct_items") == 2
+        assert feats("s4", "n_clicks") == 1
 
     def test_price_is_mean_of_priced_feature_events(self, feats):
-        assert feats["s2"].price == pytest.approx(8.0)
-        assert feats["s1"].price == 0.0
+        assert feats("s2", "price") == pytest.approx(8.0)
+        assert feats("s1", "price") == 0.0
 
     def test_avg_purchase_price_uses_prior_buys_only(self, feats):
-        assert feats["s1"].avg_purchase_price == 0.0
-        assert feats["s2"].avg_purchase_price == pytest.approx(20.0)
-        assert feats["s4"].avg_purchase_price == pytest.approx(25.0)
+        assert feats("s1", "avg_purchase_price") == 0.0
+        assert feats("s2", "avg_purchase_price") == pytest.approx(20.0)
+        assert feats("s4", "avg_purchase_price") == pytest.approx(25.0)
 
     def test_median_sessions_before_buy(self, feats):
         # s1 buys at index 0 (gap 0), s3 at index 2 (one session between)
-        assert feats["s1"].median_sessions_before_buy == 0.0
-        assert feats["s2"].median_sessions_before_buy == 0.0
-        assert feats["s3"].median_sessions_before_buy == 0.0
-        assert feats["s4"].median_sessions_before_buy == pytest.approx(0.5)
+        assert feats("s1", "median_sessions_before_buy") == 0.0
+        assert feats("s2", "median_sessions_before_buy") == 0.0
+        assert feats("s3", "median_sessions_before_buy") == 0.0
+        assert feats("s4", "median_sessions_before_buy") == pytest.approx(0.5)
 
     def test_view_windows_count_user_pageviews(self, feats):
         # ref for s2 is its last pageview; only s2's own two pageviews
         # fall inside 24h, s1's two enter at the week horizon
-        assert feats["s2"].views_24h == 2
-        assert feats["s2"].views_week == 4
+        assert feats("s2", "views_24h") == 2
+        assert feats("s2", "views_week") == 4
 
     def test_view_window_excludes_future_sessions(self, feats):
-        assert feats["s1"].views_24h == 2
-        assert feats["s1"].views_week == 2
+        assert feats("s1", "views_24h") == 2
+        assert feats("s1", "views_week") == 2
 
     def test_click_buy_ratio_matches_direct_computation(self, store, feats):
         direct = click_buy_ratio(store.user_sessions("u1"))
         for sid in ("s1", "s2", "s3", "s4"):
-            assert feats[sid].click_buy_ratio == pytest.approx(direct[sid])
+            assert feats(sid, "click_buy_ratio") == pytest.approx(direct[sid])
 
-    def test_scalar_row_follows_declared_order(self, feats):
-        row = feats["s2"].scalar_row()
-        assert row.shape == (len(SCALAR_FEATURES),)
-        assert row[SCALAR_FEATURES.index("price")] == pytest.approx(8.0)
-        assert row[SCALAR_FEATURES.index("n_clicks")] == 3
+    def test_scalar_row_follows_declared_order(self, rows):
+        # s2's scalars, then its (all-zero) description vector
+        assert rows.shape == (4, len(SCALAR_FEATURES) + EMBED_DIM)
+        assert rows.dtype == np.float64
+        assert rows[1, SCALAR_FEATURES.index("price")] == pytest.approx(8.0)
+        assert rows[1, SCALAR_FEATURES.index("n_clicks")] == 3
+        assert not rows[1, len(SCALAR_FEATURES):].any()
 
 
 class TestAggregatePageviews:
@@ -266,7 +287,7 @@ class TestAggregatePageviews:
             ev(ts=base + DAY, item="B", category_id="c"),
             ev(ts=base + 2 * DAY, item="A", category_id="c"),
         ]
-        frag = aggregate_pageviews(sessionize(events), ["c"], "weekly")
+        frag = aggregate_pageviews(usable(sessionize(events)), ["c"], "weekly")
         assert frag.matrix.shape == (1, 1)
         assert frag.matrix[0, 0] == 3.0
         assert frag.column_names == ["cat_c_2021w01"]
@@ -278,7 +299,7 @@ class TestAggregatePageviews:
             ev(ts=base + DAY, item="A", category_id="c"),  # Tue
             ev(ts=base + 4 * DAY, item="A", category_id="c"),  # Fri
         ]
-        frag = aggregate_pageviews(sessionize(events), ["c"], "semiweekly")
+        frag = aggregate_pageviews(usable(sessionize(events)), ["c"], "semiweekly")
         assert frag.column_names == ["cat_c_2021w01_h1", "cat_c_2021w01_h2"]
         assert frag.matrix.tolist() == [[2.0, 1.0]]
 
@@ -288,40 +309,36 @@ class TestAggregatePageviews:
             ev(sid="s1", ts=base, item="A", category_id="c"),
             ev(sid="s2", ts=base + 15 * DAY, item="A", category_id="c"),
         ]
-        frag = aggregate_pageviews(sessionize(events), ["c"], "weekly")
+        frag = aggregate_pageviews(usable(sessionize(events)), ["c"], "weekly")
         assert frag.column_names == ["cat_c_2021w01", "cat_c_2021w02", "cat_c_2021w03"]
         assert frag.matrix.sum() == 2.0
-
-    def test_unknown_category_rejected(self):
-        store = sessionize([ev(ts=0, item="A", category_id="c")])
-        with pytest.raises(ValueError, match="not present"):
-            aggregate_pageviews(store, ["c", "ghost"], "weekly")
 
     def test_bad_scheme_rejected(self):
         store = sessionize([ev(ts=0, item="A", category_id="c")])
         with pytest.raises(ValueError, match="scheme"):
-            aggregate_pageviews(store, ["c"], "daily")
+            aggregate_pageviews(usable(store), ["c"], "daily")
 
     def test_empty_category_list_rejected(self):
         store = sessionize([ev(ts=0, item="A", category_id="c")])
         with pytest.raises(ValueError, match="non-empty"):
-            aggregate_pageviews(store, [], "weekly")
+            aggregate_pageviews(usable(store), [], "weekly")
 
     def test_counts_conserved_on_fixture(self, store):
         cats = top_categories(store, 10)
-        frag = aggregate_pageviews(store, cats, "weekly")
+        sessions = usable(store)
+        frag = aggregate_pageviews(sessions, cats, "weekly")
         total = sum(
             1
-            for sid in frag.session_ids
-            for e in store.sessions[sid].feature_events()
+            for sess in sessions
+            for e in sess.feature_events()
             if e.event_type == "pageview" and e.category_id in set(cats)
         )
         assert frag.matrix.sum() == total
 
     def test_semiweekly_conserves_weekly_totals(self, store):
         cats = top_categories(store, 5)
-        weekly = aggregate_pageviews(store, cats, "weekly")
-        semi = aggregate_pageviews(store, cats, "semiweekly")
+        weekly = aggregate_pageviews(usable(store), cats, "weekly")
+        semi = aggregate_pageviews(usable(store), cats, "semiweekly")
         assert semi.matrix.shape[1] == 2 * weekly.matrix.shape[1]
         assert semi.matrix.sum() == weekly.matrix.sum()
 
@@ -342,41 +359,34 @@ class TestTopCategories:
 
 
 class TestAssembleDataset:
+    """featurize_store lays out one row per usable session: its features,
+    then its aggregation counts, and its label."""
+
     def test_column_arithmetic_and_names(self, store, embedding_table):
         cats = top_categories(store, 8)
-        feats = compute_session_features(store, embedding_table)
-        frag = aggregate_pageviews(store, cats, "weekly")
-        ds = assemble_dataset(store, feats, frag, "weekly", cats)
+        ds = featurize_store(store, embedding_table, n_categories=8)
+        frag = aggregate_pageviews(usable(store), cats, "weekly")
         assert ds.d == len(SCALAR_FEATURES) + EMBED_DIM + len(frag.column_names)
         assert ds.n_base_cols == 61
+        assert ds.category_count == 8
         assert ds.feature_names[: len(SCALAR_FEATURES)] == SCALAR_FEATURES
         assert ds.feature_names[len(SCALAR_FEATURES)] == "desc_00"
         assert ds.feature_names[61:] == frag.column_names
 
     def test_labels_follow_store(self, store, embedding_table):
-        cats = top_categories(store, 4)
-        feats = compute_session_features(store, embedding_table)
-        frag = aggregate_pageviews(store, cats, "weekly")
-        ds = assemble_dataset(store, feats, frag, "weekly", cats)
-        for row, sid in enumerate(frag.session_ids):
-            want = 1 if store.sessions[sid].label == "buy" else 0
-            assert ds.labels[row] == want
+        ds = featurize_store(store, embedding_table, n_categories=4)
+        sessions = usable(store)
+        assert ds.n == len(sessions)
+        for row, sess in enumerate(sessions):
+            assert ds.labels[row] == (1 if sess.label == "buy" else 0)
 
-    def test_row_mismatch_rejected(self, store, embedding_table):
-        cats = top_categories(store, 4)
-        feats = compute_session_features(store, embedding_table)
-        frag = aggregate_pageviews(store, cats, "weekly")
-        frag.matrix = frag.matrix[:-1]
-        with pytest.raises(ValueError, match="row count"):
-            assemble_dataset(store, feats, frag, "weekly", cats)
-
-    def test_missing_features_rejected(self, store, embedding_table):
-        cats = top_categories(store, 4)
-        feats = compute_session_features(store, embedding_table)
-        frag = aggregate_pageviews(store, cats, "weekly")
-        feats.pop(frag.session_ids[0])
-        with pytest.raises(ValueError, match="missing"):
-            assemble_dataset(store, feats, frag, "weekly", cats)
+    def test_no_usable_session_gives_the_base_columns(self, embedding_table):
+        # a session flagged unusable still counts toward the categories
+        sess = sessionize([ev(ts=0, item="A", category_id="c")]).sessions["s1"]
+        store = SessionStore({"s1": replace(sess, usable=False)}, {"u1": ["s1"]})
+        ds = featurize_store(store, embedding_table, n_categories=3)
+        assert ds.rows.shape == (0, 61)
+        assert ds.feature_names == SCALAR_FEATURES + [f"desc_{i:02d}" for i in range(EMBED_DIM)]
 
 
 class TestBalance:
@@ -425,18 +435,13 @@ class TestBalance:
 
 class TestFeaturizeStore:
     def test_fixture_dataset_shape(self, store, feature_dataset):
-        usable = sum(1 for s in store.ordered_sessions() if s.usable)
-        assert feature_dataset.n == usable
+        assert feature_dataset.n == len(usable(store))
         assert feature_dataset.n_base_cols == 61
         assert feature_dataset.d > 61
         assert np.all(np.isfinite(feature_dataset.rows))
 
     def test_both_classes_present(self, feature_dataset):
         assert 0 < int(feature_dataset.labels.sum()) < feature_dataset.n
-
-    def test_requires_category_choice(self, store, embedding_table):
-        with pytest.raises(ValueError, match="categories"):
-            featurize_store(store, embedding_table)
 
     def test_no_constant_columns_on_fixture(self, feature_dataset):
         assert constant_columns(feature_dataset) == []
@@ -508,13 +513,11 @@ class TestOracleEquality:
     @settings(max_examples=200, deadline=None)
     @given(store=stores(), table=vocab_tables())
     def test_features_equal_the_oracle(self, store, table):
-        got = compute_session_features(store, table)
+        got = compute_session_features(store, usable(store), table)
         want = compute_session_features_loop(store, table)
-        assert got.keys() == want.keys()
-        for sid, feats in want.items():
-            assert got[sid].scalar_row().tobytes() == feats.scalar_row().tobytes()
-            assert got[sid].desc_vector.dtype == feats.desc_vector.dtype
-            assert got[sid].desc_vector.tobytes() == feats.desc_vector.tobytes()
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(store=stores(), k=st.integers(1, 3), scheme=st.sampled_from(["weekly", "semiweekly"]))
@@ -524,16 +527,15 @@ class TestOracleEquality:
             want = aggregate_pageviews_dates(store, cats, scheme)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                aggregate_pageviews(store, cats, scheme)
+                aggregate_pageviews(usable(store), cats, scheme)
             return
         except OverflowError:
             # the oracle steps past the Monday of the final ISO week of 9999
-            got = aggregate_pageviews(store, cats, scheme)
+            got = aggregate_pageviews(usable(store), cats, scheme)
             assert got.column_names[-1].startswith(f"cat_{cats[-1]}_9999w52")
             return
-        got = aggregate_pageviews(store, cats, scheme)
+        got = aggregate_pageviews(usable(store), cats, scheme)
         assert got.column_names == want.column_names
-        assert got.session_ids == want.session_ids
         assert got.matrix.shape == want.matrix.shape
         assert got.matrix.dtype == want.matrix.dtype
         assert got.matrix.tobytes() == want.matrix.tobytes()
