@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 from . import __version__
 from .baselines import (
@@ -185,16 +185,9 @@ def _parse_layers(text: str) -> tuple[int, ...]:
     return sizes
 
 
-_HP_FIELD_TYPES = {
-    "activation": str,
-    "initial_learning_rate": float,
-    "momentum": float,
-    "l2_weight_cost": float,
-    "dropout_fraction": float,
-    "epochs": int,
-    "annealing_delay_fraction": float,
-    "input_noise_level": float,
-}
+# every Hyperparams field but hidden_units, with its type: the parser of
+# an hp file line and the JSON type a model config must hold
+_HP_FIELD_TYPES = {k: t for k, t in get_type_hints(Hyperparams).items() if k != "hidden_units"}
 
 
 def _load_hp_file(path: str) -> dict:

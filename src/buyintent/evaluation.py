@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .neural import MAX_UNITS, Hyperparams
+from .neural import BOUNDS, MAX_UNITS, Hyperparams
 from .util import TrainingDiverged, as_rng, dumps, substream_seed
 
 
@@ -147,8 +147,10 @@ def holdout_evaluate(trainer, ds: Dataset, seed=0, model_name: str = "model", da
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Sampling ranges for the network trainers. Learning rate is drawn
-    log-uniformly; everything else uniformly within its bounds."""
+    """Sampling ranges for the network trainers: each float from its
+    neural.BOUNDS range, the learning rate log-uniformly and the rest
+    uniformly. Hidden layers have 16 (one layer) or 64 (deeper) to
+    MAX_UNITS units, and epochs run 10..100 (one layer) or 10..150."""
 
     depth_choices: tuple[int, ...] = (1,)
     activations: tuple[str, ...] = ("sigmoid", "relu")
@@ -162,16 +164,17 @@ class SearchSpace:
             floor = 16 if (i == 0 and depth == 1) else 64
             sizes.append(int(rng.integers(floor, MAX_UNITS + 1)))
         epochs_hi = 150 if depth > 1 else 100
+        lr_lo, lr_hi = BOUNDS["initial_learning_rate"]
         return Hyperparams(
             hidden_units=tuple(sizes),
             activation=str(rng.choice(list(self.activations))),
-            initial_learning_rate=float(np.exp(rng.uniform(np.log(0.001), np.log(0.25)))),
-            momentum=float(rng.uniform(0.0, 0.95)),
-            l2_weight_cost=float(rng.uniform(0.0, 0.01)),
-            dropout_fraction=float(rng.uniform(0.0, 0.3)),
+            initial_learning_rate=float(np.exp(rng.uniform(np.log(lr_lo), np.log(lr_hi)))),
+            momentum=float(rng.uniform(*BOUNDS["momentum"])),
+            l2_weight_cost=float(rng.uniform(*BOUNDS["l2_weight_cost"])),
+            dropout_fraction=float(rng.uniform(*BOUNDS["dropout_fraction"])),
             epochs=int(rng.integers(10, epochs_hi + 1)),
-            annealing_delay_fraction=float(rng.uniform(0.0, 1.0)),
-            input_noise_level=float(rng.uniform(0.0, 0.2)) if self.with_input_noise else 0.0,
+            annealing_delay_fraction=float(rng.uniform(*BOUNDS["annealing_delay_fraction"])),
+            input_noise_level=float(rng.uniform(*BOUNDS["input_noise_level"])) if self.with_input_noise else 0.0,
         )
 
 
@@ -202,7 +205,7 @@ def random_search(
     trials: list[dict] = []
     best: tuple[float, Hyperparams, EvalReport] | None = None
     for t in range(budget):
-        hp = space.sample(rng).validate_ranges()
+        hp = space.sample(rng)
         entry = {"trial": t, "hyperparams": hp.to_dict()}
         try:
             report = holdout_evaluate(

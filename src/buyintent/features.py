@@ -27,6 +27,8 @@ EMBED_DIM = 50
 MS_PER_DAY = 24 * MS_PER_HOUR
 # date.toordinal() of epoch day 0, Thursday 1970-01-01.
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# the most (category, time bucket) columns aggregate_pageviews builds
+MAX_AGG_COLUMNS = 2**20
 
 DEFAULT_STOPWORDS = frozenset(
     """a an and are as at be by for from has have in is it its of on or that the
@@ -246,7 +248,8 @@ def aggregate_pageviews(sessions, categories, scheme: str) -> AggregateFragment:
     Buckets are ISO weeks spanning the sessions' feature events; the
     semiweekly scheme splits each week into days 1-3 and 4-7. Buckets
     come from integer UTC days: epoch day 0 is a Thursday, so
-    day - (day + 3) % 7 is the day's Monday.
+    day - (day + 3) % 7 is the day's Monday. A span whose columns would
+    pass MAX_AGG_COLUMNS raises ValueError before any is built.
     """
     if scheme not in ("weekly", "semiweekly"):
         raise ValueError(f"unknown aggregation scheme '{scheme}'")
@@ -271,6 +274,11 @@ def aggregate_pageviews(sessions, categories, scheme: str) -> AggregateFragment:
     first_monday = first_day - (first_day + 3) % 7
     n_weeks = (last_day - first_monday) // 7 + 1
     halves = ["h1", "h2"] if scheme == "semiweekly" else [""]
+    n_columns = n_weeks * len(halves) * len(categories)
+    if n_columns > MAX_AGG_COLUMNS:
+        first, last = (date.fromordinal(_EPOCH_ORDINAL + d).isocalendar() for d in (first_monday, last_day))
+        raise ValueError(f"feature events from ISO week {first[0]}-W{first[1]:02d} to {last[0]}-W{last[1]:02d} over "
+                         f"{len(categories)} categories need {n_columns} aggregation columns, more than {MAX_AGG_COLUMNS}")
     names: list[str] = []
     for week in range(n_weeks):
         iso = date.fromordinal(_EPOCH_ORDINAL + first_monday + 7 * week).isocalendar()

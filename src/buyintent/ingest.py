@@ -130,8 +130,8 @@ def parse_events(stream) -> ParseResult:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(ParseIssue(line_no, f"invalid JSON: {exc.msg}"))
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+            errors.append(ParseIssue(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
         except RecursionError:
             errors.append(ParseIssue(line_no, "invalid JSON: nested too deeply"))
@@ -378,10 +378,11 @@ def load_store(path) -> SessionStore:
 
     A document that is not a store, or whose sessions and events lack
     the keys, types and ranges save_store writes, raises ValueError
-    naming the path. Every session needs an event, and a usable one a
-    feature event, and a session's events must be in time order. Event
-    fields are checked a column at a time over the whole store, so the
-    check costs a constant per event.
+    naming the path. Every session needs an event, its events must be
+    in time order, and its usable flag, label and bought_items must be
+    what ingest derives from them. Event fields are checked a column at
+    a time over the whole store, so the check costs a constant per
+    event.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -403,6 +404,7 @@ def _read_sessions(doc: dict) -> SessionStore:
     user_index: dict[str, list[str]] = {}
     all_events: list[RawEvent] = []
     starts: list[int] = []
+    boughts: list[list] = []
     for n, rec in enumerate(records):
         if not isinstance(rec, dict) or rec.keys() != _SESSION_KEYS:
             raise ValueError(f"session {n} must be an object with keys {sorted(_SESSION_KEYS)}")
@@ -425,8 +427,7 @@ def _read_sessions(doc: dict) -> SessionStore:
             raise ValueError(f"session {sid!r} has a malformed event: {exc}") from None
         if not events:
             raise ValueError(f"session {sid!r} has no events")
-        if rec["usable"] and all(e.event_type == "buy" for e in events):
-            raise ValueError(f"usable session {sid!r} has no feature events")
+        boughts.append(bought)
         starts.append(len(all_events))
         all_events += events
         sess = Session(
@@ -456,4 +457,20 @@ def _read_sessions(doc: dict) -> SessionStore:
         if back.size:
             sid = list(sessions)[np.searchsorted(starts, back[0], side="right") - 1]
             raise ValueError(f"session {sid!r} has events out of time order")
+        # usable iff a feature event, label buy iff a buy event, and
+        # bought_items the sorted distinct items of the buy events
+        is_buy = np.array(columns["event_type"], dtype=object) == "buy"
+        buy_at = np.flatnonzero(is_buy)
+        buys: list[set] = [set() for _ in starts]
+        for i, at in zip((np.searchsorted(starts, buy_at, side="right") - 1).tolist(), buy_at.tolist()):
+            buys[i].add(columns["item_id"][at])
+        only_buys = np.logical_and.reduceat(is_buy, starts).tolist()
+        for s, no_feature, items, bought in zip(sessions.values(), only_buys, buys, boughts):
+            if s.usable == no_feature:
+                state = "usable" if s.usable else "unusable"
+                raise ValueError(f"{state} session {s.session_id!r} has {'no' if s.usable else 'some'} feature events")
+            if (s.label == "buy") != bool(items):
+                raise ValueError(f"session {s.session_id!r} has label {s.label!r} but {'a' if items else 'no'} buy event")
+            if bought != sorted(items):
+                raise ValueError(f"session {s.session_id!r} has bought_items other than the items of its buy events")
     return SessionStore(sessions, user_index, doc.get("duplicates_dropped", 0))

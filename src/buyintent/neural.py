@@ -13,6 +13,7 @@ which keeps least-squares targets in (0,1) after inputs are scaled to
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +25,26 @@ BATCH_SIZE = 128
 
 ACTIVATIONS = ("sigmoid", "relu")
 
-# the most units a hidden layer may have under search and validate_ranges
+# the most units a hidden layer may have under search
 MAX_UNITS = 500
+
+# each float hyperparameter's search range [lo, hi]; Hyperparams accepts
+# [0, hi], so a zero learning rate stays usable in tests and baselines
+BOUNDS = {
+    "initial_learning_rate": (0.001, 0.25),
+    "momentum": (0.0, 0.95),
+    "l2_weight_cost": (0.0, 0.01),
+    "dropout_fraction": (0.0, 0.3),
+    "annealing_delay_fraction": (0.0, 1.0),
+    "input_noise_level": (0.0, 0.2),
+}
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Training knobs for the autoencoder and network trainers.
-
-    The constructor only checks loose sanity so that degenerate settings
-    (zero epochs, zero learning rate) stay usable in tests and for
-    no-op baselines; validate_ranges() applies the strict search-space
-    bounds used by hyperparameter search.
-    """
+    """Training knobs for the autoencoder and network trainers. The
+    constructor checks only loose sanity; the depth-dependent rules of
+    the search space live in evaluation.SearchSpace.sample."""
 
     hidden_units: tuple[int, ...] = (64,)
     activation: str = "sigmoid"
@@ -53,34 +61,12 @@ class Hyperparams:
             raise ValueError("hidden_units must be positive")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        checks = [
-            ("initial_learning_rate", self.initial_learning_rate, 0.0, 0.25),
-            ("momentum", self.momentum, 0.0, 0.95),
-            ("l2_weight_cost", self.l2_weight_cost, 0.0, 0.01),
-            ("dropout_fraction", self.dropout_fraction, 0.0, 0.3),
-            ("annealing_delay_fraction", self.annealing_delay_fraction, 0.0, 1.0),
-            ("input_noise_level", self.input_noise_level, 0.0, 0.2),
-        ]
-        for name, val, lo, hi in checks:
-            if not lo <= val <= hi:
-                raise ValueError(f"{name} must be in [{lo}, {hi}], got {val}")
+        for name, (_, hi) in BOUNDS.items():
+            val = getattr(self, name)
+            if not 0.0 <= val <= hi:
+                raise ValueError(f"{name} must be in [0.0, {hi}], got {val}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-
-    def validate_ranges(self):
-        """Enforce the full search-space contract, including the
-        depth-dependent epoch bounds and per-layer unit caps."""
-        deep = len(self.hidden_units) > 1
-        hi = 150 if deep else 100
-        if not 10 <= self.epochs <= hi:
-            raise ValueError(f"epochs must be in [10, {hi}] for this depth, got {self.epochs}")
-        if self.initial_learning_rate < 0.001:
-            raise ValueError("initial_learning_rate below 0.001")
-        for i, h in enumerate(self.hidden_units):
-            floor = 16 if (i == 0 and not deep) else 64
-            if not floor <= h <= MAX_UNITS:
-                raise ValueError(f"hidden layer {i} must have {floor}..{MAX_UNITS} units, got {h}")
-        return self
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -143,9 +129,11 @@ def down(layer: Layer, h: np.ndarray) -> np.ndarray:
 
 def corrupt(x: np.ndarray, noise_level: float, seed) -> np.ndarray:
     """Masking noise: zero each coordinate independently with the given
-    probability. Levels above 0.2 are outside the supported range."""
-    if not 0.0 <= noise_level <= 0.2:
-        raise ValueError(f"noise_level must be in [0, 0.2], got {noise_level}")
+    probability. Levels above the input_noise_level bound are outside
+    the supported range."""
+    hi = BOUNDS["input_noise_level"][1]
+    if not 0.0 <= noise_level <= hi:
+        raise ValueError(f"noise_level must be in [0, {hi}], got {noise_level}")
     x = np.asarray(x, dtype=float)
     if noise_level == 0.0:
         return x.copy()
@@ -255,17 +243,17 @@ def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Layer
     return layer
 
 
-def stack_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> list[Layer]:
-    """Greedy layerwise pretraining: each layer trains on the clean
-    encodings of the stack below it (corruption happens inside the
-    layer's own training loop)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+def pretrain_stack(X: np.ndarray, layer_sizes, hp: Hyperparams, seed, train_layer, key) -> list[Layer]:
+    """Greedy layer-wise pretraining, the one loop SDA and DBN share:
+    layer k is train_layer(codes, size, hp, substream_seed(seed, key, k))
+    on the clean codes of the layers below (X for the first), and its
+    codes go up through up(layer, codes, hp.activation). train_dbn pins
+    hp.activation to sigmoid, so RBM codes are hidden probabilities."""
+    codes = np.atleast_2d(np.asarray(X, dtype=float))
     layers: list[Layer] = []
-    data = X
     for k, size in enumerate(layer_sizes):
-        layer = train_ae_layer(data, size, hp, substream_seed(seed, 101, k))
-        layers.append(layer)
-        data = up(layer, data, hp.activation)
+        layers.append(train_layer(codes, size, hp, substream_seed(seed, key, k)))
+        codes = up(layers[-1], codes, hp.activation)
     return layers
 
 
@@ -457,7 +445,7 @@ def train_network(ds: Dataset, hp: Hyperparams, seed, make_stack) -> Network:
 
 def train_sda(ds: Dataset, hp: Hyperparams, seed) -> Network:
     """Hidden layers pretrained greedily as denoising autoencoders."""
-    return train_network(ds, hp, seed, stack_pretrain)
+    return train_network(ds, hp, seed, functools.partial(pretrain_stack, train_layer=train_ae_layer, key=101))
 
 
 def train_mlp(ds: Dataset, hp: Hyperparams, seed) -> Network:

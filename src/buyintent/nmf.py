@@ -31,13 +31,8 @@ class NmfFactors:
         return self.error_trace[-1]
 
 
-def _frobenius(V, W, H) -> float:
-    R = V - W @ H
-    return float(np.sqrt(np.sum(R * R)))
-
-
 def _residual_norm(V, WH) -> float:
-    """_frobenius given the product W @ H."""
+    """Frobenius norm of V - WH, for WH the product W @ H."""
     R = V - WH
     return float(np.sqrt(np.sum(R * R)))
 
@@ -77,11 +72,11 @@ def nmf_factorize(
     _check_max_iters(max_iters)
     rng = as_rng(seed)
     W, H = _init_factors(V, rank, rng)
-    trace = [_frobenius(V, W, H)]
+    trace = [_residual_norm(V, W @ H)]
     for it in range(1, max_iters + 1):
         H *= (W.T @ V) / (W.T @ W @ H + EPS)
         W *= (V @ H.T) / (W @ H @ H.T + EPS)
-        err = _frobenius(V, W, H)
+        err = _residual_norm(V, W @ H)
         prev = trace[-1]
         trace.append(err)
         if prev > 0 and (prev - err) / prev < tol:

@@ -1,5 +1,5 @@
-"""Restricted Boltzmann machines: CD-1 training over neural.Layer,
-greedy stacking, and stack-initialized fine-tuning.
+"""Restricted Boltzmann machines: CD-1 training over neural.Layer, and
+DBN training as neural.pretrain_stack over RBM layers, then fine-tuning.
 
 Energy(v, h) = -b'h - c'v - h'Wv with hidden offsets b and visible
 offsets c. Inputs are expected in [0,1] and treated as Bernoulli
@@ -9,12 +9,13 @@ probabilities. P(h=1 | v) is neural.up and P(v=1 | h) is neural.down.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from .dataset import Dataset
-from .neural import Hyperparams, Layer, Network, _epochs, down, train_network, up
-from .util import as_rng, substream_seed
+from .neural import Hyperparams, Layer, Network, _epochs, down, pretrain_stack, train_network, up
+from .util import as_rng
 
 
 def cd1_update(rbm: Layer, V: np.ndarray, learning_rate: float, rng) -> Layer:
@@ -69,21 +70,10 @@ def train_rbm(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Layer:
     return rbm
 
 
-def dbn_pretrain(X: np.ndarray, layer_sizes, hp: Hyperparams, seed) -> list[Layer]:
-    """Greedy stack training: the first RBM sees the data, every later
-    RBM sees the hidden activation probabilities of the one below."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    layers: list[Layer] = []
-    data = X
-    for k, size in enumerate(layer_sizes):
-        rbm = train_rbm(data, size, hp, substream_seed(seed, 201, k))
-        layers.append(rbm)
-        data = up(rbm, data)
-    return layers
-
-
 def train_dbn(ds: Dataset, hp: Hyperparams, seed) -> Network:
     """Hidden layers pretrained greedily as RBMs. RBM units are sigmoid
-    by construction, so the network's activation is pinned to sigmoid
-    whatever hp.activation says; RBM training never reads it."""
-    return train_network(ds, dataclasses.replace(hp, activation="sigmoid"), seed, dbn_pretrain)
+    by construction, so the codes pretrain_stack sends up and the
+    network's activation are pinned to sigmoid whatever hp.activation
+    says; RBM training never reads it."""
+    hp = dataclasses.replace(hp, activation="sigmoid")
+    return train_network(ds, hp, seed, functools.partial(pretrain_stack, train_layer=train_rbm, key=201))

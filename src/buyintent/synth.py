@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,18 +63,6 @@ class SynthConfig:
             raise ValueError("weeks must be positive")
         if not 0.0 <= self.impulsive_fraction <= 1.0:
             raise ValueError("impulsive_fraction must be in [0,1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_categories": self.n_categories,
-            "buy_rate": self.buy_rate,
-            "signal_strength": self.signal_strength,
-            "nonlinear": self.nonlinear,
-            "weeks": self.weeks,
-            "seed": self.seed,
-            "impulsive_fraction": self.impulsive_fraction,
-        }
 
 
 @dataclass(eq=False)
@@ -239,6 +227,10 @@ def _emit_session(cfg, plan, label: str, impulsive: bool, categories, items, rng
     that their mere presence carries no label signal; only the planted
     drivers separate the classes.
     """
+    def event(ts, kind, item_id, **extra):
+        return {"user_id": plan["user"], "session_id": plan["sid"], "timestamp": int(ts),
+                "event_type": kind, "item_id": item_id, "category_id": None, **extra}
+
     events = []
     t = plan["start"]
     cats = plan["interests"]
@@ -257,31 +249,11 @@ def _emit_session(cfg, plan, label: str, impulsive: bool, categories, items, rng
         cat = categories[c]
         item = items[cat][int(tier_cdf.searchsorted(rng.random(), side="right"))]
         clicked_items.append(item)
-        events.append(
-            {
-                "user_id": plan["user"],
-                "session_id": plan["sid"],
-                "timestamp": int(t),
-                "event_type": "pageview",
-                "item_id": item["item_id"],
-                "category_id": cat,
-                "description": item["description"],
-            }
-        )
+        events.append(event(t, "pageview", item["item_id"], category_id=cat, description=item["description"]))
         t += int(dwell_scale * (0.5 + rng.random()) * 1000)
     if rng.random() < 0.3:
         item = clicked_items[int(rng.integers(0, len(clicked_items)))]
-        events.append(
-            {
-                "user_id": plan["user"],
-                "session_id": plan["sid"],
-                "timestamp": int(t),
-                "event_type": "basketview",
-                "item_id": item["item_id"],
-                "category_id": None,
-                "price": item["price"],
-            }
-        )
+        events.append(event(t, "basketview", item["item_id"], price=item["price"]))
         t += int(dwell_scale * 500)
     if label == "buy":
         bought = clicked_items[int(rng.integers(0, len(clicked_items)))]
@@ -289,29 +261,10 @@ def _emit_session(cfg, plan, label: str, impulsive: bool, categories, items, rng
             gap = int(rng.integers(10 * 60 * 1000, 2 * MS_PER_HOUR))
         else:
             gap = int(rng.integers(25 * MS_PER_HOUR, 90 * MS_PER_HOUR))
-        events.append(
-            {
-                "user_id": plan["user"],
-                "session_id": plan["sid"],
-                "timestamp": int(t + gap),
-                "event_type": "buy",
-                "item_id": bought["item_id"],
-                "category_id": None,
-                "price": bought["price"],
-            }
-        )
+        events.append(event(t + gap, "buy", bought["item_id"], price=bought["price"]))
     if rng.random() < 0.03:
         ad_kind = "adclick" if rng.random() < 0.3 else "adview"
-        events.append(
-            {
-                "user_id": plan["user"],
-                "session_id": plan["sid"],
-                "timestamp": int(plan["start"] + 1500),
-                "event_type": ad_kind,
-                "item_id": "ad_banner",
-                "category_id": None,
-            }
-        )
+        events.append(event(plan["start"] + 1500, ad_kind, "ad_banner"))
     return sorted(events, key=lambda e: (e["timestamp"], e["event_type"]))
 
 
@@ -365,7 +318,7 @@ def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
         fh.write(
             dumps(
                 {
-                    "config": cfg.to_dict(),
+                    "config": asdict(cfg),
                     "derived": {
                         "alpha": alpha,
                         "n_sessions": len(plans),

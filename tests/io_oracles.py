@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from buyintent.ingest import STORE_FORMAT, STORE_VERSION
-from buyintent.nmf import EPS, _frobenius
+from buyintent.nmf import EPS, _residual_norm
 from buyintent.util import as_rng
 
 
@@ -60,10 +60,10 @@ def nmf_transform_loop(V, H, seed, max_iters: int = 500, tol: float = 1e-5) -> n
     rank = H.shape[0]
     scale = np.sqrt(max(float(V.mean()), EPS) / rank)
     W = rng.uniform(0.0, 1.0, size=(V.shape[0], rank)) * scale
-    prev = _frobenius(V, W, H)
+    prev = _residual_norm(V, W @ H)
     for _ in range(max_iters):
         W *= (V @ H.T) / (W @ H @ H.T + EPS)
-        err = _frobenius(V, W, H)
+        err = _residual_norm(V, W @ H)
         if prev > 0 and (prev - err) / prev < tol:
             break
         prev = err

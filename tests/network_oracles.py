@@ -9,6 +9,9 @@ schedule, but check every minibatch first: 2-D, non-empty, of the
 layer's width, rows and targets of one length and, for CD-1, inside
 [0, 1]. The package's trainers check their inputs once per stage and
 must match these loops bit for bit, and raise where they raise.
+
+assert_in_search_space states the rules of the network search space
+apart from SearchSpace.sample, which is where they live in the package.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from buyintent.neural import (
+    BOUNDS,
+    MAX_UNITS,
     _epochs,
     _one_hot,
     ae_layer_gradients,
@@ -126,3 +131,16 @@ def finetune_loop(stack, X, y, hp, seed):
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(epoch, "cross-entropy loss")
     return net
+
+
+def assert_in_search_space(hp) -> None:
+    """One layer has 16 to MAX_UNITS units and 10..100 epochs; every
+    layer of a deeper stack has 64 to MAX_UNITS units and 10..150
+    epochs. The learning rate is at least 0.001 and every float lies in
+    its BOUNDS range."""
+    deep = len(hp.hidden_units) > 1
+    assert all((64 if deep else 16) <= h <= MAX_UNITS for h in hp.hidden_units), hp
+    assert 10 <= hp.epochs <= (150 if deep else 100), hp
+    assert hp.initial_learning_rate >= 0.001, hp
+    for name, (lo, hi) in BOUNDS.items():
+        assert lo <= getattr(hp, name) <= hi, (name, hp)

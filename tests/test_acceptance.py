@@ -8,6 +8,7 @@ ordering checks is built once per session and shared.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import time
 
@@ -135,7 +136,7 @@ def ordering_runs(tmp_path_factory):
     }
 
     _, null_reduced = build_corpus(
-        SynthConfig(**{**CORPUS.to_dict(), "signal_strength": 0.0}),
+        dataclasses.replace(CORPUS, signal_strength=0.0),
         str(tmp_path_factory.mktemp("control")),
     )
     null_medians = {

@@ -20,6 +20,7 @@ from buyintent.baselines import Forest
 from buyintent.dataset import Dataset, load_dataset, save_dataset
 from buyintent.ingest import load_store
 from buyintent.neural import Hyperparams, Network
+from network_oracles import assert_in_search_space
 from tree_oracles import depth, nested
 
 
@@ -298,6 +299,31 @@ class TestFeaturize:
         assert ds.feature_names[61:][-1] == last_column
         assert ds.rows[:, 61:].sum() == 12
 
+    def test_week_span_past_the_column_cap_is_a_structured_error(self, work, tmp_path):
+        # one session from Monday 2015-03-02 and one from Monday
+        # 9999-12-27: 416,629 ISO weeks times 4 categories
+        starts = [1_425_254_400_000, 253_402_300_799_999 - 4 * 86_400_000 - 86_399_999]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"user_id": f"u{s}", "session_id": f"s{s}", "timestamp": start + k * 60_000,
+                        "event_type": "pageview", "item_id": f"i{k}", "category_id": f"c{k % 4}"}) + "\n"
+            for s, start in enumerate(starts) for k in range(12)
+        ))
+        store, out = tmp_path / "store.json", tmp_path / "span.bin"
+        assert run_cli(["ingest", "--input", str(events), "--out", str(store)])[0] == 0
+        rc, _, err = run_cli(
+            ["featurize", "--store", str(store), "--embeddings", str(work["corpus"] / "embeddings.tsv"),
+             "--out", str(out)]
+        )
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_error(err) == {
+            "error": "ValueError",
+            "detail": "feature events from ISO week 2015-W10 to 9999-W52 over 4 categories need "
+                      f"{416_629 * 4} aggregation columns, more than {2**20}",
+        }
+        assert not out.exists()
+
 
 def _corrupt(doc, probe):
     """The store document doc with one malformation."""
@@ -319,18 +345,22 @@ def _corrupt(doc, probe):
         doc["sessions"].append(first)
     elif probe == "reversed-events":
         first["events"].reverse()
+    elif probe == "label-without-buy":
+        next(rec for rec in doc["sessions"] if rec["label"] == "non_buy")["label"] = "buy"
     return doc
 
 
 @pytest.mark.parametrize(
     "probe",
     ["extra-event-key", "missing-timestamp", "sessions-not-a-list", "top-level-list",
-     "usable-session-without-events", "string-timestamp", "repeated-session", "reversed-events"],
+     "usable-session-without-events", "string-timestamp", "repeated-session", "reversed-events",
+     "label-without-buy"],
 )
 def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     bad = tmp_path / "bad.store.json"
     doc = json.loads(work["store"].read_text())
     first_sid = doc["sessions"][0]["session_id"]
+    non_buy_sid = next(rec["session_id"] for rec in doc["sessions"] if rec["label"] == "non_buy")
     bad.write_text(json.dumps(_corrupt(doc, probe)))
     out = tmp_path / "bad.bin"
     rc, _, err = run_cli(
@@ -344,6 +374,8 @@ def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     assert error["detail"].startswith(f"{bad}: ")
     if probe == "reversed-events":
         assert f"session {first_sid!r}" in error["detail"]
+    if probe == "label-without-buy":
+        assert error["detail"].endswith(f"session {non_buy_sid!r} has label 'buy' but no buy event")
     assert not out.exists()
 
 
@@ -765,8 +797,7 @@ class TestSearch:
         best_val = max(t["validation_auc"] for t in finished)
         assert doc["best_report"]["extras"]["validation_aucs"]
         assert np.mean(doc["best_report"]["extras"]["validation_aucs"]) == pytest.approx(best_val)
-        hp = Hyperparams.from_dict(doc["best_hyperparams"])
-        assert hp.validate_ranges() is hp
+        assert_in_search_space(Hyperparams.from_dict(doc["best_hyperparams"]))
         manifest = json.loads((tmp_path / "search.json.manifest.json").read_text())
         assert manifest["command"] == "search"
 

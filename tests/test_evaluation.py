@@ -16,8 +16,9 @@ from buyintent.evaluation import (
     kfold_split,
     random_search,
 )
-from buyintent.neural import MAX_UNITS, Hyperparams
+from buyintent.neural import Hyperparams
 from buyintent.util import TrainingDiverged
+from network_oracles import assert_in_search_space
 
 
 def pairwise_auc(scores, labels):
@@ -294,11 +295,8 @@ class TestSearchSpace:
         rng = np.random.default_rng(0)
         for _ in range(200):
             hp = space.sample(rng)
-            hp.validate_ranges()
-            assert 0.001 <= hp.initial_learning_rate <= 0.25
             assert len(hp.hidden_units) in (1, 2)
-            assert all(h <= MAX_UNITS for h in hp.hidden_units)
-            assert 0.0 <= hp.input_noise_level <= 0.2
+            assert_in_search_space(hp)
 
     def test_learning_rate_is_log_spread(self):
         space = SearchSpace()

@@ -54,6 +54,28 @@ def base_obj(**kw):
     return obj
 
 
+def _is_blank(line: bytes) -> bool:
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
+
+
+# One line of a log, newline-free: random bytes, an event with one field
+# set to an arbitrary JSON value, or a line that stops a naive parser.
+BYTE_LINE = st.one_of(
+    st.binary(max_size=30),
+    st.builds(
+        lambda key, value: json.dumps(base_obj(**{key: value})).encode("utf-8"),
+        st.sampled_from(["user_id", "session_id", "timestamp", "event_type", "item_id", "category_id", "price",
+                         "description"]),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+                  st.lists(st.integers(), max_size=2), st.sampled_from(sorted(EVENT_TYPES))),
+    ),
+    st.sampled_from([b"9" * 5000, b'{"user_id": ' + b"7" * 5000 + b"}", b"[" * 5000, b"\xff\xfe", b" \t\r"]),
+).map(lambda line: line.replace(b"\n", b" "))
+
+
 class TestParseEvents:
     def test_valid_lines_parse_in_order(self):
         text = lines(base_obj(timestamp=5), base_obj(timestamp=9, item_id="i2"))
@@ -112,14 +134,24 @@ class TestParseEvents:
 
     @pytest.mark.parametrize(
         "raw",
-        ["NaN", "Infinity", "-Infinity", "1e400", str(10**20), str(MAX_TIMESTAMP_MS + 1), str(-(10**400))],
+        ["NaN", "Infinity", "-Infinity", "1e400", str(10**20), str(MAX_TIMESTAMP_MS + 1), str(-(10**400)),
+         "1" + "0" * 4999],
         ids=lambda raw: raw if len(raw) < 25 else f"{len(raw)}-char int",
     )
     def test_unrepresentable_timestamp_is_one_issue(self, raw):
         text = lines(base_obj()) + lines(base_obj(timestamp=0)).replace('"timestamp": 0', f'"timestamp": {raw}')
         result = parse_events(text.splitlines(True))
         assert len(result.events) == 1
-        assert [(e.line_no, "timestamp" in e.reason) for e in result.errors] == [(2, True)]
+        # json.loads itself refuses an int past Python's 4,300-digit limit
+        named = "invalid JSON: Exceeds the limit" if len(raw) > 4300 else "timestamp"
+        assert [(e.line_no, named in e.reason) for e in result.errors] == [(2, True)]
+
+    def test_user_id_past_the_int_digit_limit_is_one_issue(self):
+        text = lines(base_obj(user_id=0)).replace('"user_id": 0', f'"user_id": {"7" * 5000}') + lines(base_obj())
+        result = parse_events(text.encode("utf-8"))
+        assert len(result.events) == 1
+        assert [e.line_no for e in result.errors] == [1]
+        assert result.errors[0].reason.startswith("invalid JSON: Exceeds the limit (4300 digits)")
 
     def test_last_representable_millisecond_parses(self):
         result = parse_events(lines(base_obj(timestamp=float(MAX_TIMESTAMP_MS))).splitlines(True))
@@ -182,6 +214,14 @@ class TestParseEvents:
         for e in result.events:
             assert type(e.timestamp) is int and 0 <= e.timestamp <= MAX_TIMESTAMP_MS
             assert e.price is None or (math.isfinite(e.price) and e.price >= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(BYTE_LINE, max_size=8))
+    def test_any_byte_lines_parse_or_are_one_issue(self, raw_lines):
+        result = parse_events(b"".join(line + b"\n" for line in raw_lines))
+        blank = sum(1 for line in raw_lines if _is_blank(line))
+        assert len(result.events) + len(result.errors) + blank == len(raw_lines)
+        assert len({e.line_no for e in result.errors}) == len(result.errors)
 
     def test_bytes_input_and_blank_lines(self):
         payload = ("\n" + lines(base_obj()) + "\n").encode("utf-8")
@@ -424,6 +464,9 @@ class TestStorePersistence:
             ("event", "category_id", 3, "'category_id' has type int"),
             ("event", "description", ["red"], "'description' has type list"),
             ("event", "event_type", "buy", "has no feature events"),
+            ("session", "usable", False, "unusable session 's1' has some feature events"),
+            ("session", "label", "buy", "session 's1' has label 'buy' but no buy event"),
+            ("session", "bought_items", ["B"], "session 's1' has bought_items other than the items of its buy events"),
         ],
     )
     def test_malformed_record_names_the_file(self, tmp_path, where, key, value, named):
@@ -438,6 +481,18 @@ class TestStorePersistence:
             load_store(path)
         assert str(excinfo.value).startswith(f"{path}: ")
         assert named in str(excinfo.value)
+
+    @pytest.mark.parametrize("bought", [["B", "A"], ["A", "A", "B"], ["A"]])
+    def test_bought_items_are_the_sorted_distinct_buys(self, tmp_path, bought):
+        path = tmp_path / "store.json"
+        buys = [ev(ts=k, etype="buy", item=item) for k, item in enumerate("BAA", start=1)]
+        save_store(sessionize([ev(ts=0), *buys]), path)
+        assert load_store(path).sessions["s1"].bought_items == {"A", "B"}
+        doc = json.loads(path.read_text())
+        doc["sessions"][0]["bought_items"] = bought
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'s1' has bought_items other than the items of its buy events"):
+            load_store(path)
 
 
 class TestUserSessions:

@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from buyintent.dataset import Dataset, RangeScaler
 from buyintent.neural import (
     ACTIVATIONS,
+    BOUNDS,
     Hyperparams,
     Layer,
     Network,
@@ -36,15 +37,15 @@ from buyintent.neural import (
     init_stack,
     network_gradients,
     network_predict,
+    pretrain_stack,
     reconstruction_loss,
     softmax,
-    stack_pretrain,
     train_ae_layer,
     train_mlp,
     train_sda,
     up,
 )
-from buyintent.util import TrainingDiverged, as_rng, sigmoid
+from buyintent.util import TrainingDiverged, as_rng, sigmoid, substream_seed
 from network_oracles import finetune_loop, sigmoid_masked, train_ae_layer_loop
 
 
@@ -95,6 +96,7 @@ class TestHyperparams:
             {"epochs": -1},
             {"hidden_units": ()},
             {"hidden_units": (0,)},
+            *({name: float(np.nextafter(hi, np.inf))} for name, (_, hi) in BOUNDS.items()),
         ],
     )
     def test_loose_bounds_still_reject_nonsense(self, kwargs):
@@ -103,30 +105,6 @@ class TestHyperparams:
 
     def test_degenerate_settings_allowed_loosely(self):
         Hyperparams(initial_learning_rate=0.0, epochs=0)
-
-    def test_validate_ranges_returns_self(self):
-        hp = Hyperparams(hidden_units=(32,), epochs=40)
-        assert hp.validate_ranges() is hp
-
-    @pytest.mark.parametrize(
-        "kwargs,fragment",
-        [
-            ({"epochs": 9}, "epochs"),
-            ({"epochs": 120}, "epochs"),
-            ({"hidden_units": (64, 64), "epochs": 151}, "epochs"),
-            ({"initial_learning_rate": 0.0005}, "learning_rate"),
-            ({"hidden_units": (8,)}, "units"),
-            ({"hidden_units": (32, 64), "epochs": 50}, "units"),
-            ({"hidden_units": (501,)}, "units"),
-        ],
-    )
-    def test_validate_ranges_rejections(self, kwargs, fragment):
-        with pytest.raises(ValueError, match=fragment):
-            Hyperparams(**kwargs).validate_ranges()
-
-    def test_deep_epoch_ceiling_is_higher(self):
-        Hyperparams(hidden_units=(64, 64), epochs=150).validate_ranges()
-        Hyperparams(hidden_units=(16,), epochs=100).validate_ranges()
 
     def test_dict_round_trip(self):
         hp = Hyperparams(hidden_units=(80, 64), momentum=0.5, epochs=25)
@@ -287,6 +265,8 @@ class TestCorrupt:
     def test_level_out_of_range(self):
         with pytest.raises(ValueError, match="noise_level"):
             corrupt(np.ones(3), 0.5, seed=0)
+        with pytest.raises(ValueError, match=r"noise_level must be in \[0, 0.2\]"):
+            corrupt(np.ones(3), np.nextafter(BOUNDS["input_noise_level"][1], 1.0), seed=0)
 
 
 class TestReconstructionLoss:
@@ -453,22 +433,32 @@ class TestStackPretrain:
     def test_layer_shapes_chain(self):
         X = np.random.default_rng(70).random((15, 6))
         hp = Hyperparams(epochs=2)
-        stack = stack_pretrain(X, (5, 3), hp, seed=0)
+        stack = pretrain_stack(X, (5, 3), hp, 0, train_ae_layer, 101)
         assert [l.W.shape for l in stack] == [(5, 6), (3, 5)]
 
     def test_deterministic(self):
         X = np.random.default_rng(71).random((12, 4))
         hp = Hyperparams(epochs=3, input_noise_level=0.1)
-        a = stack_pretrain(X, (4, 3), hp, seed=2)
-        b = stack_pretrain(X, (4, 3), hp, seed=2)
+        a = pretrain_stack(X, (4, 3), hp, 2, train_ae_layer, 101)
+        b = pretrain_stack(X, (4, 3), hp, 2, train_ae_layer, 101)
         for la, lb in zip(a, b):
             assert np.array_equal(la.W, lb.W)
 
     def test_layers_differ_across_depth_seeds(self):
         X = np.random.default_rng(72).random((12, 4))
         hp = Hyperparams(epochs=1)
-        stack = stack_pretrain(X, (4, 4), hp, seed=3)
+        stack = pretrain_stack(X, (4, 4), hp, 3, train_ae_layer, 101)
         assert not np.array_equal(stack[0].W, stack[1].W)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_each_layer_trains_on_the_codes_below(self, activation):
+        X = np.random.default_rng(73).random((14, 5))
+        hp = Hyperparams(epochs=2, activation=activation, input_noise_level=0.1)
+        stack = pretrain_stack(X, (4, 3), hp, 6, train_ae_layer, 101)
+        first = train_ae_layer(X, 4, hp, substream_seed(6, 101, 0))
+        second = train_ae_layer(up(first, X, activation), 3, hp, substream_seed(6, 101, 1))
+        for got, want in zip(stack, (first, second)):
+            assert np.array_equal(got.W, want.W) and np.array_equal(got.c, want.c)
 
 
 class TestSoftmax:

@@ -14,15 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buyintent.neural import Hyperparams, Layer, down, finetune, network_predict, up
+from buyintent.neural import Hyperparams, Layer, down, finetune, network_predict, pretrain_stack, up
 from buyintent.rbm import (
     cd1_update,
-    dbn_pretrain,
     reconstruction_cross_entropy,
     train_dbn,
     train_rbm,
 )
-from buyintent.util import as_rng
+from buyintent.util import as_rng, substream_seed
 from network_oracles import train_rbm_loop
 from rbm_oracles import energy, exact_log_likelihood, exact_partition, free_energy, normal_init
 
@@ -334,22 +333,31 @@ class TestDbn:
     def test_pretrain_shapes(self):
         X = (np.random.default_rng(30).random((30, 6)) < 0.5).astype(float)
         hp = Hyperparams(initial_learning_rate=0.1, epochs=2)
-        dbn = dbn_pretrain(X, (5, 3), hp, seed=0)
+        dbn = pretrain_stack(X, (5, 3), hp, 0, train_rbm, 201)
         assert [r.W.shape for r in dbn] == [(5, 6), (3, 5)]
 
     def test_pretrain_deterministic(self):
         X = (np.random.default_rng(31).random((20, 4)) < 0.5).astype(float)
         hp = Hyperparams(initial_learning_rate=0.1, epochs=2)
-        a = dbn_pretrain(X, (3, 2), hp, seed=4)
-        b = dbn_pretrain(X, (3, 2), hp, seed=4)
+        a = pretrain_stack(X, (3, 2), hp, 4, train_rbm, 201)
+        b = pretrain_stack(X, (3, 2), hp, 4, train_rbm, 201)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.W, rb.W)
+
+    def test_later_rbms_train_on_hidden_probabilities(self):
+        X = (np.random.default_rng(34).random((20, 5)) < 0.5).astype(float)
+        hp = Hyperparams(initial_learning_rate=0.1, epochs=2)
+        dbn = pretrain_stack(X, (4, 3), hp, 5, train_rbm, 201)
+        first = train_rbm(X, 4, hp, substream_seed(5, 201, 0))
+        second = train_rbm(up(first, X), 3, hp, substream_seed(5, 201, 1))
+        for got, want in zip(dbn, (first, second)):
+            assert np.array_equal(got.W, want.W) and np.array_equal(got.c, want.c)
 
     def test_network_copies_rbm_weights(self):
         X = (np.random.default_rng(32).random((25, 5)) < 0.5).astype(float)
         y = np.random.default_rng(33).integers(0, 2, 25)
         hp = Hyperparams(hidden_units=(4,), initial_learning_rate=0.0, epochs=0)
-        dbn = dbn_pretrain(X, (4,), hp, seed=0)
+        dbn = pretrain_stack(X, (4,), hp, 0, train_rbm, 201)
         net = finetune(dbn, X, y, hp, seed=1)
         assert np.array_equal(net.layers[0].W, dbn[0].W)
         assert np.array_equal(net.layers[0].b, dbn[0].b)
