@@ -1,13 +1,15 @@
 """Command-line pipeline: synth, ingest, featurize, reduce, train,
 evaluate, search.
 
-Every artifact-producing command writes a manifest next to its output
-(command, flags, input and output digests, seed, version, wall-clock)
-so any artifact can be reproduced bit-exactly from its manifest. Seeds
-are explicit flags everywhere; nothing is seeded from the clock.
+Each command body returns a Ran; one runner, _run, times it, writes
+its manifest beside its first output (command, flags, input and output
+digests, seed, version, wall-clock) and prints its one summary line. So
+any artifact can be reproduced bit-exactly from its manifest. Seeds are
+explicit flags everywhere; nothing is seeded from the clock.
 
-Exit codes: 0 success, 1 failure with a structured JSON error on
-stderr, 2 usage errors (from argument parsing).
+Exit codes: 0 success, 1 failure with one structured JSON error line on
+stderr that names the file at fault, 2 usage errors (from argument
+parsing).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .baselines import (
     train_forest,
     train_logistic,
 )
-from .dataset import Dataset, load_dataset, save_dataset
+from .dataset import Dataset, dataset_header, load_dataset, save_dataset
 from .evaluation import (
     SearchSpace,
     cross_validate,
@@ -57,18 +59,34 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, args: dict, inputs: list[str], outputs: list[str], seed, started: float):
-    manifest = {
-        "command": command,
-        "flags": {k: v for k, v in sorted(args.items()) if k not in ("func", "command")},
-        "inputs": {p: _digest(p) for p in inputs},
-        "outputs": {p: _digest(p) for p in outputs},
-        "seed": seed,
-        "version": __version__,
-        "wall_seconds": round(time.time() - started, 3),
-    }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(dumps(manifest) + "\n")
+class Ran(NamedTuple):
+    """What a command body did: the files it read and wrote, the seed
+    its manifest records, and the JSON summary it prints."""
+
+    inputs: list[str]
+    outputs: list[str]
+    seed: int | None
+    summary: str
+
+
+def _run(args) -> int:
+    """Run the command's body, write the manifest beside its first
+    output (a run that writes no file gets none) and print its summary."""
+    started = time.time()
+    ran = args.func(args)
+    if ran.outputs:
+        manifest = {
+            "command": args.command,
+            "flags": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")},
+            "inputs": {p: _digest(p) for p in ran.inputs},
+            "outputs": {p: _digest(p) for p in ran.outputs},
+            "seed": ran.seed,
+            "version": __version__,
+            "wall_seconds": round(time.time() - started, 3),
+        }
+        _write_text(ran.outputs[0] + ".manifest.json", dumps(manifest) + "\n")
+    print(ran.summary)
+    return 0
 
 
 def _write_text(path: str, text: str):
@@ -76,8 +94,7 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _cmd_synth(args) -> int:
-    started = time.time()
+def _cmd_synth(args) -> Ran:
     cfg = SynthConfig(
         n_users=args.users,
         n_categories=args.categories,
@@ -89,22 +106,16 @@ def _cmd_synth(args) -> int:
     )
     result = generate(cfg, args.out)
     outputs = [result.events_path, result.truth_path, result.embeddings_path, result.config_path]
-    _write_manifest(result.events_path, "synth", vars(args), [], outputs, args.seed, started)
-    print(
-        dumps(
-            {
-                "n_sessions": result.n_sessions,
-                "n_buy_sessions": result.n_buy_sessions,
-                "bayes_auc": result.bayes_auc,
-                "events": result.events_path,
-            }
-        )
-    )
-    return 0
+    summary = {
+        "n_sessions": result.n_sessions,
+        "n_buy_sessions": result.n_buy_sessions,
+        "bayes_auc": result.bayes_auc,
+        "events": result.events_path,
+    }
+    return Ran([], outputs, args.seed, dumps(summary))
 
 
-def _cmd_ingest(args) -> int:
-    started = time.time()
+def _cmd_ingest(args) -> Ran:
     horizon_ms = args.horizon_hours * 3_600_000
     if not 1 <= horizon_ms < math.inf:
         raise ValueError(f"--horizon-hours must be finite and at least 1 ms, got {args.horizon_hours}")
@@ -114,46 +125,25 @@ def _cmd_ingest(args) -> int:
     save_store(store, args.out)
     report_path = args.out + ".report.json"
     _write_text(report_path, report.to_json() + "\n")
-    _write_manifest(args.out, "ingest", vars(args), [args.input], [args.out, report_path], None, started)
-    print(report.to_json())
-    return 0
+    return Ran([args.input], [args.out, report_path], None, report.to_json())
 
 
-def _cmd_featurize(args) -> int:
-    started = time.time()
+def _cmd_featurize(args) -> Ran:
     store = load_store(args.store)
     table = load_embedding_table(args.embeddings)
     ds = featurize_store(store, table, scheme=args.scheme, n_categories=args.categories)
     if args.balance_seed is not None:
         ds = balance(ds, args.balance_seed)
     save_dataset(ds, args.out)
+    meta = {k: v for k, v in dataset_header(ds).items() if k not in ("format", "version")}
+    meta["positives"] = int(ds.labels.sum())
     meta_path = args.out + ".meta.json"
-    _write_text(
-        meta_path,
-        dumps(
-            {
-                "n": ds.n,
-                "d": ds.d,
-                "positives": int(ds.labels.sum()),
-                "aggregation": ds.aggregation,
-                "category_count": ds.category_count,
-                "n_base_cols": ds.n_base_cols,
-                "seed": ds.seed,
-                "feature_names": ds.feature_names,
-            }
-        )
-        + "\n",
-    )
-    _write_manifest(
-        args.out, "featurize", vars(args), [args.store, args.embeddings],
-        [args.out, meta_path], args.balance_seed, started,
-    )
-    print(dumps({"n": ds.n, "d": ds.d, "positives": int(ds.labels.sum())}))
-    return 0
+    _write_text(meta_path, dumps(meta) + "\n")
+    summary = dumps({"n": ds.n, "d": ds.d, "positives": meta["positives"]})
+    return Ran([args.store, args.embeddings], [args.out, meta_path], args.balance_seed, summary)
 
 
-def _cmd_reduce(args) -> int:
-    started = time.time()
+def _cmd_reduce(args) -> Ran:
     ds = load_dataset(args.infile)
     reduced, factors = reduce_dataset(ds, args.rank, args.seed, max_iters=args.max_iters, tol=args.tol)
     save_dataset(reduced, args.out)
@@ -170,28 +160,27 @@ def _cmd_reduce(args) -> int:
         )
         + "\n",
     )
-    _write_manifest(args.out, "reduce", vars(args), [args.infile], [args.out, factors_path], args.seed, started)
-    print(dumps({"rank": factors.rank, "n_iters": factors.n_iters, "final_error": factors.error}))
-    return 0
+    summary = dumps({"rank": factors.rank, "n_iters": factors.n_iters, "final_error": factors.error})
+    return Ran([args.infile], [args.out, factors_path], args.seed, summary)
 
 
 def _parse_layers(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ValueError(f"bad --layers value '{text}'; expected comma-separated integers")
+    """Comma-separated hidden layer sizes."""
+    sizes = tuple(int(p) for p in text.split(",") if p.strip())
     if not sizes:
-        raise ValueError("--layers must name at least one layer size")
+        raise ValueError("expected at least one layer size")
     return sizes
 
 
 # every Hyperparams field but hidden_units, with its type: the parser of
 # an hp file line and the JSON type a model config must hold
 _HP_FIELD_TYPES = {k: t for k, t in get_type_hints(Hyperparams).items() if k != "hidden_units"}
+_HP_PARSERS = {"hidden_units": _parse_layers, **_HP_FIELD_TYPES}
 
 
 def _load_hp_file(path: str) -> dict:
-    """Flat `key = value` lines, # comments allowed."""
+    """Flat `key = value` lines, # comments allowed. A line that cannot
+    be read raises ValueError naming path:line and the key."""
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -201,12 +190,12 @@ def _load_hp_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key == "hidden_units":
-                out[key] = _parse_layers(val)
-            elif key in _HP_FIELD_TYPES:
-                out[key] = _HP_FIELD_TYPES[key](val)
-            else:
+            if key not in _HP_PARSERS:
                 raise ValueError(f"{path}:{line_no}: unknown hyperparameter '{key}'")
+            try:
+                out[key] = _HP_PARSERS[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return out
 
 
@@ -274,7 +263,10 @@ def _train_config(args) -> dict:
         return {"n_trees": args.trees, "mtry": args.mtry}
     fields = _load_hp_file(args.hp) if args.hp else {}
     if args.layers:
-        fields["hidden_units"] = _parse_layers(args.layers)
+        try:
+            fields["hidden_units"] = _parse_layers(args.layers)
+        except ValueError as exc:
+            raise ValueError(f"bad --layers value '{args.layers}': {exc}") from None
     fields.setdefault("hidden_units", (64,))
     if args.epochs is not None:
         fields["epochs"] = args.epochs
@@ -283,24 +275,30 @@ def _train_config(args) -> dict:
     return Hyperparams(**fields).to_dict()
 
 
-def _cmd_train(args) -> int:
-    started = time.time()
+def _cmd_train(args) -> Ran:
     ds = load_dataset(args.infile)
     config = _train_config(args)
     model = MODEL_KINDS[args.model].fit(ds, config, args.seed)
     _write_text(args.out, _model_payload(args.model, args.seed, config, model.to_dict()) + "\n")
-    _write_manifest(args.out, "train", vars(args), [args.infile], [args.out], args.seed, started)
-    print(dumps({"kind": args.model, "out": args.out}))
-    return 0
+    return Ran([args.infile], [args.out], args.seed, dumps({"kind": args.model, "out": args.out}))
 
 
 def load_model(path: str) -> dict:
+    """A model file's document, once its format, version, kind and
+    config fields check out (see _model_kind). Every failure names the
+    path; JSON nested past the recursion limit stays a RecursionError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path} is not a model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')}")
+        try:
+            doc = json.load(fh)
+            if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+                raise ValueError("not a model file")
+            if doc.get("version") != MODEL_VERSION:
+                raise ValueError(f"unsupported model version {doc.get('version')}")
+            _model_kind(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except RecursionError as exc:
+            raise RecursionError(f"{path}: {exc}") from None
     return doc
 
 
@@ -348,8 +346,7 @@ def trainer_from_model(doc: dict):
     return train
 
 
-def _cmd_evaluate(args) -> int:
-    started = time.time()
+def _cmd_evaluate(args) -> Ran:
     ds = load_dataset(args.infile)
     doc = load_model(args.model)
     trainer = trainer_from_model(doc)
@@ -359,13 +356,10 @@ def _cmd_evaluate(args) -> int:
     else:
         report = cross_validate(trainer, ds, k=args.cv, seed=args.seed, **names)
     _write_text(args.report, report.to_json() + "\n")
-    _write_manifest(args.report, "evaluate", vars(args), [args.model, args.infile], [args.report], args.seed, started)
-    print(report.to_json())
-    return 0
+    return Ran([args.model, args.infile], [args.report], args.seed, report.to_json())
 
 
-def _cmd_search(args) -> int:
-    started = time.time()
+def _cmd_search(args) -> Ran:
     ds = load_dataset(args.infile)
     result = random_search(
         MODEL_KINDS[args.model].search_space,
@@ -382,9 +376,7 @@ def _cmd_search(args) -> int:
     )
     if args.report:
         _write_text(args.report, body + "\n")
-        _write_manifest(args.report, "search", vars(args), [args.infile], [args.report], args.seed, started)
-    print(body)
-    return 0
+    return Ran([args.infile], [args.report] if args.report else [], args.seed, body)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,10 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ValueError, OSError, TrainingDiverged, KeyError, RecursionError) as exc:
         sys.stderr.write(
             dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"

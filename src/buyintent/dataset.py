@@ -66,8 +66,10 @@ class Dataset:
         return replace(self, rows=self.rows[idx], labels=self.labels[idx], feature_names=list(self.feature_names))
 
 
-def save_dataset(ds: Dataset, path) -> None:
-    header = {
+def dataset_header(ds: Dataset) -> dict:
+    """The JSON header save_dataset writes ahead of the rows; load_dataset
+    accepts a header with exactly these keys."""
+    return {
         "format": "buyintent-dataset",
         "version": 1,
         "n": ds.n,
@@ -78,7 +80,13 @@ def save_dataset(ds: Dataset, path) -> None:
         "seed": ds.seed,
         "n_base_cols": ds.n_base_cols,
     }
-    payload = dumps(header).encode("utf-8")
+
+
+_HEADER_KEYS = dataset_header(Dataset(rows=np.zeros((0, 0)), labels=[], feature_names=[])).keys()
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    payload = dumps(dataset_header(ds)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(payload)))
@@ -88,24 +96,42 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a file written by save_dataset. A file that is not one raises
+    ValueError naming the path. Only what reading needs is checked: the
+    header's keys, the counts and names that size and index the rows,
+    and that every row and label byte is there."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a dataset file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        n, d = header["n"], header["d"]
-        rows = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d).copy()
-        labels = np.frombuffer(fh.read(n), dtype=np.uint8).copy()
-    return Dataset(
-        rows=rows,
-        labels=labels,
-        feature_names=header["feature_names"],
-        aggregation=header["aggregation"],
-        category_count=header["category_count"],
-        seed=header["seed"],
-        n_base_cols=header["n_base_cols"],
-    )
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise ValueError(f"{path}: not a dataset file")
+    try:
+        return _read_dataset(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed dataset: {exc}") from None
+
+
+def _read_dataset(data: bytes) -> Dataset:
+    start = len(MAGIC) + 8
+    if len(data) < start:
+        raise ValueError("the header length is missing")
+    end = start + struct.unpack_from("<Q", data, len(MAGIC))[0]
+    if len(data) < end:
+        raise ValueError("the header runs past the end of the file")
+    header = json.loads(data[start:end].decode("utf-8"))
+    if not isinstance(header, dict) or header.keys() != _HEADER_KEYS:
+        raise ValueError(f"the header must be an object with keys {sorted(_HEADER_KEYS)}")
+    for key in ("n", "d", "n_base_cols"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise ValueError(f"'{key}' must be a non-negative integer, got {header[key]!r}")
+    n, d, names = header["n"], header["d"], header["feature_names"]
+    if type(names) is not list or len(names) != d or not all(type(name) is str for name in names):
+        raise ValueError(f"'feature_names' must be a list of {d} strings")
+    if len(data) < end + n * d * 8 + n:
+        raise ValueError(f"the file ends before its {n} rows of {d} floats and {n} labels")
+    rows = np.frombuffer(data, dtype="<f8", count=n * d, offset=end).reshape(n, d).copy()
+    labels = np.frombuffer(data, dtype=np.uint8, count=n, offset=end + n * d * 8).copy()
+    fields = {k: v for k, v in header.items() if k not in ("format", "version", "n", "d")}
+    return Dataset(rows=rows, labels=labels, **fields)
 
 
 @dataclass(eq=False)

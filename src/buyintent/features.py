@@ -92,7 +92,10 @@ def load_embedding_table(path) -> EmbeddingTable:
             parts = line.split("\t")
             if len(parts) != EMBED_DIM + 1:
                 raise ValueError(f"{path}:{line_no}: expected {EMBED_DIM + 1} columns, got {len(parts)}")
-            entries[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=float)
+            try:
+                entries[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return EmbeddingTable(entries=entries)
 
 

@@ -28,6 +28,10 @@ ACTIVATIONS = ("sigmoid", "relu")
 # the most units a hidden layer may have under search
 MAX_UNITS = 500
 
+# the most elements train_network lets one array hold: a layer's n_in x
+# n_out weights, or every row's activations at the widest hidden layer
+MAX_ELEMENTS = 2**28
+
 # each float hyperparameter's search range [lo, hi]; Hyperparams accepts
 # [0, hi], so a zero learning rate stays usable in tests and baselines
 BOUNDS = {
@@ -434,9 +438,17 @@ def train_network(ds: Dataset, hp: Hyperparams, seed, make_stack) -> Network:
     """The body every network family shares: scale rows to [0,1], build
     the hidden layers with make_stack(X, hp.hidden_units, hp, seed),
     then fine-tune end to end with a softmax head. The families differ
-    only in make_stack."""
+    only in make_stack. Sizes past MAX_ELEMENTS are refused before any
+    allocation."""
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset")
+    sizes = [ds.d, *hp.hidden_units, 2]
+    largest = max([n_in * n_out for n_in, n_out in zip(sizes, sizes[1:])] + [ds.n * max(hp.hidden_units)])
+    if largest > MAX_ELEMENTS:
+        raise ValueError(
+            f"hidden_units {list(hp.hidden_units)} on {ds.n} rows of {ds.d} columns need an array of "
+            f"{largest} elements, more than {MAX_ELEMENTS}"
+        )
     scaler = RangeScaler().fit(ds.rows)
     X = scaler.transform(ds.rows)
     stack = make_stack(X, hp.hidden_units, hp, substream_seed(seed, 1))

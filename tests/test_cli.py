@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import buyintent
-from buyintent import cli
+from buyintent import cli, neural
 from buyintent.baselines import Forest
-from buyintent.dataset import Dataset, load_dataset, save_dataset
+from buyintent.dataset import Dataset, dataset_header, load_dataset, save_dataset
 from buyintent.ingest import load_store
 from buyintent.neural import Hyperparams, Network
 from network_oracles import assert_in_search_space
@@ -240,6 +240,12 @@ class TestFeaturize:
         assert meta["positives"] == int(ds.labels.sum())
         assert meta["feature_names"] == ds.feature_names
         assert meta["seed"] == 5
+
+    def test_meta_sidecar_is_the_dataset_header_with_positives(self, work):
+        ds = load_dataset(work["balanced"])
+        meta = json.loads((work["root"] / "balanced.bin.meta.json").read_text())
+        header = {k: v for k, v in dataset_header(ds).items() if k not in ("format", "version")}
+        assert meta == {**header, "positives": int(ds.labels.sum())}
 
     def test_balance_seed_equalizes_classes(self, work):
         ds = load_dataset(work["balanced"])
@@ -602,7 +608,7 @@ class TestTrain:
              "--seed", "1", "--report", str(tmp_path / "r.json")]
         )
         assert rc == 1
-        assert stderr_error(err) == {"error": "ValueError", "detail": "unsupported model version 1"}
+        assert stderr_error(err) == {"error": "ValueError", "detail": f"{path}: unsupported model version 1"}
 
     def test_json_nested_past_the_recursion_limit_is_a_structured_error(self, work, tmp_path):
         # json.load itself recurses once per nesting level.
@@ -828,6 +834,158 @@ class TestUsageAndErrors:
         )
         assert rc == 1
         assert "not a dataset file" in stderr_error(err)["detail"]
+
+
+def _dataset_probe(good: bytes, probe: str) -> bytes:
+    """A copy of a saved dataset's bytes, broken one way."""
+    magic, start = b"BYDS1\n", 14
+    end = start + int.from_bytes(good[6:start], "little")
+    header, body = json.loads(good[start:end]), good[end:]
+    if probe == "magic-and-3-bytes":
+        return magic + b"abc"
+    if probe == "truncated-rows":
+        return good[:-100]
+    if probe == "header-list":
+        header = [header]
+    elif probe == "n-string":
+        header["n"] = str(header["n"])
+    elif probe == "feature_names-int":
+        header["feature_names"] = 5
+    elif probe == "no-d":
+        del header["d"]
+    payload = json.dumps(header).encode()
+    return magic + len(payload).to_bytes(8, "little") + payload + body
+
+
+def _model_probe(good: str, probe: str) -> str:
+    doc = json.loads(good)
+    if probe == "not-json":
+        return good[:-10]
+    if probe == "version-3":
+        doc["version"] = 3
+    elif probe == "config-mistyped":
+        doc["config"]["epochs"] = "20"
+    return json.dumps(doc)
+
+
+def _embeddings_probe(good: str) -> str:
+    lines = good.splitlines()
+    parts = lines[2].split("\t")
+    parts[7] = "abc"
+    lines[2] = "\t".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+DATASET_PROBES = ["magic-and-3-bytes", "truncated-rows", "header-list", "n-string", "feature_names-int", "no-d"]
+HP_PROBES = {"epochs-float": "epochs = 1.5\n", "momentum-word": "momentum = abc\n", "hidden_units-words": "hidden_units = 8,x\n"}
+MODEL_PROBES = ["not-json", "version-3", "config-mistyped"]
+
+
+def _bad_input_cases():
+    for probe in DATASET_PROBES:
+        for command in ("reduce", "train", "evaluate", "search"):
+            yield pytest.param(command, "dataset", probe, id=f"{command}-dataset-{probe}")
+    for probe in HP_PROBES:
+        yield pytest.param("train", "hp", probe, id=f"train-hp-{probe}")
+    for probe in MODEL_PROBES:
+        yield pytest.param("evaluate", "model", probe, id=f"evaluate-model-{probe}")
+    yield pytest.param("featurize", "embeddings", "non-float", id="featurize-embeddings-non-float")
+
+
+@pytest.mark.parametrize("command, kind, probe", _bad_input_cases())
+def test_malformed_input_file_is_one_error_line_naming_it(work, lr_model, tmp_path, command, kind, probe):
+    bad = tmp_path / f"bad.{kind}"
+    dataset, model, hp = str(work["balanced"]), str(lr_model), None
+    embeddings = str(work["corpus"] / "embeddings.tsv")
+    if kind == "dataset":
+        bad.write_bytes(_dataset_probe(work["balanced"].read_bytes(), probe))
+        dataset = str(bad)
+    elif kind == "hp":
+        bad.write_text(HP_PROBES[probe])
+        hp = str(bad)
+    elif kind == "model":
+        bad.write_text(_model_probe(lr_model.read_text(), probe))
+        model = str(bad)
+    else:
+        bad.write_text(_embeddings_probe((work["corpus"] / "embeddings.tsv").read_text()))
+        embeddings = str(bad)
+    out = tmp_path / "out"
+    argv = {
+        "featurize": ["--store", str(work["store"]), "--embeddings", embeddings, "--categories", "12",
+                      "--out", str(out)],
+        "reduce": ["--in", dataset, "--rank", "2", "--seed", "1", "--out", str(out)],
+        "train": ["--model", "sda" if hp else "lr", "--in", dataset, "--seed", "1", "--out", str(out)]
+        + (["--hp", hp] if hp else []),
+        "evaluate": ["--model", model, "--in", dataset, "--seed", "1", "--report", str(out)],
+        "search": ["--model", "sda", "--in", dataset, "--budget", "1", "--seed", "1", "--report", str(out)],
+    }[command]
+    rc, stdout, err = run_cli([command, *argv])
+    assert rc == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert str(bad) in stderr_error(err)["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_network_past_the_size_ceiling_is_refused_before_training(work, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(neural, "RangeScaler", None)  # training would call it first
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--model", "mlp", "--in", str(work["balanced"]), "--seed", "1", "--out", str(out),
+                "--layers", "1000000000000", "--epochs", "1"]
+    else:
+        model = tmp_path / "huge.model"
+        model.write_text(json.dumps(model_doc("mlp", {**NET_CONFIG, "hidden_units": [10**12]})))
+        argv = ["evaluate", "--model", str(model), "--in", str(work["balanced"]), "--protocol", "holdout",
+                "--seed", "1", "--report", str(out)]
+    rc, _, err = run_cli(argv)
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    error = stderr_error(err)
+    assert error["error"] == "ValueError"
+    assert "hidden_units [1000000000000]" in error["detail"]
+    assert not out.exists()
+
+
+MANIFEST_KEYS = {"command", "flags", "inputs", "outputs", "seed", "version", "wall_seconds"}
+
+
+class TestRunner:
+    def test_search_without_report_writes_no_manifest(self, work, tmp_path):
+        dataset = tmp_path / "in.bin"
+        dataset.write_bytes(work["balanced"].read_bytes())
+        rc, out, _ = run_cli(["search", "--model", "sda", "--in", str(dataset), "--budget", "1", "--seed", "3"])
+        assert rc == 0
+        assert len(json.loads(out)["trials"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
+
+    def test_every_manifest_sits_beside_the_first_output_with_its_keys(self, work, reduced, lr_model, tmp_path):
+        report = tmp_path / "lr.report.json"
+        search = tmp_path / "search.json"
+        for argv in (
+            ["evaluate", "--model", str(lr_model), "--in", str(work["balanced"]), "--protocol", "holdout",
+             "--seed", "1", "--report", str(report)],
+            ["search", "--model", "sda", "--in", str(work["balanced"]), "--budget", "1", "--seed", "3",
+             "--report", str(search)],
+        ):
+            assert run_cli(argv)[0] == 0
+        first_outputs = {
+            "synth": work["corpus"] / "events.jsonl",
+            "ingest": work["store"],
+            "featurize": work["balanced"],
+            "reduce": reduced[0],
+            "train": lr_model,
+            "evaluate": report,
+            "search": search,
+        }
+        for command, first in first_outputs.items():
+            manifest = json.loads(first.with_name(first.name + ".manifest.json").read_text())
+            assert set(manifest) == MANIFEST_KEYS
+            assert manifest["command"] == command
+            assert str(first) in manifest["outputs"]
+            for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+                assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
 class TestPipelineReproducibility:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from buyintent.dataset import (
     Dataset,
     RangeScaler,
     Standardizer,
+    dataset_header,
     load_dataset,
     save_dataset,
     scaler_from_dict,
@@ -122,6 +126,72 @@ class TestPersistence:
             save_dataset(ds, path)
             back = load_dataset(path)
             np.testing.assert_array_equal(back.rows, ds.rows)
+
+
+    def test_header_is_dataset_header(self, tmp_path):
+        ds = make_ds(seed=4)
+        path = tmp_path / "h.byds"
+        save_dataset(ds, path)
+        data = path.read_bytes()
+        end = 14 + int.from_bytes(data[6:14], "little")
+        assert json.loads(data[14:end]) == dataset_header(ds)
+
+    def test_empty_dataset_round_trips(self, tmp_path):
+        path = tmp_path / "empty.byds"
+        save_dataset(make_ds(n=0, d=3), path)
+        back = load_dataset(path)
+        assert back.rows.shape == (0, 3) and back.labels.shape == (0,)
+
+
+def _broken(data: bytes, probe: str) -> bytes:
+    end = 14 + int.from_bytes(data[6:14], "little")
+    header, body = json.loads(data[14:end]), data[end:]
+    if probe == "no-length":
+        return data[:10]
+    if probe == "header-past-the-end":
+        return data[:end - 1]
+    if probe == "labels-short":
+        return data[:-1]
+    if probe == "rows-short":
+        return data[:end + 8]
+    if probe == "not-json":
+        header = "{"
+    elif probe == "extra-key":
+        header = {**header, "rows": 1}
+    elif probe == "bool-n":
+        header = {**header, "n": True}
+    elif probe == "negative-d":
+        header = {**header, "d": -4}
+    elif probe == "float-n_base_cols":
+        header = {**header, "n_base_cols": 2.0}
+    elif probe == "short-feature_names":
+        header = {**header, "feature_names": header["feature_names"][:-1]}
+    elif probe == "string-feature_names":
+        header = {**header, "feature_names": "x" * header["d"]}
+    elif probe == "n-past-2-to-the-64":
+        header = {**header, "n": 2**64}
+    elif probe == "int-feature_name":
+        header = {**header, "feature_names": [0, *header["feature_names"][1:]]}
+    elif probe == "unknown-aggregation":
+        header = {**header, "aggregation": "daily"}
+    payload = (header if isinstance(header, str) else json.dumps(header)).encode()
+    return data[:6] + len(payload).to_bytes(8, "little") + payload + body
+
+
+@pytest.mark.parametrize(
+    "probe",
+    ["no-length", "header-past-the-end", "labels-short", "rows-short", "not-json", "extra-key", "bool-n",
+     "negative-d", "float-n_base_cols", "short-feature_names", "string-feature_names", "int-feature_name",
+     "unknown-aggregation", "n-past-2-to-the-64"],
+)
+def test_malformed_file_is_a_value_error_naming_it(tmp_path, probe):
+    path = tmp_path / "bad.byds"
+    save_dataset(make_ds(seed=2), path)
+    path.write_bytes(_broken(path.read_bytes(), probe))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed dataset: ") as excinfo:
+        load_dataset(path)
+    if probe in ("labels-short", "rows-short", "n-past-2-to-the-64"):
+        assert "the file ends before its" in str(excinfo.value)
 
 
 class TestStandardizer:

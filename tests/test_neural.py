@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from buyintent import neural
 from buyintent.dataset import Dataset, RangeScaler
 from buyintent.neural import (
     ACTIVATIONS,
@@ -703,6 +705,34 @@ class TestEndToEndTrainers:
         net = train_mlp(balanced_dataset, hp, seed=2)
         p = network_predict(net, balanced_dataset.rows)
         assert np.all((p >= 0) & (p <= 1))
+
+
+class TestSizeCeiling:
+    """train_network refuses an array past MAX_ELEMENTS before any work;
+    each case below is refused by one term alone, at a ceiling of 12."""
+
+    @pytest.mark.parametrize(
+        "n, d, hidden, refused",
+        [
+            (3, 4, (3,), False),
+            (3, 4, (4,), True),
+            (2, 2, (3, 5), True),
+            (1, 1, (7,), True),
+            (5, 2, (3,), True),
+        ],
+        ids=["at-the-ceiling", "input-weights", "hidden-weights", "head-weights", "row-activations"],
+    )
+    def test_each_array_counts(self, monkeypatch, n, d, hidden, refused):
+        monkeypatch.setattr(neural, "MAX_ELEMENTS", 12)
+        ds = Dataset(rows=np.arange(n * d, dtype=float).reshape(n, d), labels=np.arange(n) % 2,
+                     feature_names=[f"f{j}" for j in range(d)])
+        hp = Hyperparams(hidden_units=hidden, epochs=0)
+        if refused:
+            monkeypatch.setattr(neural, "RangeScaler", None)
+            with pytest.raises(ValueError, match=re.escape(f"hidden_units {list(hidden)} on {n} rows") + ".* more than 12$"):
+                train_mlp(ds, hp, seed=0)
+        else:
+            assert [layer.W.shape for layer in train_mlp(ds, hp, seed=0).layers] == [(3, 4), (2, 3)]
 
 
 def golden_network_ds(seed):

@@ -116,3 +116,37 @@ def json_dump_calls() -> list[str]:
 
 def test_no_json_dump_to_a_file():
     assert json_dump_calls() == []
+
+
+def _enclosing_functions(tree: ast.Module) -> dict:
+    """Each node of tree mapped to the name of the innermost function
+    defined around it."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def output_calls() -> dict:
+    """Where src/ calls print, sys.stdout.write and sys.stderr.write, as
+    module:function."""
+    found = {"print": [], "sys.stdout.write": [], "sys.stderr.write": []}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in found:
+                found[ast.unparse(node.func)].append(f"{path.stem}:{owner[node]}")
+    return found
+
+
+def test_stdout_and_stderr_are_written_in_one_place_each():
+    """The runner prints a command's one summary line and main writes its
+    one error line; nothing else in src/ writes to either stream."""
+    assert output_calls() == {"print": ["cli:_run"], "sys.stdout.write": [], "sys.stderr.write": ["cli:main"]}
