@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import Dataset, Standardizer, scaler_from_dict
-from .util import TrainingDiverged, as_rng, sigmoid, softplus, substream_seed
+from .util import TrainingDiverged, as_rng, check_epochs, sigmoid, softplus, substream_seed
 
 MINIBATCH = 128
 
@@ -64,8 +64,7 @@ def train_logistic(
     The full-dataset loss is checked after every epoch; a non-finite
     loss aborts with the epoch named.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be nonnegative")
+    check_epochs(epochs)
     if train.n == 0:
         raise ValueError("cannot train on an empty dataset")
     scaler = Standardizer().fit(train.rows)
@@ -248,6 +247,18 @@ class Forest:
         )
 
 
+# the most trees train_forest grows: far past the default of 100, so a
+# count read from a file cannot start a run that never ends
+MAX_TREES = 10_000
+
+
+def check_n_trees(n_trees: int) -> None:
+    if n_trees < 1:
+        raise ValueError("n_trees must be at least 1")
+    if n_trees > MAX_TREES:
+        raise ValueError(f"n_trees must be at most {MAX_TREES}, got {n_trees}")
+
+
 def train_forest(
     train: Dataset,
     n_trees: int = 100,
@@ -257,8 +268,7 @@ def train_forest(
 ) -> Forest:
     """Bootstrap-aggregated unpruned trees, one RNG substream per tree
     so results do not depend on training order."""
-    if n_trees < 1:
-        raise ValueError("n_trees must be at least 1")
+    check_n_trees(n_trees)
     mtry = default_mtry(train.d) if mtry is None else mtry
     trees = []
     for t in range(n_trees):

@@ -27,6 +27,7 @@ from . import __version__
 from .baselines import (
     Forest,
     LogisticModel,
+    check_n_trees,
     forest_scores,
     predict_logistic,
     train_forest,
@@ -45,7 +46,7 @@ from .neural import Hyperparams, Network, network_predict, train_mlp, train_sda
 from .nmf import reduce_dataset
 from .rbm import train_dbn
 from .synth import SynthConfig, generate
-from .util import TrainingDiverged, dumps
+from .util import TrainingDiverged, check_epochs, dumps, text_lines
 
 MODEL_FORMAT = "buyintent-model"
 MODEL_VERSION = 2
@@ -125,7 +126,7 @@ def _cmd_ingest(args) -> Ran:
     save_store(store, args.out)
     report_path = args.out + ".report.json"
     _write_text(report_path, report.to_json() + "\n")
-    return Ran([args.input], [args.out, report_path], None, report.to_json())
+    return Ran([args.input], [args.out, report_path], None, dumps(vars(report)))
 
 
 def _cmd_featurize(args) -> Ran:
@@ -182,20 +183,19 @@ def _load_hp_file(path: str) -> dict:
     """Flat `key = value` lines, # comments allowed. A line that cannot
     be read raises ValueError naming path:line and the key."""
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _HP_PARSERS:
-                raise ValueError(f"{path}:{line_no}: unknown hyperparameter '{key}'")
-            try:
-                out[key] = _HP_PARSERS[key](val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+    for line_no, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _HP_PARSERS:
+            raise ValueError(f"{path}:{line_no}: unknown hyperparameter '{key}'")
+        try:
+            out[key] = _HP_PARSERS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return out
 
 
@@ -215,12 +215,15 @@ def _model_payload(kind: str, seed: int, config: dict, params: dict) -> str:
 class ModelKind(NamedTuple):
     """One model family: fit(ds, config, seed) -> model, score(model, X),
     load(params) -> model, the JSON type of each config field (see
-    _has_type), and the space `search` samples, if it tunes the kind."""
+    _has_type), check(config), which raises ValueError for a value its
+    trainer refuses, and the space `search` samples, if it tunes the
+    kind."""
 
     fit: Callable
     score: Callable
     load: Callable
     config: dict
+    check: Callable
     search_space: SearchSpace | None = None
 
 
@@ -230,6 +233,7 @@ def _network_kind(train, search_space=None) -> ModelKind:
         score=network_predict,
         load=Network.from_dict,
         config={"hidden_units": [int], **_HP_FIELD_TYPES},
+        check=Hyperparams.from_dict,
         search_space=search_space,
     )
 
@@ -240,12 +244,14 @@ MODEL_KINDS = {
         score=predict_logistic,
         load=LogisticModel.from_dict,
         config={"learning_rate": float, "epochs": int, "l2": float},
+        check=lambda cfg: check_epochs(cfg["epochs"]),
     ),
     "rf": ModelKind(
         fit=lambda ds, cfg, seed: train_forest(ds, n_trees=cfg["n_trees"], mtry=cfg["mtry"], seed=seed),
         score=forest_scores,
         load=Forest.from_dict,
         config={"n_trees": int, "mtry": (int, type(None))},
+        check=lambda cfg: check_n_trees(cfg["n_trees"]),
     ),
     "sda": _network_kind(train_sda, SearchSpace(depth_choices=(1, 2), with_input_noise=True)),
     "dbn": _network_kind(train_dbn, SearchSpace(depth_choices=(1, 2), activations=("sigmoid",))),
@@ -312,7 +318,8 @@ def _has_type(value, typ) -> bool:
 
 def _model_kind(doc: dict) -> ModelKind:
     """The registry entry for a model document, after checking that its
-    config holds exactly the kind's fields, each of its declared type."""
+    config holds exactly the kind's fields, each of its declared type
+    and with a value its trainer accepts."""
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind '{kind}'")
@@ -326,6 +333,7 @@ def _model_kind(doc: dict) -> ModelKind:
     for name, typ in entry.config.items():
         if not _has_type(config[name], typ):
             raise ValueError(f"{kind} model config field '{name}' has the wrong type: {config[name]!r}")
+    entry.check(config)
     return entry
 
 

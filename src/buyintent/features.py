@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .ingest import CLICK_EVENT_TYPES, MS_PER_HOUR, SessionStore
+from .util import text_lines
 
 log = logging.getLogger(__name__)
 
@@ -82,20 +83,23 @@ class EmbeddingTable:
 
 
 def load_embedding_table(path) -> EmbeddingTable:
-    """Read a TSV of token + 50 floats per line."""
+    """Read a UTF-8 TSV of token + 50 finite floats per line; a line that
+    breaks this raises ValueError naming path:line."""
     entries: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != EMBED_DIM + 1:
-                raise ValueError(f"{path}:{line_no}: expected {EMBED_DIM + 1} columns, got {len(parts)}")
-            try:
-                entries[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != EMBED_DIM + 1:
+            raise ValueError(f"{path}:{line_no}: expected {EMBED_DIM + 1} columns, got {len(parts)}")
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}:{line_no}: embedding values must be finite")
+        entries[parts[0]] = vec
     return EmbeddingTable(entries=entries)
 
 
@@ -105,7 +109,7 @@ def tokenize(text: str) -> list[str]:
 
 def item_durations(clicks) -> dict[str, float]:
     """Seconds spent per item, from gaps between a session's
-    consecutive clicks (its click_events(), in time order).
+    consecutive clicks (its pageviews and basketviews, in time order).
 
     Each click's dwell is the time to the next click; the last click
     gets the median dwell of the session's other clicks (0 when it is
@@ -126,74 +130,65 @@ def item_durations(clicks) -> dict[str, float]:
     return out
 
 
-def click_buy_ratio(user_sessions) -> dict[str, float]:
-    """Per-session mean of per-item historical buys/clicks for one user.
+def _user_history(sessions) -> dict[str, tuple[float, float, float]]:
+    """Each of one user's sessions, given in chronological order, mapped
+    to its (click_buy_ratio, median_sessions_before_buy,
+    avg_purchase_price), read from the strictly earlier sessions only.
 
-    History is everything in the user's strictly earlier sessions; items
-    the user never clicked before contribute 0.
+    The ratio is the mean over the session's distinct clicked items of
+    the item's earlier buys / earlier clicks, 0 for an item not clicked
+    before. The median is over the gaps between earlier buy sessions,
+    the first counted from the user's first session. The price is the
+    mean of the earlier priced buy events.
     """
-    ordered = sorted(user_sessions, key=lambda s: (s.events[0].timestamp, s.session_id))
     clicks: dict[str, int] = {}
     buys: dict[str, int] = {}
-    out: dict[str, float] = {}
-    for sess in ordered:
-        session_clicks = sess.click_events()
-        items = sorted({e.item_id for e in session_clicks})
-        if items:
-            ratios = [buys.get(i, 0) / clicks[i] if clicks.get(i) else 0.0 for i in items]
-            out[sess.session_id] = float(np.mean(ratios))
-        else:
-            out[sess.session_id] = 0.0
-        for ev in session_clicks:
-            clicks[ev.item_id] = clicks.get(ev.item_id, 0) + 1
-        for ev in sess.events:
-            if ev.event_type == "buy":
-                buys[ev.item_id] = buys.get(ev.item_id, 0) + 1
-    return out
-
-
-def _user_prior_stats(user_sessions) -> tuple[dict[str, float], dict[str, float]]:
-    """Sessions-before-buy medians and mean past purchase price, per
-    session, over strictly earlier sessions of the same user."""
-    ordered = sorted(user_sessions, key=lambda s: (s.events[0].timestamp, s.session_id))
-    sessions_before: dict[str, float] = {}
-    past_price: dict[str, float] = {}
     gaps: list[int] = []
     prev_buy_idx: int | None = None
     price_sum, price_n = 0.0, 0
-    for idx, sess in enumerate(ordered):
-        sessions_before[sess.session_id] = float(median(gaps)) if gaps else 0.0
-        past_price[sess.session_id] = price_sum / price_n if price_n else 0.0
+    out: dict[str, tuple[float, float, float]] = {}
+    for idx, sess in enumerate(sessions):
+        session_clicks = [e for e in sess.events if e.event_type in CLICK_EVENT_TYPES]
+        items = sorted({e.item_id for e in session_clicks})
+        ratios = [buys.get(i, 0) / clicks[i] if clicks.get(i) else 0.0 for i in items]
+        out[sess.session_id] = (
+            float(np.mean(ratios)) if ratios else 0.0,
+            float(median(gaps)) if gaps else 0.0,
+            price_sum / price_n if price_n else 0.0,
+        )
+        for ev in session_clicks:
+            clicks[ev.item_id] = clicks.get(ev.item_id, 0) + 1
         if sess.label == "buy":
             gaps.append(idx - prev_buy_idx - 1 if prev_buy_idx is not None else idx)
             prev_buy_idx = idx
         for ev in sess.events:
-            if ev.event_type == "buy" and ev.price is not None:
-                price_sum += ev.price
-                price_n += 1
-    return sessions_before, past_price
+            if ev.event_type == "buy":
+                buys[ev.item_id] = buys.get(ev.item_id, 0) + 1
+                if ev.price is not None:
+                    price_sum += ev.price
+                    price_n += 1
+    return out
 
 
 def compute_session_features(store: SessionStore, sessions, table: EmbeddingTable) -> np.ndarray:
     """One float64 row per session of sessions, in their order: the
     SCALAR_FEATURES values, then the description vector.
 
-    Historical values read each user's sessions in store. A session's
-    description vector is the mean of the table rows of every
+    Historical values come from one _user_history walk over each user's
+    sessions in store, ordered by (first event time, session id). A
+    session's description vector is the mean of the table rows of every
     in-vocabulary, non-stopword token of its feature events'
     descriptions, in event order; each distinct description is
     tokenized once per call.
     """
-    ratio: dict[str, float] = {}
-    s_before: dict[str, float] = {}
-    past_price: dict[str, float] = {}
+    by_user: dict[str, list] = {}
+    for sess in store.sessions.values():
+        by_user.setdefault(sess.user_id, []).append(sess)
+    history: dict[str, tuple[float, float, float]] = {}
     user_pageviews: dict[str, np.ndarray] = {}
-    for user_id in store.user_index:
-        user_sessions = store.user_sessions(user_id)
-        ratio.update(click_buy_ratio(user_sessions))
-        sb, pp = _user_prior_stats(user_sessions)
-        s_before.update(sb)
-        past_price.update(pp)
+    for user_id, user_sessions in by_user.items():
+        user_sessions.sort(key=lambda s: (s.events[0].timestamp, s.session_id))
+        history.update(_user_history(user_sessions))
         ts = [e.timestamp for s in user_sessions for e in s.events if e.event_type == "pageview"]
         user_pageviews[user_id] = np.array(sorted(ts), dtype=np.int64)
 
@@ -216,18 +211,18 @@ def compute_session_features(store: SessionStore, sessions, table: EmbeddingTabl
         past_day, past_week, upto_ref = user_pageviews[sess.user_id].searchsorted(
             (ref - MS_PER_DAY, ref - 7 * MS_PER_DAY, ref), side="right"
         )
-        sid = sess.session_id
+        ratio, sessions_before, past_price = history[sess.session_id]
         # in SCALAR_FEATURES order
         out[i, :n_scalar] = (
             (ref - feats[0].timestamp) / 1000.0,
-            ratio[sid],
-            s_before[sid],
+            ratio,
+            sessions_before,
             float(np.mean(prices)) if prices else 0.0,
             float(sum(item_durations(clicks).values())),
             sess.events[0].timestamp // MS_PER_HOUR % 24,
             len(clicks),
             len({e.item_id for e in clicks}),
-            past_price[sid],
+            past_price,
             upto_ref - past_day,
             upto_ref - past_week,
         )

@@ -7,7 +7,7 @@ import io
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -63,34 +63,36 @@ class ParseResult:
 
 @dataclass(eq=False)
 class Session:
-    """A user's events sharing one session id, sorted by timestamp.
-
-    label is "buy" iff the session contains at least one buy event;
-    bought_items collects the item ids of those buys. usable turns False
-    when the prediction-window exclusion removes every feature event.
-    """
+    """A user's events sharing one session id, sorted by timestamp, with
+    the label, bought_items and usable flag session_fields derives from
+    them."""
 
     session_id: str
     user_id: str
     events: list[RawEvent]
-    bought_items: set[str] = field(default_factory=set)
-    label: str = "non_buy"
-    usable: bool = True
+    bought_items: set[str]
+    label: str
+    usable: bool
 
     def feature_events(self) -> list[RawEvent]:
         """Events usable for features: everything except buy evidence."""
         return [e for e in self.events if e.event_type != "buy"]
 
-    def click_events(self) -> list[RawEvent]:
-        return [e for e in self.events if e.event_type in CLICK_EVENT_TYPES]
+
+def session_fields(events) -> tuple[str, set[str], bool]:
+    """A session's (label, bought_items, usable) from its events: label
+    "buy" iff a buy event, bought_items the buy events' items, and usable
+    iff an event that is not a buy."""
+    bought = {e.item_id for e in events if e.event_type == "buy"}
+    usable = any(e.event_type != "buy" for e in events)
+    return ("buy" if bought else "non_buy"), bought, usable
 
 
 @dataclass(eq=False)
 class SessionStore:
-    """Immutable-by-convention container of sessions with a user index."""
+    """Immutable-by-convention container of sessions by id."""
 
     sessions: dict[str, Session]
-    user_index: dict[str, list[str]]
     duplicates_dropped: int = 0
 
     def __len__(self) -> int:
@@ -98,13 +100,6 @@ class SessionStore:
 
     def ordered_sessions(self) -> list[Session]:
         return [self.sessions[sid] for sid in sorted(self.sessions)]
-
-    def user_sessions(self, user_id: str) -> list[Session]:
-        """The user's sessions in chronological order (first-event time)."""
-        sids = self.user_index.get(user_id, [])
-        out = [self.sessions[s] for s in sids]
-        out.sort(key=lambda s: (s.events[0].timestamp, s.session_id))
-        return out
 
 
 def parse_events(stream) -> ParseResult:
@@ -212,21 +207,12 @@ def sessionize(events) -> SessionStore:
         log.warning("dropped %d duplicate events during sessionization", duplicates)
 
     sessions: dict[str, Session] = {}
-    user_index: dict[str, list[str]] = {}
     for sid in sorted(groups):
         evs = groups[sid]
         evs.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
-        bought = {e.item_id for e in evs if e.event_type == "buy"}
-        sess = Session(
-            session_id=sid,
-            user_id=evs[0].user_id,
-            events=evs,
-            bought_items=bought,
-            label="buy" if bought else "non_buy",
-        )
-        sessions[sid] = sess
-        user_index.setdefault(sess.user_id, []).append(sid)
-    return SessionStore(sessions, user_index, duplicates_dropped=duplicates)
+        label, bought, usable = session_fields(evs)
+        sessions[sid] = Session(sid, evs[0].user_id, evs, bought, label, usable)
+    return SessionStore(sessions, duplicates)
 
 
 def filter_min_clicks(store: SessionStore, min_clicks: int = 10) -> SessionStore:
@@ -240,8 +226,7 @@ def filter_min_clicks(store: SessionStore, min_clicks: int = 10) -> SessionStore
         counts[sess.user_id] = counts.get(sess.user_id, 0) + len(sess.events)
     keep_users = {u for u, n in counts.items() if n >= min_clicks}
     sessions = {sid: s for sid, s in store.sessions.items() if s.user_id in keep_users}
-    user_index = {u: list(sids) for u, sids in store.user_index.items() if u in keep_users}
-    return SessionStore(sessions, user_index, duplicates_dropped=store.duplicates_dropped)
+    return SessionStore(sessions, store.duplicates_dropped)
 
 
 def exclude_prediction_window(session: Session, horizon_ms: int = 24 * MS_PER_HOUR) -> Session:
@@ -259,8 +244,7 @@ def exclude_prediction_window(session: Session, horizon_ms: int = 24 * MS_PER_HO
     first_buy = min(e.timestamp for e in session.events if e.event_type == "buy")
     cutoff = first_buy - horizon_ms
     kept = [e for e in session.events if e.event_type == "buy" or e.timestamp < cutoff]
-    usable = any(e.event_type != "buy" for e in kept)
-    return replace(session, events=kept, usable=usable)
+    return replace(session, events=kept, usable=session_fields(kept)[2])
 
 
 def apply_prediction_window(store: SessionStore, horizon_ms: int = 24 * MS_PER_HOUR) -> SessionStore:
@@ -269,7 +253,7 @@ def apply_prediction_window(store: SessionStore, horizon_ms: int = 24 * MS_PER_H
         sid: exclude_prediction_window(sess, horizon_ms)
         for sid, sess in store.sessions.items()
     }
-    return SessionStore(sessions, dict(store.user_index), store.duplicates_dropped)
+    return SessionStore(sessions, store.duplicates_dropped)
 
 
 @dataclass
@@ -299,19 +283,20 @@ def ingest_events(
     for ev in parsed.events:
         type_counts[ev.event_type] += 1
     store = sessionize(parsed.events)
-    users_before, sessions_before = len(store.user_index), len(store)
+    users_before, sessions_before = {s.user_id for s in store.sessions.values()}, len(store)
     store = filter_min_clicks(store, min_clicks)
     store = apply_prediction_window(store, horizon_ms)
+    users = {s.user_id for s in store.sessions.values()}
     unusable = sum(1 for s in store.sessions.values() if not s.usable)
     report = IngestReport(
         events_parsed=len(parsed.events),
         parse_errors=len(parsed.errors),
         event_type_counts=type_counts,
-        users=len(store.user_index),
+        users=len(users),
         sessions=len(store),
         buy_sessions=sum(1 for s in store.sessions.values() if s.label == "buy"),
         duplicates_dropped=store.duplicates_dropped,
-        users_removed_min_clicks=users_before - len(store.user_index),
+        users_removed_min_clicks=len(users_before) - len(users),
         sessions_removed_min_clicks=sessions_before - len(store),
         unusable_buy_sessions=unusable,
     )
@@ -376,16 +361,22 @@ _SESSION_KEYS = {"session_id", "user_id", "label", "usable", "bought_items", "ev
 def load_store(path) -> SessionStore:
     """Read a store written by save_store.
 
-    A document that is not a store, or whose sessions and events lack
-    the keys, types and ranges save_store writes, raises ValueError
-    naming the path. Every session needs an event, its events must be
-    in time order, and its usable flag, label and bought_items must be
-    what ingest derives from them. Event fields are checked a column at
-    a time over the whole store, so the check costs a constant per
-    event.
+    A file that is not UTF-8 JSON, a document that is not a store, or
+    one whose sessions and events lack the keys, types and ranges
+    save_store writes, raises ValueError naming the path (JSON nested
+    past the recursion limit stays a RecursionError, with the path).
+    Every session needs an event, its events must be in time order, and
+    its usable flag, label and bought_items must be what session_fields
+    derives from them. Event fields are checked a column at a time over
+    the whole store first, so those checks cost a constant per event.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"{path}: not a session store file: {exc}") from None
+    except RecursionError as exc:
+        raise RecursionError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise ValueError(f"{path}: not a session store file")
     if doc.get("version") != STORE_VERSION:
@@ -401,10 +392,8 @@ def _read_sessions(doc: dict) -> SessionStore:
     if not isinstance(records, list):
         raise ValueError("'sessions' must be a list")
     sessions: dict[str, Session] = {}
-    user_index: dict[str, list[str]] = {}
     all_events: list[RawEvent] = []
     starts: list[int] = []
-    boughts: list[list] = []
     for n, rec in enumerate(records):
         if not isinstance(rec, dict) or rec.keys() != _SESSION_KEYS:
             raise ValueError(f"session {n} must be an object with keys {sorted(_SESSION_KEYS)}")
@@ -427,19 +416,9 @@ def _read_sessions(doc: dict) -> SessionStore:
             raise ValueError(f"session {sid!r} has a malformed event: {exc}") from None
         if not events:
             raise ValueError(f"session {sid!r} has no events")
-        boughts.append(bought)
         starts.append(len(all_events))
         all_events += events
-        sess = Session(
-            session_id=sid,
-            user_id=rec["user_id"],
-            events=events,
-            bought_items=set(bought),
-            label=rec["label"],
-            usable=rec["usable"],
-        )
-        sessions[sid] = sess
-        user_index.setdefault(sess.user_id, []).append(sid)
+        sessions[sid] = Session(sid, rec["user_id"], events, set(bought), rec["label"], rec["usable"])
     if all_events:
         columns = dict(zip(RawEvent._fields, zip(*all_events)))
         for name, allowed in _EVENT_FIELD_TYPES.items():
@@ -457,20 +436,13 @@ def _read_sessions(doc: dict) -> SessionStore:
         if back.size:
             sid = list(sessions)[np.searchsorted(starts, back[0], side="right") - 1]
             raise ValueError(f"session {sid!r} has events out of time order")
-        # usable iff a feature event, label buy iff a buy event, and
-        # bought_items the sorted distinct items of the buy events
-        is_buy = np.array(columns["event_type"], dtype=object) == "buy"
-        buy_at = np.flatnonzero(is_buy)
-        buys: list[set] = [set() for _ in starts]
-        for i, at in zip((np.searchsorted(starts, buy_at, side="right") - 1).tolist(), buy_at.tolist()):
-            buys[i].add(columns["item_id"][at])
-        only_buys = np.logical_and.reduceat(is_buy, starts).tolist()
-        for s, no_feature, items, bought in zip(sessions.values(), only_buys, buys, boughts):
-            if s.usable == no_feature:
-                state = "usable" if s.usable else "unusable"
-                raise ValueError(f"{state} session {s.session_id!r} has {'no' if s.usable else 'some'} feature events")
-            if (s.label == "buy") != bool(items):
-                raise ValueError(f"session {s.session_id!r} has label {s.label!r} but {'a' if items else 'no'} buy event")
-            if bought != sorted(items):
-                raise ValueError(f"session {s.session_id!r} has bought_items other than the items of its buy events")
-    return SessionStore(sessions, user_index, doc.get("duplicates_dropped", 0))
+    for s, rec in zip(sessions.values(), records):
+        label, bought, usable = session_fields(s.events)
+        if s.usable != usable:
+            state = "usable" if s.usable else "unusable"
+            raise ValueError(f"{state} session {s.session_id!r} has {'no' if s.usable else 'some'} feature events")
+        if s.label != label:
+            raise ValueError(f"session {s.session_id!r} has label {s.label!r} but {'a' if bought else 'no'} buy event")
+        if rec["bought_items"] != sorted(bought):
+            raise ValueError(f"session {s.session_id!r} has bought_items other than the items of its buy events")
+    return SessionStore(sessions, doc.get("duplicates_dropped", 0))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RangeScaler, scaler_from_dict
-from .util import TrainingDiverged, as_rng, relu, sigmoid, substream_seed
+from .util import TrainingDiverged, as_rng, check_epochs, relu, sigmoid, substream_seed
 
 BATCH_SIZE = 128
 
@@ -69,8 +69,7 @@ class Hyperparams:
             val = getattr(self, name)
             if not 0.0 <= val <= hi:
                 raise ValueError(f"{name} must be in [0.0, {hi}], got {val}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        check_epochs(self.epochs)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

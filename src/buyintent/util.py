@@ -6,6 +6,11 @@ import json
 
 import numpy as np
 
+# the most epochs any trainer accepts: far past any run in use (the
+# acceptance suite trains 1,000), so a count read from a file cannot
+# start a run that never ends
+MAX_EPOCHS = 100_000
+
 # json.dumps builds a new encoder on every call that passes options;
 # one shared encoder gives the same bytes without that cost
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -14,6 +19,25 @@ _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def dumps(obj) -> str:
     """Canonical compact JSON: sorted keys, no whitespace, ASCII only."""
     return _COMPACT.encode(obj)
+
+
+def check_epochs(epochs: int) -> None:
+    if epochs < 0:
+        raise ValueError("epochs must be nonnegative")
+    if epochs > MAX_EPOCHS:
+        raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs}")
+
+
+def text_lines(path):
+    """Each (line number, line) of a UTF-8 text file, read in text mode.
+    A line that is not UTF-8 raises ValueError naming path:line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # an undecodable byte was read as a lone surrogate
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{line_no}: line is not valid UTF-8") from None
+            yield line_no, line
 
 
 class TrainingDiverged(RuntimeError):

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import buyintent
-from buyintent import cli, neural
+from buyintent import baselines, cli, neural
+from buyintent.baselines import MAX_TREES
 from buyintent.baselines import Forest
 from buyintent.dataset import Dataset, dataset_header, load_dataset, save_dataset
 from buyintent.ingest import load_store
 from buyintent.neural import Hyperparams, Network
+from buyintent.util import MAX_EPOCHS, check_epochs
 from network_oracles import assert_in_search_space
 from tree_oracles import depth, nested
 
@@ -865,20 +867,36 @@ def _model_probe(good: str, probe: str) -> str:
         doc["version"] = 3
     elif probe == "config-mistyped":
         doc["config"]["epochs"] = "20"
+    elif probe == "epochs-2**70":
+        doc["config"]["epochs"] = 2**70
+    elif probe == "rf-n_trees-2**70":
+        doc = model_doc("rf", {"n_trees": 2**70, "mtry": None})
+    elif probe == "sda-momentum-5":
+        doc = model_doc("sda", {**NET_CONFIG, "momentum": 5.0})
+    elif probe == "sda-epochs-2**70":
+        doc = model_doc("sda", {**NET_CONFIG, "epochs": 2**70})
     return json.dumps(doc)
 
 
-def _embeddings_probe(good: str) -> str:
+def _text_probe(good: bytes, probe: str) -> bytes:
+    """A copy of a text file's bytes with its third line broken."""
     lines = good.splitlines()
-    parts = lines[2].split("\t")
-    parts[7] = "abc"
-    lines[2] = "\t".join(parts)
-    return "\n".join(lines) + "\n"
+    if probe == "not-utf8":
+        lines[2] = b"caf\xe9" + lines[2]
+    else:
+        parts = lines[2].split(b"\t")
+        parts[7] = {"non-float": b"abc", "nan": b"nan", "inf": b"-inf"}[probe]
+        lines[2] = b"\t".join(parts)
+    return b"\n".join(lines) + b"\n"
 
 
 DATASET_PROBES = ["magic-and-3-bytes", "truncated-rows", "header-list", "n-string", "feature_names-int", "no-d"]
-HP_PROBES = {"epochs-float": "epochs = 1.5\n", "momentum-word": "momentum = abc\n", "hidden_units-words": "hidden_units = 8,x\n"}
-MODEL_PROBES = ["not-json", "version-3", "config-mistyped"]
+HP_PROBES = {"epochs-float": b"epochs = 1.5\n", "momentum-word": b"momentum = abc\n",
+             "hidden_units-words": b"hidden_units = 8,x\n", "not-utf8": b"# caf\xe9\nepochs = 5\n"}
+MODEL_PROBES = ["not-json", "version-3", "config-mistyped", "epochs-2**70", "rf-n_trees-2**70", "sda-momentum-5",
+                "sda-epochs-2**70"]
+STORE_PROBES = {"not-json": b'{"format": "buyintent-store"', "not-utf8": b'{"format": "caf\xe9"}'}
+EMBEDDINGS_PROBES = ["non-float", "not-utf8", "nan", "inf"]
 
 
 def _bad_input_cases():
@@ -889,30 +907,41 @@ def _bad_input_cases():
         yield pytest.param("train", "hp", probe, id=f"train-hp-{probe}")
     for probe in MODEL_PROBES:
         yield pytest.param("evaluate", "model", probe, id=f"evaluate-model-{probe}")
-    yield pytest.param("featurize", "embeddings", "non-float", id="featurize-embeddings-non-float")
+    for probe in EMBEDDINGS_PROBES:
+        yield pytest.param("featurize", "embeddings", probe, id=f"featurize-embeddings-{probe}")
+    for probe in STORE_PROBES:
+        yield pytest.param("featurize", "store", probe, id=f"featurize-store-{probe}")
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
 
 
 @pytest.mark.parametrize("command, kind, probe", _bad_input_cases())
-def test_malformed_input_file_is_one_error_line_naming_it(work, lr_model, tmp_path, command, kind, probe):
+def test_malformed_input_file_is_one_error_line_naming_it(work, lr_model, tmp_path, monkeypatch, command, kind, probe):
+    for name in ("cross_validate", "holdout_evaluate"):
+        monkeypatch.setattr(cli, name, _no_training)
     bad = tmp_path / f"bad.{kind}"
     dataset, model, hp = str(work["balanced"]), str(lr_model), None
-    embeddings = str(work["corpus"] / "embeddings.tsv")
+    store, embeddings = str(work["store"]), str(work["corpus"] / "embeddings.tsv")
     if kind == "dataset":
         bad.write_bytes(_dataset_probe(work["balanced"].read_bytes(), probe))
         dataset = str(bad)
     elif kind == "hp":
-        bad.write_text(HP_PROBES[probe])
+        bad.write_bytes(HP_PROBES[probe])
         hp = str(bad)
     elif kind == "model":
         bad.write_text(_model_probe(lr_model.read_text(), probe))
         model = str(bad)
+    elif kind == "store":
+        bad.write_bytes(STORE_PROBES[probe])
+        store = str(bad)
     else:
-        bad.write_text(_embeddings_probe((work["corpus"] / "embeddings.tsv").read_text()))
+        bad.write_bytes(_text_probe((work["corpus"] / "embeddings.tsv").read_bytes(), probe))
         embeddings = str(bad)
     out = tmp_path / "out"
     argv = {
-        "featurize": ["--store", str(work["store"]), "--embeddings", embeddings, "--categories", "12",
-                      "--out", str(out)],
+        "featurize": ["--store", store, "--embeddings", embeddings, "--categories", "12", "--out", str(out)],
         "reduce": ["--in", dataset, "--rank", "2", "--seed", "1", "--out", str(out)],
         "train": ["--model", "sda" if hp else "lr", "--in", dataset, "--seed", "1", "--out", str(out)]
         + (["--hp", hp] if hp else []),
@@ -923,8 +952,70 @@ def test_malformed_input_file_is_one_error_line_naming_it(work, lr_model, tmp_pa
     assert rc == 1
     assert stdout == ""
     assert len(err.splitlines()) == 1
-    assert str(bad) in stderr_error(err)["detail"]
+    error = stderr_error(err)
+    assert error["error"] == "ValueError"
+    assert str(bad) in error["detail"]
+    if kind in ("hp", "embeddings"):  # the line formats name the line
+        assert error["detail"].startswith(f"{bad}:{1 if kind == 'hp' else 3}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, flags, named",
+    [
+        ("lr", ["--epochs", str(2**70)], f"epochs must be at most {MAX_EPOCHS}"),
+        ("rf", ["--trees", str(2**70)], f"n_trees must be at most {MAX_TREES}"),
+        ("mlp", ["--epochs", str(2**70), "--layers", "4"], f"epochs must be at most {MAX_EPOCHS}"),
+        ("sda", ["--epochs", str(MAX_EPOCHS + 1), "--layers", "4"], f"epochs must be at most {MAX_EPOCHS}"),
+        ("rf", ["--trees", str(MAX_TREES + 1)], f"n_trees must be at most {MAX_TREES}"),
+    ],
+    ids=["lr-epochs", "rf-trees", "mlp-epochs", "sda-epochs-just-past", "rf-trees-just-past"],
+)
+def test_count_past_its_ceiling_is_refused_before_training(work, tmp_path, monkeypatch, model, flags, named):
+    # each trainer's first step after its argument checks
+    monkeypatch.setattr(baselines, "Standardizer", None)
+    monkeypatch.setattr(baselines, "train_tree", None)
+    monkeypatch.setattr(neural, "RangeScaler", None)
+    out = tmp_path / "out"
+    rc, _, err = run_cli(["train", "--model", model, "--in", str(work["balanced"]), "--seed", "1",
+                          "--out", str(out), *flags])
+    assert rc == 1
+    assert stderr_error(err) == {"error": "ValueError", "detail": f"{named}, got {flags[1]}"}
+    assert not out.exists()
+
+
+def test_ceilings_admit_their_own_value():
+    check_epochs(MAX_EPOCHS)
+    baselines.check_n_trees(MAX_TREES)
+    assert Hyperparams(epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "featurize", "reduce", "train", "evaluate", "search"])
+def test_stdout_is_one_json_line(work, lr_model, tmp_path, command):
+    out = str(tmp_path / "out")
+    dataset, corpus = str(work["balanced"]), work["corpus"]
+    argv = {
+        "synth": [*SYNTH_FLAGS, "--out", out],
+        "ingest": ["--input", str(corpus / "events.jsonl"), "--out", out],
+        "featurize": ["--store", str(work["store"]), "--embeddings", str(corpus / "embeddings.tsv"),
+                      "--categories", "12", "--out", out],
+        "reduce": ["--in", dataset, "--rank", "2", "--seed", "1", "--out", out],
+        "train": ["--model", "lr", "--in", dataset, "--seed", "1", "--out", out],
+        "evaluate": ["--model", str(lr_model), "--in", dataset, "--protocol", "holdout", "--seed", "1",
+                     "--report", out],
+        "search": ["--model", "sda", "--in", dataset, "--budget", "1", "--seed", "1"],
+    }[command]
+    rc, stdout, _ = run_cli([command, *argv])
+    assert rc == 0
+    assert stdout.endswith("\n") and stdout.count("\n") == 1
+    assert isinstance(_strict_json(stdout), dict)
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

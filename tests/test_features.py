@@ -17,7 +17,6 @@ from buyintent.features import (
     EmbeddingTable,
     aggregate_pageviews,
     balance,
-    click_buy_ratio,
     compute_session_features,
     constant_columns,
     item_durations,
@@ -33,7 +32,7 @@ from buyintent.ingest import (
     apply_prediction_window,
     sessionize,
 )
-from feature_oracles import aggregate_pageviews_dates, compute_session_features_loop
+from feature_oracles import aggregate_pageviews_dates, click_buy_ratio, click_events, compute_session_features_loop
 
 DAY = 24 * MS_PER_HOUR
 
@@ -60,6 +59,14 @@ def usable(store):
     return [s for s in store.ordered_sessions() if s.usable]
 
 
+def feature_column(store, name):
+    """name's value for each usable session of store, by session id, as
+    compute_session_features gives it."""
+    sessions = usable(store)
+    rows = compute_session_features(store, sessions, EmbeddingTable(entries={}, dim=EMBED_DIM))
+    return {s.session_id: rows[i, SCALAR_FEATURES.index(name)] for i, s in enumerate(sessions)}
+
+
 def embed_description(text, table):
     """The description vector of a one-pageview session described by text."""
     store = sessionize([ev(description=text)])
@@ -75,17 +82,17 @@ class TestItemDurations:
                 ev(ts=50_000, item="A"),
             ]
         ).sessions["s1"]
-        out = item_durations(sess.click_events())
+        out = item_durations(click_events(sess))
         # dwells 30, 20, then median(30, 20) = 25 for the final click
         assert out == {"A": 55.0, "B": 20.0}
 
     def test_single_click_is_zero(self):
         sess = sessionize([ev(ts=0, item="A")]).sessions["s1"]
-        assert item_durations(sess.click_events()) == {"A": 0.0}
+        assert item_durations(click_events(sess)) == {"A": 0.0}
 
     def test_two_clicks_same_item(self):
         sess = sessionize([ev(ts=0, item="A"), ev(ts=10_000, item="A")]).sessions["s1"]
-        assert item_durations(sess.click_events()) == {"A": 20.0}
+        assert item_durations(click_events(sess)) == {"A": 20.0}
 
     def test_buy_events_do_not_carry_dwell(self):
         with_buy = sessionize(
@@ -96,16 +103,18 @@ class TestItemDurations:
             ]
         ).sessions["s1"]
         without = sessionize([ev(ts=0, item="A"), ev(ts=30_000, item="B")]).sessions["s1"]
-        assert item_durations(with_buy.click_events()) == item_durations(without.click_events())
+        assert item_durations(click_events(with_buy)) == item_durations(click_events(without))
 
     def test_basketviews_count_as_clicks(self):
         sess = sessionize(
             [ev(ts=0, item="A"), ev(ts=10_000, etype="basketview", item="A", price=2.0)]
         ).sessions["s1"]
-        assert item_durations(sess.click_events()) == {"A": 20.0}
+        assert item_durations(click_events(sess)) == {"A": 20.0}
 
 
 class TestClickBuyRatio:
+    """The click_buy_ratio column of compute_session_features rows."""
+
     def test_item_ratio_from_history(self):
         events = [ev(sid="s1", ts=i * 1000, item="X") for i in range(10)]
         events += [
@@ -113,8 +122,7 @@ class TestClickBuyRatio:
             ev(sid="s1", ts=12_000, etype="buy", item="X", price=1.0),
         ]
         events.append(ev(sid="s2", ts=DAY, item="X"))
-        store = sessionize(events)
-        ratios = click_buy_ratio(store.user_sessions("u1"))
+        ratios = feature_column(sessionize(events), "click_buy_ratio")
         assert ratios["s2"] == pytest.approx(0.2)
 
     def test_session_value_averages_distinct_items(self):
@@ -122,22 +130,19 @@ class TestClickBuyRatio:
         events = [ev(sid="s1", ts=i * 1000, item="X") for i in range(5)]
         events.append(ev(sid="s1", ts=6000, etype="buy", item="X", price=1.0))
         events += [ev(sid="s2", ts=DAY, item="X"), ev(sid="s2", ts=DAY + 1000, item="Y")]
-        store = sessionize(events)
-        ratios = click_buy_ratio(store.user_sessions("u1"))
+        ratios = feature_column(sessionize(events), "click_buy_ratio")
         assert ratios["s2"] == pytest.approx((0.2 + 0.0) / 2)
 
     def test_no_history_is_zero(self):
         store = sessionize([ev(ts=0, item="A"), ev(ts=1000, item="B")])
-        ratios = click_buy_ratio(store.user_sessions("u1"))
-        assert ratios["s1"] == 0.0
+        assert feature_column(store, "click_buy_ratio")["s1"] == 0.0
 
     def test_own_session_buy_not_counted(self):
         events = [
             ev(sid="s1", ts=0, item="A"),
             ev(sid="s1", ts=1000, etype="buy", item="A", price=1.0),
         ]
-        store = sessionize(events)
-        assert click_buy_ratio(store.user_sessions("u1"))["s1"] == 0.0
+        assert feature_column(sessionize(events), "click_buy_ratio")["s1"] == 0.0
 
     def test_repeat_clicks_grow_denominator(self):
         events = [
@@ -146,10 +151,40 @@ class TestClickBuyRatio:
             ev(sid="s2", ts=DAY, item="A"),
             ev(sid="s3", ts=2 * DAY, item="A"),
         ]
-        store = sessionize(events)
-        ratios = click_buy_ratio(store.user_sessions("u1"))
+        ratios = feature_column(sessionize(events), "click_buy_ratio")
         assert ratios["s2"] == pytest.approx(1.0)
         assert ratios["s3"] == pytest.approx(0.5)
+
+
+class TestUserHistory:
+    """History features walk each user's sessions by first event time,
+    then session id."""
+
+    def test_chronological_order(self):
+        # one priced buy per session: each session's past purchase price
+        # is the mean price of the sessions walked before it
+        events = []
+        for sid, ts, price in [("b", 100, 2.0), ("a", 200, 4.0), ("c", 50, 1.0)]:
+            events += [ev(sid=sid, ts=ts), ev(sid=sid, ts=ts + 1, etype="buy", price=price)]
+        past = feature_column(sessionize(events), "avg_purchase_price")
+        assert past == {"c": 0.0, "b": 1.0, "a": 1.5}
+
+    def test_equal_start_times_walk_by_session_id(self):
+        events = []
+        for sid, price in [("y", 2.0), ("x", 1.0)]:
+            events += [ev(sid=sid, ts=0), ev(sid=sid, ts=1, etype="buy", price=price)]
+        # the store holds y before x, so its own order would walk y first
+        store = SessionStore(dict(reversed(sessionize(events).sessions.items())))
+        assert feature_column(store, "avg_purchase_price") == {"x": 0.0, "y": 1.0}
+
+    def test_free_buys_count_toward_the_past_price(self):
+        events = [ev(sid="s1", ts=0), ev(sid="s1", ts=1, etype="buy", price=0.0),
+                  ev(sid="s2", ts=10), ev(sid="s2", ts=11, etype="buy", price=4.0), ev(sid="s3", ts=20)]
+        assert feature_column(sessionize(events), "avg_purchase_price")["s3"] == 2.0
+
+    def test_users_walk_apart(self):
+        events = [ev(sid="s1", ts=0), ev(sid="s1", ts=1, etype="buy", price=5.0), ev(user="u2", sid="s2", ts=10)]
+        assert feature_column(sessionize(events), "avg_purchase_price") == {"s1": 0.0, "s2": 0.0}
 
 
 class TestEmbedDescription:
@@ -266,7 +301,7 @@ class TestSessionFeatureValues:
         assert feats("s1", "views_week") == 2
 
     def test_click_buy_ratio_matches_direct_computation(self, store, feats):
-        direct = click_buy_ratio(store.user_sessions("u1"))
+        direct = click_buy_ratio(store.sessions.values())
         for sid in ("s1", "s2", "s3", "s4"):
             assert feats(sid, "click_buy_ratio") == pytest.approx(direct[sid])
 
@@ -383,7 +418,7 @@ class TestAssembleDataset:
     def test_no_usable_session_gives_the_base_columns(self, embedding_table):
         # a session flagged unusable still counts toward the categories
         sess = sessionize([ev(ts=0, item="A", category_id="c")]).sessions["s1"]
-        store = SessionStore({"s1": replace(sess, usable=False)}, {"u1": ["s1"]})
+        store = SessionStore({"s1": replace(sess, usable=False)})
         ds = featurize_store(store, embedding_table, n_categories=3)
         assert ds.rows.shape == (0, 61)
         assert ds.feature_names == SCALAR_FEATURES + [f"desc_{i:02d}" for i in range(EMBED_DIM)]

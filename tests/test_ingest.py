@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ class TestSessionize:
         assert sorted(store.sessions) == ["s1", "s2"]
         s1 = store.sessions["s1"]
         assert [e.timestamp for e in s1.events] == [10, 30]
-        assert store.user_index["u2"] == ["s2"]
+        assert store.sessions["s2"].user_id == "u2"
 
     def test_ads_excluded(self):
         store = sessionize([ev(), ev(ts=1, etype="adview"), ev(ts=2, etype="adclick")])
@@ -263,7 +264,16 @@ class TestSessionize:
         s = store.sessions["s1"]
         assert s.label == "non_buy"
         assert not s.bought_items
-        assert len(s.click_events()) == 2
+        assert s.usable
+        assert [e.event_type for e in s.feature_events()] == ["pageview", "basketview"]
+
+    def test_buy_only_session_is_unusable(self):
+        s = sessionize([ev(etype="buy", item="ix"), ev(ts=1, etype="adview")]).sessions["s1"]
+        assert (s.label, s.bought_items, s.usable) == ("buy", {"ix"}, False)
+
+
+def sessions_per_user(store) -> dict[str, int]:
+    return Counter(s.user_id for s in store.sessions.values())
 
 
 class TestFilterMinClicks:
@@ -274,19 +284,18 @@ class TestFilterMinClicks:
 
     def test_user_below_threshold_dropped_entirely(self):
         store = filter_min_clicks(self.build(9), min_clicks=10)
-        assert "u1" not in store.user_index
-        assert len(store.user_index["u2"]) == 12
+        assert sessions_per_user(store) == {"u2": 12}
 
     def test_boundary_user_kept(self):
         store = filter_min_clicks(self.build(10), min_clicks=10)
-        assert "u1" in store.user_index
+        assert sessions_per_user(store) == {"u1": 1, "u2": 12}
 
     def test_counts_all_sessions_of_user(self):
         events = [ev(sid="a", ts=1), ev(sid="b", ts=2)] + [
             ev(user="u2", sid="c", ts=i, item=f"i{i}") for i in range(10)
         ]
         store = filter_min_clicks(sessionize(events), min_clicks=2)
-        assert "u1" in store.user_index
+        assert sessions_per_user(store) == {"u1": 2, "u2": 1}
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -431,7 +440,7 @@ class TestStorePersistence:
         st.integers(0, 10**6),
     )
     def test_bytes_equal_the_whole_document_dump(self, tmp_path_factory, sessions, dropped):
-        store = SessionStore({s.session_id: s for s in sessions}, {}, duplicates_dropped=dropped)
+        store = SessionStore({s.session_id: s for s in sessions}, duplicates_dropped=dropped)
         root = tmp_path_factory.mktemp("stores")
         save_store(store, root / "store.json")
         save_store_dump(store, root / "oracle.json")
@@ -493,17 +502,3 @@ class TestStorePersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="'s1' has bought_items other than the items of its buy events"):
             load_store(path)
-
-
-class TestUserSessions:
-    def test_chronological_order(self):
-        events = [
-            ev(sid="b", ts=100),
-            ev(sid="a", ts=200),
-            ev(sid="c", ts=50),
-        ]
-        store = sessionize(events)
-        assert [s.session_id for s in store.user_sessions("u1")] == ["c", "b", "a"]
-
-    def test_unknown_user_empty(self):
-        assert sessionize([ev()]).user_sessions("nobody") == []

@@ -1,8 +1,9 @@
 """src/ holds only what the pipeline runs.
 
-Every top-level function and class in the package must be used somewhere
-in src/ outside its own definition, or by the benchmark script. A helper
-that only its unit test calls gets a real caller or goes, with its test.
+Every top-level function and class in the package, and every method of
+a top-level class but the dunder methods, must be used somewhere in src/
+outside its own definition, or by the benchmark script. A helper that
+only its unit test calls gets a real caller or goes, with its test.
 Every name a module imports must be read in that module, and no module
 writes JSON through json.dump.
 """
@@ -42,13 +43,24 @@ def _top_level_definitions(tree: ast.Module):
     return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
+def _methods(tree: ast.Module):
+    """The methods of tree's top-level classes, dunder methods aside."""
+    return [
+        n
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for n in cls.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and not re.fullmatch(r"__\w+__", n.name)
+    ]
+
+
 def unused_definitions() -> list[str]:
     modules = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     uses = sum((_uses(tree) for tree in modules.values()), Counter())
     bench = BENCH.read_text(encoding="utf-8")
     unused = []
     for path, tree in modules.items():
-        for node in _top_level_definitions(tree):
+        for node in _top_level_definitions(tree) + _methods(tree):
             name = node.name
             if name in ALLOWED or re.search(rf"\b{re.escape(name)}\b", bench):
                 continue
