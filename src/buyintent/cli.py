@@ -40,7 +40,7 @@ from .evaluation import (
     holdout_evaluate,
     random_search,
 )
-from .features import balance, featurize_store, load_embedding_table
+from .features import balance, constant_columns, featurize_store, load_embedding_table
 from .ingest import ingest_events, load_store, parse_events, save_store
 from .neural import Hyperparams, Network, network_predict, train_mlp, train_sda
 from .nmf import reduce_dataset
@@ -125,7 +125,7 @@ def _cmd_ingest(args) -> Ran:
     store, report = ingest_events(parsed, min_clicks=args.min_clicks, horizon_ms=int(horizon_ms))
     save_store(store, args.out)
     report_path = args.out + ".report.json"
-    _write_text(report_path, report.to_json() + "\n")
+    _write_text(report_path, report.to_json())
     return Ran([args.input], [args.out, report_path], None, dumps(vars(report)))
 
 
@@ -140,7 +140,8 @@ def _cmd_featurize(args) -> Ran:
     meta["positives"] = int(ds.labels.sum())
     meta_path = args.out + ".meta.json"
     _write_text(meta_path, dumps(meta) + "\n")
-    summary = dumps({"n": ds.n, "d": ds.d, "positives": meta["positives"]})
+    summary = dumps({"n": ds.n, "d": ds.d, "positives": meta["positives"],
+                     "constant_columns": len(constant_columns(ds))})
     return Ran([args.store, args.embeddings], [args.out, meta_path], args.balance_seed, summary)
 
 

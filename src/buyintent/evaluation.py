@@ -1,5 +1,5 @@
-"""AUC, cross-validation splitting, the 25%/4-fold holdout protocol,
-and seeded random search over the network hyperparameter ranges.
+"""AUC, the split plans of k-fold cv and the 25%/4-fold holdout, the one
+fold loop that runs them, and seeded network hyperparameter search.
 
 A trainer here is any callable (train: Dataset, seed) -> score_fn,
 where score_fn maps raw feature rows to buy probabilities. Models that
@@ -17,6 +17,10 @@ import numpy as np
 from .dataset import Dataset
 from .neural import BOUNDS, MAX_UNITS, Hyperparams
 from .util import TrainingDiverged, as_rng, dumps, substream_seed
+
+# the most trials random_search runs: far past the default of 20, so a
+# mistyped budget is refused before the first trial trains
+MAX_BUDGET = 10_000
 
 
 def auc(scores, labels) -> float:
@@ -50,19 +54,24 @@ def kfold_split(n: int, k: int = 10, seed=0) -> list[np.ndarray]:
     return list(np.array_split(perm, k))
 
 
-@dataclass(eq=False)
-class SplitPlan:
-    """A held-out test quarter plus four training folds of the rest."""
+def _rotate(folds: list[np.ndarray], **fixed: np.ndarray) -> list[tuple]:
+    """A split plan: one (train, scored) pair per model, the rows it
+    trains on and the named row sets it then scores, in order. Each fold
+    in turn is scored as the validation set while the others, in order,
+    are trained on; every model then also scores the fixed sets (the
+    holdout's test rows)."""
+    return [
+        (np.concatenate(folds[:i] + folds[i + 1 :]), {"validation": val, **fixed})
+        for i, val in enumerate(folds)
+    ]
 
-    test_idx: np.ndarray
-    folds: list[np.ndarray]
 
-    def train_for(self, fold: int) -> np.ndarray:
-        others = [f for i, f in enumerate(self.folds) if i != fold]
-        return np.concatenate(others)
+def cv_protocol(n: int, k: int = 10, seed=0) -> list[tuple]:
+    """k-fold cross-validation: each fold of kfold_split held out once."""
+    return _rotate(kfold_split(n, k, seed))
 
 
-def holdout_protocol(data, seed=0) -> SplitPlan:
+def holdout_protocol(data, seed=0) -> list[tuple]:
     """25% of rows out as the test set, the remaining 75% split into
     four validation folds. Accepts a Dataset or a row count."""
     n = data.n if isinstance(data, Dataset) else int(data)
@@ -70,10 +79,7 @@ def holdout_protocol(data, seed=0) -> SplitPlan:
         raise ValueError(f"holdout protocol needs at least 8 rows, got {n}")
     perm = as_rng(seed).permutation(n)
     n_test = n // 4
-    return SplitPlan(
-        test_idx=perm[:n_test],
-        folds=list(np.array_split(perm[n_test:], 4)),
-    )
+    return _rotate(list(np.array_split(perm[n_test:], 4)), test=perm[:n_test])
 
 
 @dataclass(eq=False)
@@ -105,44 +111,33 @@ class EvalReport:
         return dumps(body)
 
 
+def _evaluate(trainer, ds: Dataset, plan: list[tuple], seed, key: int, reported: str, **names) -> EvalReport:
+    """The one fold loop. Fold i's model trains on its rows under
+    substream_seed(seed, key, i) and scores each of its row sets in
+    order. The reported set's AUCs are the report's fold AUCs; those of
+    every other set ride along in extras as <name>_aucs."""
+    aucs: dict[str, list[float]] = {}
+    for i, (train, scored) in enumerate(plan):
+        score = trainer(ds.take(train), substream_seed(seed, key, i))
+        for name, idx in scored.items():
+            aucs.setdefault(name, []).append(auc(score(ds.rows[idx]), ds.labels[idx]))
+    fold_aucs = aucs.pop(reported)
+    extras = {f"{name}_aucs": v for name, v in aucs.items()}
+    return EvalReport(seed=int(seed), fold_aucs=fold_aucs, auc=float(np.mean(fold_aucs)), extras=extras, **names)
+
+
 def cross_validate(trainer, ds: Dataset, k: int = 10, seed=0, model_name: str = "model", dataset_name: str = "dataset") -> EvalReport:
     """k-fold CV: train on k-1 folds, score the held-out fold."""
-    folds = kfold_split(ds.n, k, seed)
-    fold_aucs = []
-    for i, val_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        score = trainer(ds.take(train_idx), substream_seed(seed, 401, i))
-        fold_aucs.append(auc(score(ds.rows[val_idx]), ds.labels[val_idx]))
-    return EvalReport(
-        model=model_name,
-        dataset=dataset_name,
-        protocol=f"cv{k}",
-        seed=int(seed),
-        fold_aucs=fold_aucs,
-        auc=float(np.mean(fold_aucs)),
-    )
+    return _evaluate(trainer, ds, cv_protocol(ds.n, k, seed), seed, 401, "validation",
+                     model=model_name, dataset=dataset_name, protocol=f"cv{k}")
 
 
 def holdout_evaluate(trainer, ds: Dataset, seed=0, model_name: str = "model", dataset_name: str = "dataset") -> EvalReport:
     """Train four models, each with one fold held out for validation,
     and report the mean of their test-set AUCs. Per-fold validation
     AUCs ride along in extras for model selection."""
-    plan = holdout_protocol(ds, seed)
-    test_rows, test_labels = ds.rows[plan.test_idx], ds.labels[plan.test_idx]
-    test_aucs, val_aucs = [], []
-    for i, val_idx in enumerate(plan.folds):
-        score = trainer(ds.take(plan.train_for(i)), substream_seed(seed, 402, i))
-        val_aucs.append(auc(score(ds.rows[val_idx]), ds.labels[val_idx]))
-        test_aucs.append(auc(score(test_rows), test_labels))
-    return EvalReport(
-        model=model_name,
-        dataset=dataset_name,
-        protocol="holdout25x4",
-        seed=int(seed),
-        fold_aucs=test_aucs,
-        auc=float(np.mean(test_aucs)),
-        extras={"validation_aucs": val_aucs},
-    )
+    return _evaluate(trainer, ds, holdout_protocol(ds, seed), seed, 402, "test",
+                     model=model_name, dataset=dataset_name, protocol="holdout25x4")
 
 
 @dataclass(frozen=True)
@@ -201,6 +196,8 @@ def random_search(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget must be at most {MAX_BUDGET}, got {budget}")
     rng = as_rng(seed)
     trials: list[dict] = []
     best: tuple[float, Hyperparams, EvalReport] | None = None

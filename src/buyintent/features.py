@@ -9,7 +9,6 @@ no feature peeks at the session's own outcome.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -20,8 +19,6 @@ import numpy as np
 from .dataset import Dataset
 from .ingest import CLICK_EVENT_TYPES, MS_PER_HOUR, SessionStore
 from .util import text_lines
-
-log = logging.getLogger(__name__)
 
 EMBED_DIM = 50
 
@@ -360,7 +357,4 @@ def featurize_store(
         category_count=len(categories),
         n_base_cols=len(SCALAR_FEATURES) + EMBED_DIM,
     )
-    const = constant_columns(ds)
-    if const:
-        log.warning("%d constant feature columns (first: %s)", len(const), const[:3])
     return ds

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -13,8 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .util import dumps
-
-log = logging.getLogger(__name__)
 
 EVENT_TYPES = frozenset({"pageview", "basketview", "buy", "adclick", "adview"})
 AD_EVENT_TYPES = frozenset({"adclick", "adview"})
@@ -189,8 +186,8 @@ def _validate_event(obj: dict) -> str | None:
 def sessionize(events) -> SessionStore:
     """Group events by session id, sorted by timestamp (stable on input
     order for ties). Ad events are excluded; exact duplicate
-    (session_id, timestamp, event_type, item_id) events are dropped with
-    a warning and counted on the store."""
+    (session_id, timestamp, event_type, item_id) events are dropped and
+    counted on the store."""
     groups: dict[str, list[RawEvent]] = {}
     seen: set[tuple] = set()
     duplicates = 0
@@ -203,8 +200,6 @@ def sessionize(events) -> SessionStore:
             continue
         seen.add(key)
         groups.setdefault(ev.session_id, []).append(ev)
-    if duplicates:
-        log.warning("dropped %d duplicate events during sessionization", duplicates)
 
     sessions: dict[str, Session] = {}
     for sid in sorted(groups):
@@ -388,6 +383,9 @@ def load_store(path) -> SessionStore:
 
 
 def _read_sessions(doc: dict) -> SessionStore:
+    dropped = doc.get("duplicates_dropped", 0)
+    if type(dropped) is not int or dropped < 0:
+        raise ValueError(f"'duplicates_dropped' must be a nonnegative int, got {dropped!r}")
     records = doc.get("sessions")
     if not isinstance(records, list):
         raise ValueError("'sessions' must be a list")
@@ -445,4 +443,4 @@ def _read_sessions(doc: dict) -> SessionStore:
             raise ValueError(f"session {s.session_id!r} has label {s.label!r} but {'a' if bought else 'no'} buy event")
         if rec["bought_items"] != sorted(bought):
             raise ValueError(f"session {s.session_id!r} has bought_items other than the items of its buy events")
-    return SessionStore(sessions, doc.get("duplicates_dropped", 0))
+    return SessionStore(sessions, dropped)

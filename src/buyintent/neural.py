@@ -217,32 +217,44 @@ def _epochs(n: int, hp: Hyperparams, rng):
         yield batches
 
 
+def _descend(weights, biases, n: int, hp: Hyperparams, rng, step, what: str) -> None:
+    """Momentum SGD over _epochs(n, hp, rng), shared by train_ae_layer and
+    finetune: step(idx) returns batch idx's GradientSet (drawing its noise
+    from rng), which moves weights (with L2 decay) and biases in place. A
+    non-finite batch or epoch loss raises TrainingDiverged(epoch, what)."""
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    for epoch, batches in enumerate(_epochs(n, hp, rng)):
+        epoch_loss = 0.0
+        for idx, lr in batches:
+            g = step(idx)
+            if not np.isfinite(g.loss):
+                raise TrainingDiverged(epoch, what)
+            for i, w in enumerate(weights):
+                vel_w[i] = hp.momentum * vel_w[i] - lr * (g.weights[i] + hp.l2_weight_cost * w)
+                w += vel_w[i]
+            for i, b in enumerate(biases):
+                vel_b[i] = hp.momentum * vel_b[i] - lr * g.biases[i]
+                b += vel_b[i]
+            epoch_loss += g.loss * len(idx)
+        if not np.isfinite(epoch_loss):
+            raise TrainingDiverged(epoch, what)
+
+
 def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Layer:
     """Denoising SGD training of one tied layer. Corruption is resampled
-    for every presentation of every batch; a non-finite epoch loss
-    raises TrainingDiverged.
+    for every presentation of every batch; a non-finite loss raises
+    TrainingDiverged.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rng = as_rng(seed)
     layer = init_layer(X.shape[1], n_hidden, rng)
-    vel_W = np.zeros_like(layer.W)
-    vel_b = np.zeros_like(layer.b)
-    vel_c = np.zeros_like(layer.c)
-    for epoch, batches in enumerate(_epochs(X.shape[0], hp, rng)):
-        epoch_loss = 0.0
-        for idx, lr in batches:
-            xb = X[idx]
-            xc = corrupt(xb, hp.input_noise_level, rng)
-            g = ae_layer_gradients(layer, xb, xc, hp.activation)
-            vel_W = hp.momentum * vel_W - lr * (g.weights[0] + hp.l2_weight_cost * layer.W)
-            vel_b = hp.momentum * vel_b - lr * g.biases[0]
-            vel_c = hp.momentum * vel_c - lr * g.biases[1]
-            layer.W += vel_W
-            layer.b += vel_b
-            layer.c += vel_c
-            epoch_loss += g.loss * len(idx)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(epoch, "autoencoder reconstruction loss")
+
+    def step(idx):
+        xb = X[idx]
+        return ae_layer_gradients(layer, xb, corrupt(xb, hp.input_noise_level, rng), hp.activation)
+
+    _descend([layer.W], [layer.b, layer.c], X.shape[0], hp, rng, step, "autoencoder reconstruction loss")
     return layer
 
 
@@ -385,34 +397,18 @@ def finetune(stack, X: np.ndarray, y: np.ndarray, hp: Hyperparams, seed, scaler=
     TrainingDiverged on a non-finite loss.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y)
     rng = as_rng(seed)
     net = build_network(stack, 2, hp, rng, scaler=scaler)
     T = _one_hot(y)
-    vel_W = [np.zeros_like(l.W) for l in net.layers]
-    vel_b = [np.zeros_like(l.b) for l in net.layers]
     keep = 1.0 - hp.dropout_fraction
-    for epoch, batches in enumerate(_epochs(X.shape[0], hp, rng)):
-        epoch_loss = 0.0
-        for idx, lr in batches:
-            xb, tb = X[idx], T[idx]
-            masks = None
-            if hp.dropout_fraction > 0.0:
-                masks = [
-                    (rng.random((len(idx), l.W.shape[0])) < keep) / keep
-                    for l in net.layers[:-1]
-                ]
-            g = network_gradients(net, xb, tb, masks)
-            if not np.isfinite(g.loss):
-                raise TrainingDiverged(epoch, "cross-entropy loss")
-            for i, layer in enumerate(net.layers):
-                vel_W[i] = hp.momentum * vel_W[i] - lr * (g.weights[i] + hp.l2_weight_cost * layer.W)
-                vel_b[i] = hp.momentum * vel_b[i] - lr * g.biases[i]
-                layer.W += vel_W[i]
-                layer.b += vel_b[i]
-            epoch_loss += g.loss * len(idx)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(epoch, "cross-entropy loss")
+
+    def step(idx):
+        masks = None
+        if hp.dropout_fraction > 0.0:
+            masks = [(rng.random((len(idx), l.W.shape[0])) < keep) / keep for l in net.layers[:-1]]
+        return network_gradients(net, X[idx], T[idx], masks)
+
+    _descend([l.W for l in net.layers], [l.b for l in net.layers], X.shape[0], hp, rng, step, "cross-entropy loss")
     return net
 
 

@@ -15,12 +15,12 @@ ingestion something real to exercise.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .evaluation import auc
 from .util import as_rng, dumps, sigmoid
 
 WORDS_PER_DESC = (3, 7)
@@ -313,7 +313,9 @@ def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
             vals = "\t".join(f"{v:.8f}" for v in vectors[word].tolist())
             fh.write(f"{word}\t{vals}\n")
 
-    ceiling = bayes_optimal_auc(truth_path)
+    # the intent probabilities against the drawn labels: the AUC ceiling
+    # no scorer can beat in expectation
+    ceiling = auc(intents, labels)
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write(
             dumps(
@@ -339,20 +341,3 @@ def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
         bayes_auc=ceiling,
     )
 
-
-def bayes_optimal_auc(truth_path: str) -> float:
-    """AUC of the true intent probabilities against realized labels,
-    the ceiling no scorer can beat in expectation."""
-    from .evaluation import auc
-
-    if not os.path.exists(truth_path):
-        raise FileNotFoundError(truth_path)
-    intents, labels = [], []
-    with open(truth_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            intents.append(row["intent"])
-            labels.append(1 if row["label"] == "buy" else 0)
-    return auc(np.array(intents), np.array(labels))

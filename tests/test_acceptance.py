@@ -22,7 +22,7 @@ from buyintent.baselines import (
     train_forest,
     train_logistic,
 )
-from buyintent.evaluation import auc, holdout_evaluate, holdout_protocol, kfold_split
+from buyintent.evaluation import auc, cv_protocol, holdout_evaluate, holdout_protocol, kfold_split
 from buyintent.features import balance, featurize_store, load_embedding_table
 from buyintent.ingest import ingest_events, parse_events
 from buyintent.neural import (
@@ -421,7 +421,8 @@ def test_pretraining_beats_random_initialization(ordering_runs):
 
 def test_split_protocols_partition_exactly():
     """Quarter holdout plus four folds, and 10-fold splits, are exact
-    partitions for arbitrary sizes and seeds."""
+    partitions for arbitrary sizes and seeds, and each plan's fold trains
+    on the other folds."""
     rng = as_rng(77)
     for _ in range(100):
         n = int(rng.integers(10, 600))
@@ -434,21 +435,26 @@ def test_split_protocols_partition_exactly():
         assert np.array_equal(np.sort(joined), np.arange(n))
         sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
+        for i, (train, scored) in enumerate(cv_protocol(n, 10, seed)):
+            assert np.array_equal(scored["validation"], folds[i])
+            assert np.array_equal(train, np.concatenate(folds[:i] + folds[i + 1 :]))
 
         plan = holdout_protocol(n, seed)
-        assert len(plan.test_idx) == n // 4
-        assert len(plan.folds) == 4
-        joined = np.concatenate([plan.test_idx] + plan.folds)
+        test = plan[0][1]["test"]
+        assert len(test) == n // 4
+        assert len(plan) == 4
+        val = [scored["validation"] for _, scored in plan]
+        joined = np.concatenate([test] + val)
         assert len(joined) == n
         assert np.array_equal(np.sort(joined), np.arange(n))
-        sizes = [len(f) for f in plan.folds]
+        sizes = [len(f) for f in val]
         assert max(sizes) - min(sizes) <= 1
-        for i in range(4):
-            expect = np.concatenate([f for j, f in enumerate(plan.folds) if j != i])
-            assert np.array_equal(plan.train_for(i), expect)
+        for i, (train, scored) in enumerate(plan):
+            assert np.array_equal(scored["test"], test)
+            assert np.array_equal(train, np.concatenate(val[:i] + val[i + 1 :]))
 
         again = holdout_protocol(n, seed)
-        assert np.array_equal(plan.test_idx, again.test_idx)
+        assert np.array_equal(test, again[0][1]["test"])
     verdict(7, "split protocols", True, "100 sizes partition exactly")
 
 

@@ -9,16 +9,23 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import buyintent
-from buyintent import baselines, cli, neural
+from buyintent import baselines, cli, evaluation, neural
 from buyintent.baselines import MAX_TREES
 from buyintent.baselines import Forest
 from buyintent.dataset import Dataset, dataset_header, load_dataset, save_dataset
+from buyintent.evaluation import MAX_BUDGET
+from buyintent.features import constant_columns
 from buyintent.ingest import load_store
 from buyintent.neural import Hyperparams, Network
 from buyintent.util import MAX_EPOCHS, check_epochs
@@ -150,6 +157,30 @@ class TestIngest:
         assert sidecar["parse_errors"] == 0
         assert sidecar == json.loads(work["ingest_out"])
 
+    def test_report_sidecar_ends_in_one_newline(self, work):
+        text = (work["root"] / "store.json.report.json").read_text()
+        assert text.endswith("}\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_duplicate_event_is_counted_and_stderr_stays_empty(self, work, tmp_path):
+        # a fresh interpreter, so nothing the test runner set up (such as
+        # its log capture) stands between the command and its stderr
+        lines = (work["corpus"] / "events.jsonl").read_text().splitlines(True)
+        k = next(i for i, line in enumerate(lines) if '"event_type":"pageview"' in line)
+        log = tmp_path / "events.jsonl"
+        log.write_text("".join(lines[: k + 1] + lines[k:]))
+        out = tmp_path / "s.json"
+        src = str(Path(buyintent.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        ran = subprocess.run(
+            [sys.executable, "-m", "buyintent.cli", "ingest", "--input", str(log), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert ran.returncode == 0
+        assert ran.stderr == ""
+        assert json.loads(ran.stdout)["duplicates_dropped"] == 1
+        assert load_store(out).duplicates_dropped == 1
+
     def test_manifest_records_input_digest(self, work):
         manifest = json.loads((work["root"] / "store.json.manifest.json").read_text())
         events = str(work["corpus"] / "events.jsonl")
@@ -254,6 +285,10 @@ class TestFeaturize:
         assert int(ds.labels.sum()) * 2 == ds.n
         summary = json.loads(work["feat_out"])
         assert summary["positives"] * 2 == summary["n"]
+
+    def test_summary_counts_the_written_constant_columns(self, work):
+        summary = json.loads(work["feat_out"])
+        assert summary["constant_columns"] == len(constant_columns(load_dataset(work["balanced"])))
 
     def test_unbalanced_dataset_keeps_every_usable_session(self, work):
         plain = load_dataset(work["plain"])
@@ -816,6 +851,21 @@ class TestSearch:
         )
         assert rc == 1
         assert "budget" in stderr_error(err)["detail"]
+
+    def test_budget_past_its_ceiling_is_refused_before_any_trial(self, work, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "holdout_evaluate", None)  # every trial calls it
+        report = tmp_path / "search.json"
+        started = time.perf_counter()
+        rc, out, err = run_cli(
+            ["search", "--model", "sda", "--in", str(work["balanced"]),
+             "--budget", "1000000000", "--seed", "3", "--report", str(report)]
+        )
+        assert time.perf_counter() - started < 1.0
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": f"budget must be at most {MAX_BUDGET}, got 1000000000"}
+        assert not report.exists()
 
 
 class TestUsageAndErrors:

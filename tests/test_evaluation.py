@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from buyintent import evaluation
 from buyintent.dataset import Dataset
 from buyintent.evaluation import (
+    MAX_BUDGET,
     EvalReport,
     SearchSpace,
     auc,
     cross_validate,
+    cv_protocol,
     holdout_evaluate,
     holdout_protocol,
     kfold_split,
     random_search,
 )
 from buyintent.neural import Hyperparams
-from buyintent.util import TrainingDiverged
+from buyintent.util import TrainingDiverged, dumps
+from evaluation_oracles import cross_validate_loop, holdout_evaluate_loop
 from network_oracles import assert_in_search_space
 
 
@@ -147,34 +155,49 @@ class TestKfoldSplit:
 class TestHoldoutProtocol:
     def test_sizes(self):
         plan = holdout_protocol(100, seed=0)
-        assert len(plan.test_idx) == 25
-        assert sum(len(f) for f in plan.folds) == 75
-        assert len(plan.folds) == 4
+        assert len(plan) == 4
+        assert all(list(scored) == ["validation", "test"] for _, scored in plan)
+        assert all(len(scored["test"]) == 25 for _, scored in plan)
+        assert sum(len(scored["validation"]) for _, scored in plan) == 75
 
     def test_partition_property(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             n = int(rng.integers(8, 300))
             plan = holdout_protocol(n, seed=int(rng.integers(0, 1000)))
-            joined = np.concatenate([plan.test_idx] + plan.folds)
+            test = plan[0][1]["test"]
+            assert all(np.array_equal(scored["test"], test) for _, scored in plan)
+            joined = np.concatenate([test] + [scored["validation"] for _, scored in plan])
             assert sorted(joined.tolist()) == list(range(n))
 
-    def test_train_for_excludes_the_fold(self):
+    def test_each_fold_trains_on_the_other_folds(self):
         plan = holdout_protocol(40, seed=1)
-        train = plan.train_for(2)
-        assert not set(train) & set(plan.folds[2])
-        assert not set(train) & set(plan.test_idx)
-        expected = set(range(40)) - set(plan.test_idx) - set(plan.folds[2])
-        assert set(train) == expected
+        train, scored = plan[2]
+        val, test = scored["validation"], scored["test"]
+        assert not set(train) & set(val)
+        assert not set(train) & set(test)
+        assert set(train) == set(range(40)) - set(test) - set(val)
+        others = [plan[i][1]["validation"] for i in (0, 1, 3)]
+        assert np.array_equal(train, np.concatenate(others))
 
     def test_accepts_dataset(self):
         ds = signal_ds(n=16)
         plan = holdout_protocol(ds, seed=0)
-        assert len(plan.test_idx) == 4
+        assert len(plan[0][1]["test"]) == 4
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="at least 8"):
             holdout_protocol(7)
+
+
+class TestCvProtocol:
+    def test_validation_sets_are_the_kfold_split(self):
+        plan = cv_protocol(50, 5, seed=3)
+        folds = kfold_split(50, 5, seed=3)
+        assert [list(scored) for _, scored in plan] == [["validation"]] * 5
+        for i, (train, scored) in enumerate(plan):
+            assert np.array_equal(scored["validation"], folds[i])
+            assert np.array_equal(train, np.concatenate(folds[:i] + folds[i + 1 :]))
 
 
 class TestEvalReport:
@@ -400,6 +423,24 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="budget"):
             random_search(SearchSpace(), self.trainer_factory, ds, budget=0, seed=0)
 
+    def test_budget_past_its_ceiling_is_refused_before_any_trial(self):
+        def factory(hp):
+            raise AssertionError("a trial started")
+
+        ds = signal_ds(n=40, seed=13)
+        with pytest.raises(ValueError, match=f"budget must be at most {MAX_BUDGET}, got {MAX_BUDGET + 1}"):
+            random_search(SearchSpace(), factory, ds, budget=MAX_BUDGET + 1, seed=0)
+
+    def test_budget_at_its_ceiling_is_admitted(self):
+        class FirstTrial(Exception):
+            pass
+
+        def factory(hp):
+            raise FirstTrial
+
+        with pytest.raises(FirstTrial):
+            random_search(SearchSpace(), factory, signal_ds(n=40, seed=13), budget=MAX_BUDGET, seed=0)
+
     def test_network_trainer_round_trip(self, balanced_dataset):
         """One real end-to-end trial with the actual network trainer."""
         from buyintent.neural import train_mlp, network_predict
@@ -424,3 +465,77 @@ class TestRandomSearch:
         assert len(out.trials) == 2
         assert all(t["status"] == "ok" for t in out.trials)
         assert 0.0 <= out.best_report.auc <= 1.0
+
+
+def trainer_with_state(train, seed, scale=1.0):
+    """A model whose scores hang on its training rows and their order,
+    its seed and the order it is asked to score in: the first column
+    weighted by the first training row's second column, plus noise drawn
+    from its seed on every call."""
+    rng = np.random.default_rng(seed)
+    weight = scale * float(train.rows[0, 1])
+
+    def score(rows):
+        return rows[:, 0] * weight + rng.random(len(rows))
+
+    return score
+
+
+@st.composite
+def evaluation_problems(draw):
+    """A dataset of 8 to 160 rows with a weak signal, a k and a seed.
+    Small folds often hold one class, so both sides then raise."""
+    n = draw(st.integers(8, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    y = rng.integers(0, 2, n)
+    X = rng.normal(size=(n, 3))
+    X[:, 0] += y
+    return make_ds(X, y), draw(st.integers(2, 10)), draw(st.integers(0, 2**32 - 1))
+
+
+def outcome(run):
+    """What a run returns, as bytes, or the error it raises."""
+    try:
+        return run()
+    except (ValueError, TrainingDiverged) as err:
+        return type(err).__name__, str(err)
+
+
+class TestProtocolsAgainstTheFoldLoops:
+    """cv, holdout and search reports keep the bytes of the two loops in
+    evaluation_oracles, errors included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(evaluation_problems())
+    def test_cross_validate(self, problem):
+        ds, k, seed = problem
+        got = outcome(lambda: cross_validate(trainer_with_state, ds, k, seed, "m", "d").to_json())
+        assert got == outcome(lambda: cross_validate_loop(trainer_with_state, ds, k, seed, "m", "d").to_json())
+
+    @settings(max_examples=150, deadline=None)
+    @given(evaluation_problems())
+    def test_holdout_evaluate(self, problem):
+        ds, _, seed = problem
+        got = outcome(lambda: holdout_evaluate(trainer_with_state, ds, seed, "m", "d").to_json())
+        assert got == outcome(lambda: holdout_evaluate_loop(trainer_with_state, ds, seed, "m", "d").to_json())
+
+    @settings(max_examples=60, deadline=None)
+    @given(evaluation_problems())
+    def test_random_search(self, problem):
+        ds, budget, seed = problem
+
+        def factory(hp):
+            def trainer(train, seed):
+                if hp.momentum > 0.6:
+                    raise TrainingDiverged(0, "synthetic blowup")
+                return trainer_with_state(train, seed, hp.initial_learning_rate)
+
+            return trainer
+
+        def search():
+            result = random_search(SearchSpace(), factory, ds, budget // 2, seed, "m", "d")
+            return result.best_hyperparams, result.best_report.to_json(), dumps(result.trials)
+
+        got = outcome(search)
+        with mock.patch.object(evaluation, "holdout_evaluate", holdout_evaluate_loop):
+            assert got == outcome(search)

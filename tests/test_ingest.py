@@ -491,6 +491,17 @@ class TestStorePersistence:
         assert str(excinfo.value).startswith(f"{path}: ")
         assert named in str(excinfo.value)
 
+    @pytest.mark.parametrize("dropped", ["many", True, -1, 1.0, None])
+    def test_duplicates_dropped_must_be_a_nonnegative_int(self, tmp_path, dropped):
+        path = tmp_path / "store.json"
+        save_store(sessionize([ev(sid="s1", ts=0)]), path)
+        doc = json.loads(path.read_text())
+        doc["duplicates_dropped"] = dropped
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'duplicates_dropped' must be a nonnegative int") as excinfo:
+            load_store(path)
+        assert str(excinfo.value).startswith(f"{path}: malformed session store: ")
+
     @pytest.mark.parametrize("bought", [["B", "A"], ["A", "A", "B"], ["A"]])
     def test_bought_items_are_the_sorted_distinct_buys(self, tmp_path, bought):
         path = tmp_path / "store.json"

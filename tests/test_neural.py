@@ -843,3 +843,28 @@ class TestTrainersAgainstPerBatchLoops:
         stack = init_stack(X.shape[1], hp.hidden_units, seed)
         got = train_outcome(finetune, stack, X, y, hp, seed + 1)
         assert got == train_outcome(finetune_loop, stack, X, y, hp, seed + 1)
+
+    def test_autoencoder_divergence_raises_as_the_loop_does(self):
+        # the one huge entry sits in whichever minibatch the shuffle puts
+        # row 200 in; the loop raises at the end of that epoch, the
+        # trainer at that batch, with the same epoch and text
+        X = np.random.default_rng(3).random((300, 4))
+        X[200, 1] = 1e200
+        hp = Hyperparams(hidden_units=(3,), initial_learning_rate=0.25, momentum=0.9, epochs=3)
+        with np.errstate(all="ignore"):
+            got = train_outcome(train_ae_layer, X, 3, hp, 7)
+            assert got == train_outcome(train_ae_layer_loop, X, 3, hp, 7)
+        assert got == ("TrainingDiverged", "training diverged at epoch 0 (autoencoder reconstruction loss)")
+
+    def test_finetune_divergence_raises_as_the_loop_does(self):
+        # relu units fed rows of size 1e18 grow past float range over
+        # several epochs at the largest rate and momentum
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 4)) * 1e18
+        y = rng.integers(0, 2, 200)
+        hp = Hyperparams(hidden_units=(4,), activation="relu", initial_learning_rate=0.25, momentum=0.95, epochs=10)
+        stack = init_stack(4, (4,), 0)
+        with np.errstate(all="ignore"):
+            got = train_outcome(finetune, stack, X, y, hp, 0)
+            assert got == train_outcome(finetune_loop, stack, X, y, hp, 0)
+        assert got == ("TrainingDiverged", "training diverged at epoch 4 (cross-entropy loss)")

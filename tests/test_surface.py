@@ -4,8 +4,8 @@ Every top-level function and class in the package, and every method of
 a top-level class but the dunder methods, must be used somewhere in src/
 outside its own definition, or by the benchmark script. A helper that
 only its unit test calls gets a real caller or goes, with its test.
-Every name a module imports must be read in that module, and no module
-writes JSON through json.dump.
+Every name a module imports must be read in that module, no module
+writes JSON through json.dump, and none imports logging.
 """
 
 from __future__ import annotations
@@ -162,3 +162,25 @@ def test_stdout_and_stderr_are_written_in_one_place_each():
     """The runner prints a command's one summary line and main writes its
     one error line; nothing else in src/ writes to either stream."""
     assert output_calls() == {"print": ["cli:_run"], "sys.stdout.write": [], "sys.stderr.write": ["cli:main"]}
+
+
+def logging_imports() -> list[str]:
+    """src/ modules that import logging. Unconfigured, logging writes
+    plain text to stderr, so a command that succeeds would leave a line
+    there beside its one JSON summary on stdout."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "logging" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_logging():
+    assert logging_imports() == []

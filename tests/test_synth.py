@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buyintent.evaluation import auc
 from buyintent.ingest import ingest_events, parse_events
-from buyintent.synth import SESSIONS_PER_USER_CDF, SynthConfig, _cdf, bayes_optimal_auc, generate
+from buyintent.synth import SESSIONS_PER_USER_CDF, SynthConfig, _cdf, generate
 
 
 def small_cfg(**kw):
@@ -159,29 +160,13 @@ class TestLabelStatistics:
 
 
 class TestBayesCeiling:
-    def test_perfectly_separated_truth_gives_one(self, tmp_path):
-        path = tmp_path / "truth.jsonl"
-        rows = [
-            {"session_id": "a", "user_id": "u", "intent": 0.9, "label": "buy"},
-            {"session_id": "b", "user_id": "u", "intent": 0.8, "label": "buy"},
-            {"session_id": "c", "user_id": "u", "intent": 0.2, "label": "non_buy"},
-            {"session_id": "d", "user_id": "u", "intent": 0.1, "label": "non_buy"},
-        ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        assert bayes_optimal_auc(str(path)) == 1.0
-
-    def test_constant_intent_gives_half(self, tmp_path):
-        path = tmp_path / "truth.jsonl"
-        rows = [
-            {"session_id": "a", "user_id": "u", "intent": 0.5, "label": "buy"},
-            {"session_id": "b", "user_id": "u", "intent": 0.5, "label": "non_buy"},
-        ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        assert bayes_optimal_auc(str(path)) == 0.5
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            bayes_optimal_auc(str(tmp_path / "nope.jsonl"))
+    def test_ceiling_is_the_auc_of_the_truth_file(self, tmp_path):
+        result = generate(small_cfg(n_users=300, seed=3), str(tmp_path / "out"))
+        with open(result.truth_path, "r", encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        intents = [r["intent"] for r in rows]
+        labels = [r["label"] == "buy" for r in rows]
+        assert result.bayes_auc == auc(intents, labels)
 
     def test_generated_ceiling_is_informative(self, tmp_path):
         result = generate(small_cfg(n_users=300, seed=3), str(tmp_path / "out"))
