@@ -3,6 +3,13 @@
 Both are trained from scratch on numpy. The logistic model standardizes
 its inputs internally and keeps the stats; trees split on Gini impurity
 with midpoint thresholds and grow to full depth.
+
+A forest's trees grow in lockstep: each round takes from every tree the
+next node of its preorder that needs a split, and scores those nodes in
+one vectorised search per SEARCH_BUDGET (row, candidate feature) pairs,
+so numpy's per-call cost is paid per round rather than per node. Each
+tree draws from its own RNG substream in the order of a grower that
+finishes one tree before starting the next, so the trees are the same.
 """
 
 from __future__ import annotations
@@ -117,14 +124,14 @@ class Tree:
     n_pos: list[int]
     n_total: list[int]
 
-    def add_leaf(self, y) -> int:
-        """Append a leaf for the labels y and return its id."""
+    def add_leaf(self, n_pos: int, n_total: int) -> int:
+        """Append a leaf of n_pos positives in n_total rows; return its id."""
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.n_pos.append(int(y.sum()))
-        self.n_total.append(len(y))
+        self.n_pos.append(n_pos)
+        self.n_total.append(n_total)
         return len(self.feature) - 1
 
     def to_dict(self) -> dict:
@@ -148,75 +155,141 @@ class Tree:
         return tree
 
 
-def _best_split(X, y, feature_ids):
-    """Lowest weighted-Gini split of two or more rows over one or more
-    candidate features, as (impurity, feature, threshold); None when
-    nothing splits.
+def _column_ranks(X):
+    """Dense rank of every value within its column: equal values, -0.0
+    and 0.0 among them, share a rank, and a larger value has a larger one."""
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    sorted_ranks = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(xs[1:] > xs[:-1], axis=0, out=sorted_ranks[1:])
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=0)
+    return ranks
 
-    Every (boundary, feature) pair is scored at once from label prefix
-    sums down each sorted column. Positions between equal values are set
-    to inf, and argmin over the feature-major ravel picks the first
-    minimum in (feature, boundary) order, the tie rule of a loop over
-    features and then boundaries with a strict comparison.
+
+def _split_search(X, ranks, y, nodes):
+    """Lowest weighted-Gini split of each (rows, candidate features) node,
+    all in one vectorised search: None when nothing splits, else
+    (impurity, feature, threshold, left child, right child) with each
+    child as (rows, positives).
+
+    Rows index X, y and ranks and may repeat; every node has two or more
+    rows and the same number of candidates. Each (node, candidate)
+    segment of the flat layout is sorted by rank, and each boundary
+    between two ranks is scored from label prefix sums. The first minimum
+    in (feature id, boundary) order wins: the tie rule of a loop over
+    sorted features and then boundaries with a strict comparison. A score
+    counts the rows at or below a value, and a threshold adds two unequal
+    values, so neither depends on the order of tied rows, and an unstable
+    sort serves.
     """
-    n = len(y)
-    Xf = X[:, feature_ids]
-    order = np.argsort(Xf, axis=0, kind="mergesort")
-    xs = np.take_along_axis(Xf, order, axis=0)
-    left_pos = np.cumsum(y[order], axis=0)[:-1]
-    right_pos = int(y.sum()) - left_pos
-    i = np.arange(1, n)[:, None]
+    feats = np.sort([f for _, f in nodes], axis=1)
+    n_nodes, mtry = feats.shape
+    n = np.array([len(rows) for rows, _ in nodes])
+    seg_len = np.repeat(n, mtry)  # segment j * mtry + c holds node j's rows for candidate c
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    seg = np.repeat(np.arange(n_nodes * mtry), seg_len)
+    local = np.arange(seg_end[-1]) - seg_start[seg]
+    row = np.concatenate([rows for rows, _ in nodes])[(np.cumsum(n) - n)[seg // mtry] + local]
+    rank = ranks[row, feats.ravel()[seg]]
+    # The key is below segments * len(X). A call holds at most one node
+    # per tree, so segments <= MAX_TREES * X.shape[1], and the key is below
+    # MAX_TREES * X.size: far from 2**63 for any X that fits in memory.
+    order = np.argsort(seg * len(X) + rank)
+    row, rank = row[order], rank[order]
+    cum = np.zeros(len(row) + 1, dtype=np.int64)  # cum[k]: positives among the first k sorted rows
+    np.cumsum(y[row], out=cum[1:])
+    step = rank[1:] > rank[:-1]
+    step[seg_end[:-1] - 1] = False
+    b = np.flatnonzero(step)
+    s = seg[b]
+    i = local[b] + 1
+    nn = seg_len[s]
+    left_pos = cum[b + 1] - cum[seg_start[s]]
+    right_pos = cum[seg_end[s]] - cum[b + 1]
     p = left_pos / i
     gl = 2.0 * p * (1.0 - p)
-    p = right_pos / (n - i)
+    p = right_pos / (nn - i)
     gr = 2.0 * p * (1.0 - p)
-    score = (i * gl + (n - i) * gr) / n
-    score[~(xs[1:] > xs[:-1])] = np.inf
-    f, b = divmod(int(np.argmin(score.T)), n - 1)
-    if score[b, f] == np.inf:
-        return None
-    thr = (xs[b, f] + xs[b + 1, f]) / 2.0
-    return float(score[b, f]), int(feature_ids[f]), float(thr)
+    score = (i * gl + (nn - i) * gr) / nn
+    node = s // mtry
+    best = np.full(n_nodes, np.inf)
+    np.minimum.at(best, node, score)
+    hit = np.flatnonzero(score == best[node])
+    pick = hit[np.searchsorted(node[hit], np.flatnonzero(best < np.inf))]
+    q, s = b[pick], s[pick]
+    f = feats.ravel()[s]
+    thr = (X[row[q], f] + X[row[q + 1], f]) / 2.0
+    splits = [None] * n_nodes
+    for j, impurity, feature, threshold, start, stop in zip(
+        node[pick].tolist(), score[pick].tolist(), f.tolist(), thr.tolist(), seg_start[s].tolist(),
+        seg_end[s].tolist(),
+    ):
+        # The segment is in value order, so the rows with x <= threshold
+        # are a prefix; it can end past the boundary, as the midpoint of
+        # two adjacent doubles may round up to the larger, and a sum near
+        # the float maximum overflows to ±inf.
+        cut = start + int(np.count_nonzero(X[row[start:stop], feature] <= threshold))
+        left, right = int(cum[cut] - cum[start]), int(cum[stop] - cum[cut])
+        splits[j] = (impurity, feature, threshold, (row[start:cut].copy(), left), (row[cut:stop].copy(), right))
+    return splits
 
 
-def _grow(X, y, mtry: int, rng) -> Tree:
-    """Grow in preorder from an explicit stack: each node draws its
-    features before its left subtree is grown, and depth is not bounded
-    by the interpreter's recursion limit. A split appends its two
-    children, so every child's id is larger than its parent's."""
-    tree = Tree(feature=[], threshold=[], left=[], right=[], n_pos=[], n_total=[])
-    stack = [(tree.add_leaf(y), X, y)]
-    while stack:
-        k, X, y = stack.pop()
-        if tree.n_pos[k] in (0, tree.n_total[k]):
-            continue
-        feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
-        best = _best_split(X, y, feats)
-        if best is None:
-            continue
-        _, f, thr = best
-        mask = X[:, f] <= thr
-        tree.feature[k] = f
-        tree.threshold[k] = thr
-        tree.left[k] = tree.add_leaf(y[mask])
-        tree.right[k] = tree.add_leaf(y[~mask])
-        stack.append((tree.right[k], X[~mask], y[~mask]))
-        stack.append((tree.left[k], X[mask], y[mask]))
-    return tree
+# the most (row, candidate feature) pairs one _split_search call holds: it
+# caps the search's working arrays, so a round over many trees with large
+# roots does not raise the peak memory of training
+SEARCH_BUDGET = 2**14
+
+
+def _grow(X, y, roots, mtry: int, rngs) -> list[Tree]:
+    """Grow one tree per (root rows, rng), all in lockstep rounds.
+
+    Each tree walks its own preorder from an explicit stack, so depth is
+    not bounded by the interpreter's recursion limit. A round takes from
+    every tree the next node that needs a split (a pure node stays a leaf
+    and draws nothing) and draws that node's features from the tree's own
+    rng, so every rng sees the draws of a grower that finishes one tree
+    before the next. The round's nodes are then searched together in
+    calls of at most SEARCH_BUDGET pairs; a node that alone holds more is
+    searched by itself. A split appends its two children, so every
+    child's id is larger than its parent's.
+    """
+    ranks = _column_ranks(X)
+    trees, stacks = [], []
+    for rows in roots:
+        tree = Tree(feature=[], threshold=[], left=[], right=[], n_pos=[], n_total=[])
+        stacks.append([(tree.add_leaf(int(y[rows].sum()), len(rows)), rows)])
+        trees.append(tree)
+    while True:
+        calls, pairs = [[]], 0
+        for tree, stack, rng in zip(trees, stacks, rngs):
+            while stack:
+                k, rows = stack.pop()
+                if tree.n_pos[k] in (0, tree.n_total[k]):
+                    continue
+                if calls[-1] and pairs + len(rows) * mtry > SEARCH_BUDGET:
+                    calls.append([])
+                    pairs = 0
+                pairs += len(rows) * mtry
+                calls[-1].append((tree, stack, k, rows, rng.choice(X.shape[1], size=mtry, replace=False)))
+                break
+        if not calls[-1]:
+            return trees
+        for call in calls:
+            splits = _split_search(X, ranks, y, [(rows, feats) for *_, rows, feats in call])
+            for (tree, stack, k, _, _), split in zip(call, splits):
+                if split is None:
+                    continue
+                _, tree.feature[k], tree.threshold[k], (left, left_pos), (right, right_pos) = split
+                tree.left[k] = tree.add_leaf(left_pos, len(left))
+                tree.right[k] = tree.add_leaf(right_pos, len(right))
+                stack.append((tree.right[k], right))
+                stack.append((tree.left[k], left))
 
 
 def default_mtry(d: int) -> int:
     return int(np.ceil(np.sqrt(d)))
-
-
-def train_tree(sample: Dataset, mtry: int | None = None, seed=0) -> Tree:
-    """Unpruned Gini tree; mtry features are redrawn at every node."""
-    if sample.n == 0:
-        raise ValueError("cannot grow a tree on an empty sample")
-    mtry = default_mtry(sample.d) if mtry is None else mtry
-    if not 1 <= mtry <= sample.d:
-        raise ValueError(f"mtry must be in [1, {sample.d}], got {mtry}")
-    return _grow(sample.rows, sample.labels.astype(int), mtry, as_rng(seed))
 
 
 @dataclass(eq=False)
@@ -266,15 +339,19 @@ def train_forest(
     seed: int = 0,
     bootstrap: bool = True,
 ) -> Forest:
-    """Bootstrap-aggregated unpruned trees, one RNG substream per tree
-    so results do not depend on training order."""
+    """Bootstrap-aggregated unpruned Gini trees, mtry features redrawn at
+    every node. Each tree draws its bootstrap rows and then its features
+    from its own RNG substream, so results do not depend on training
+    order, and the trees grow together (see _grow)."""
     check_n_trees(n_trees)
+    if train.n == 0:
+        raise ValueError("cannot grow a tree on an empty sample")
     mtry = default_mtry(train.d) if mtry is None else mtry
-    trees = []
-    for t in range(n_trees):
-        rng = as_rng(substream_seed(seed, 301, t))
-        sample = train.take(rng.integers(0, train.n, size=train.n)) if bootstrap else train
-        trees.append(train_tree(sample, mtry, rng))
+    if not 1 <= mtry <= train.d:
+        raise ValueError(f"mtry must be in [1, {train.d}], got {mtry}")
+    rngs = [as_rng(substream_seed(seed, 301, t)) for t in range(n_trees)]
+    roots = [rng.integers(0, train.n, size=train.n) if bootstrap else np.arange(train.n) for rng in rngs]
+    trees = _grow(train.rows, train.labels.astype(np.int64), roots, mtry, rngs)
     return Forest(trees=trees, mtry=mtry, seed=seed, bootstrap=bootstrap, n_features=train.d)
 
 

@@ -36,6 +36,7 @@ from .baselines import (
 from .dataset import Dataset, dataset_header, load_dataset, save_dataset
 from .evaluation import (
     SearchSpace,
+    SingleClassSet,
     cross_validate,
     holdout_evaluate,
     random_search,
@@ -72,9 +73,14 @@ class Ran(NamedTuple):
 
 def _run(args) -> int:
     """Run the command's body, write the manifest beside its first
-    output (a run that writes no file gets none) and print its summary."""
+    output (a run that writes no file gets none) and print its summary.
+    A scored set of one class (evaluate, search) is named after the
+    dataset path."""
     started = time.time()
-    ran = args.func(args)
+    try:
+        ran = args.func(args)
+    except SingleClassSet as exc:
+        raise ValueError(f"{args.infile}: {exc}") from None
     if ran.outputs:
         manifest = {
             "command": args.command,

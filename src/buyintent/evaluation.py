@@ -111,11 +111,26 @@ class EvalReport:
         return dumps(body)
 
 
+class SingleClassSet(ValueError):
+    """A row set a split plan scores holds one class only, so its AUC is
+    undefined."""
+
+
 def _evaluate(trainer, ds: Dataset, plan: list[tuple], seed, key: int, reported: str, **names) -> EvalReport:
-    """The one fold loop. Fold i's model trains on its rows under
-    substream_seed(seed, key, i) and scores each of its row sets in
-    order. The reported set's AUCs are the report's fold AUCs; those of
-    every other set ride along in extras as <name>_aucs."""
+    """The one fold loop. Every scored set of the plan is checked for
+    both classes before the first model trains. Fold i's model then
+    trains on its rows under substream_seed(seed, key, i) and scores each
+    of its row sets in order. The reported set's AUCs are the report's
+    fold AUCs; those of every other set ride along in extras as
+    <name>_aucs."""
+    for i, (_, scored) in enumerate(plan):
+        for name, idx in scored.items():
+            n_pos = int(ds.labels[idx].sum())
+            if n_pos in (0, len(idx)):
+                raise SingleClassSet(
+                    f"{names['protocol']} fold {i}: the {name} set holds {n_pos} buy and "
+                    f"{len(idx) - n_pos} non-buy rows; its AUC needs both classes"
+                )
     aucs: dict[str, list[float]] = {}
     for i, (train, scored) in enumerate(plan):
         score = trainer(ds.take(train), substream_seed(seed, key, i))

@@ -7,25 +7,26 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from buyintent import baselines
 from buyintent.baselines import (
     Forest,
     LogisticModel,
     Tree,
-    _best_split,
+    _column_ranks,
+    _split_search,
     default_mtry,
     forest_scores,
     logistic_loss_and_gradients,
     predict_logistic,
     train_forest,
     train_logistic,
-    train_tree,
 )
 from buyintent.dataset import Dataset
 from buyintent.evaluation import auc
-from buyintent.util import TrainingDiverged, as_rng
+from buyintent.util import TrainingDiverged, as_rng, substream_seed
 from tree_oracles import best_split_loop, depth, forest_scores_walk, grow_recursive, nested
 
 
@@ -52,6 +53,11 @@ def separable_ds(n=80, seed=0, margin=2.0):
 def xor_ds():
     rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     return make_ds(rows, [0, 1, 1, 0])
+
+
+def grow_one(ds, mtry=None, seed=0):
+    """The one tree of a forest of one, grown on every row."""
+    return train_forest(ds, n_trees=1, mtry=mtry, seed=seed, bootstrap=False).trees[0]
 
 
 def one_tree(node, n_features):
@@ -165,12 +171,12 @@ class TestTrainLogistic:
 class TestDecisionTree:
     def test_pure_sample_stays_leaf(self):
         ds = make_ds([[0.0], [1.0], [2.0]], [0, 0, 0])
-        tree = train_tree(ds, seed=0)
+        tree = grow_one(ds)
         assert tree.to_dict() == leaf_tree(0, 3).to_dict()
 
     def test_two_point_split_uses_midpoint(self):
         ds = make_ds([[0.0], [1.0]], [0, 1])
-        tree = train_tree(ds, mtry=1, seed=0)
+        tree = grow_one(ds, mtry=1)
         assert tree.to_dict() == {
             "feature": [0, -1, -1],
             "threshold": [0.5, 0.0, 0.0],
@@ -182,30 +188,31 @@ class TestDecisionTree:
 
     def test_xor_memorized_with_all_features(self):
         ds = xor_ds()
-        node = train_tree(ds, mtry=2, seed=0)
+        node = grow_one(ds, mtry=2)
         assert (forest_scores(one_tree(node, 2), ds.rows) == ds.labels).all()
 
     def test_constant_features_give_leaf(self):
         ds = make_ds([[1.0, 2.0]] * 4, [0, 1, 0, 1])
-        tree = train_tree(ds, mtry=2, seed=0)
+        tree = grow_one(ds, mtry=2)
         assert tree.to_dict() == leaf_tree(2, 4).to_dict()
 
     def test_mtry_bounds_checked(self):
         ds = xor_ds()
-        with pytest.raises(ValueError, match="mtry"):
-            train_tree(ds, mtry=0)
-        with pytest.raises(ValueError, match="mtry"):
-            train_tree(ds, mtry=3)
+        with pytest.raises(ValueError, match=r"mtry must be in \[1, 2\], got 0"):
+            train_forest(ds, n_trees=1, mtry=0)
+        with pytest.raises(ValueError, match=r"mtry must be in \[1, 2\], got 3"):
+            train_forest(ds, n_trees=1, mtry=3)
 
     def test_empty_sample_rejected(self):
         ds = make_ds(np.zeros((0, 2)), [])
-        with pytest.raises(ValueError, match="empty"):
-            train_tree(ds)
+        for bootstrap in (True, False):
+            with pytest.raises(ValueError, match="cannot grow a tree on an empty sample"):
+                train_forest(ds, n_trees=3, bootstrap=bootstrap)
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(31)
         ds = make_ds(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
-        tree = train_tree(ds, seed=2)
+        tree = grow_one(ds, seed=2)
         clone = Tree.from_dict(json.loads(json.dumps(tree.to_dict())), 3)
         probe = rng.normal(size=(25, 3))
         assert forest_scores(one_tree(clone, 3), probe).tobytes() == forest_scores(one_tree(tree, 3), probe).tobytes()
@@ -215,7 +222,7 @@ class TestDecisionTree:
         # row, so the tree is as deep as the sample is long.
         n = 3000
         ds = make_ds(np.arange(float(n))[:, None], np.arange(n) % 2)
-        tree = train_tree(ds, mtry=1, seed=0)
+        tree = grow_one(ds, mtry=1)
         assert depth(tree) == n - 1
         assert (forest_scores(one_tree(tree, 1), ds.rows) == ds.labels).all()
 
@@ -227,11 +234,12 @@ class TestDecisionTree:
 
 class TestForestTraining:
     def test_single_tree_without_bootstrap_matches_plain_tree(self):
+        # With every feature a candidate at every node, the seed draws
+        # nothing that shapes the tree: it is the plain tree on all rows.
         rng = np.random.default_rng(41)
-        ds = make_ds(rng.normal(size=(30, 3)), rng.integers(0, 2, 30))
-        forest = train_forest(ds, n_trees=1, mtry=3, seed=8, bootstrap=False)
-        plain = train_tree(ds, mtry=3, seed=99)
-        assert (forest_scores(forest, ds.rows) == forest_scores(one_tree(plain, 3), ds.rows)).all()
+        X, y = rng.normal(size=(30, 3)), rng.integers(0, 2, 30)
+        forest = train_forest(make_ds(X, y), n_trees=1, mtry=3, seed=8, bootstrap=False)
+        assert nested(forest.trees[0]) == grow_recursive(X, y, 3, as_rng(99))
 
     def test_separable_data_reaches_auc_one(self):
         ds = separable_ds(n=60, seed=1)
@@ -348,17 +356,28 @@ tied_values = st.one_of(
     st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
 )
 
+# The midpoint of 0.15 and the next double rounds up to the larger, and
+# the sum of two values near the float maximum overflows: the threshold
+# then equals or passes a boundary value, so the rows x <= threshold sends
+# left end past the boundary the split was scored at.
+HALF_UP = (0.15, float(np.nextafter(0.15, 1.0)))
+assert (HALF_UP[0] + HALF_UP[1]) / 2.0 == HALF_UP[1]
+edge_values = st.one_of(
+    tied_values,
+    st.sampled_from([*HALF_UP, 1.7e308, -1.7e308, float(np.finfo(float).max), -float(np.finfo(float).max)]),
+)
+
 
 @st.composite
-def split_problems(draw):
+def split_problems(draw, values=tied_values):
     """(X, y, candidate features) with ties, signed zeros, an optional
     constant column and optionally duplicated rows. A node with fewer
     than two rows is pure, so the split search never sees one."""
     n = draw(st.integers(2, 14))
     d = draw(st.integers(1, 4))
-    X = np.array(draw(st.lists(tied_values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    X = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
     if draw(st.booleans()):
-        X[:, draw(st.integers(0, d - 1))] = draw(tied_values)
+        X[:, draw(st.integers(0, d - 1))] = draw(values)
     if draw(st.booleans()):
         X[n // 2 :] = X[: n - n // 2]
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=int)
@@ -366,31 +385,69 @@ def split_problems(draw):
     return X, y, feats
 
 
+@st.composite
+def search_problems(draw):
+    """(X, y, nodes) for one batched search: split_problems' X and y, and
+    one to six nodes, each of two or more rows drawn with repeats and the
+    same number of candidate features in drawn order."""
+    X, y, _ = draw(split_problems(edge_values))
+    n, d = X.shape
+    mtry = draw(st.integers(1, d))
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n)))
+        nodes.append((rows, np.array(draw(st.permutations(range(d)))[:mtry])))
+    return X, y, nodes
+
+
 def split_bits(best):
     if best is None:
         return None
-    score, feature, threshold = best
+    score, feature, threshold = best[:3]
     return np.float64(score).tobytes(), feature, np.float64(threshold).tobytes()
 
 
 class TestAgainstScalarOracles:
     @settings(max_examples=300, deadline=None)
-    @given(split_problems())
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @given(search_problems())
     def test_split_equals_the_per_feature_loop(self, problem):
-        X, y, feats = problem
-        best = _best_split(X, y, feats)
-        assert split_bits(best) == split_bits(best_split_loop(X, y, feats))
-        if best is not None:
-            assert [type(v) for v in best] == [float, int, float]
+        X, y, nodes = problem
+        splits = _split_search(X, _column_ranks(X), y, nodes)
+        assert len(splits) == len(nodes)
+        for (rows, feats), split in zip(nodes, splits):
+            assert split_bits(split) == split_bits(best_split_loop(X[rows], y[rows], np.sort(feats)))
+            if split is not None:
+                _, f, thr, (left, left_pos), (right, right_pos) = split
+                assert [type(v) for v in split[:3]] == [float, int, float]
+                goes_left = X[rows, f] <= thr
+                assert sorted(left) == sorted(rows[goes_left]) and sorted(right) == sorted(rows[~goes_left])
+                assert (left_pos, right_pos) == (y[left].sum(), y[right].sum())
 
     @settings(max_examples=150, deadline=None)
-    @given(split_problems(), st.integers(0, 2**16))
-    def test_tree_equals_the_recursive_grower(self, problem, seed):
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @given(split_problems(edge_values), st.integers(1, 12), st.integers(0, 2**16), st.booleans())
+    def test_tree_equals_the_recursive_grower(self, problem, n_trees, seed, bootstrap):
+        # Every tree of the lockstep grower is the recursive grower's tree
+        # on that tree's own sample, drawn from its own substream.
         X, y, _ = problem
-        mtry = 1 + seed % X.shape[1]
-        tree = train_tree(make_ds(X, y), mtry=mtry, seed=seed)
-        oracle = grow_recursive(X, y, mtry, as_rng(seed))
-        assert json.dumps(nested(tree), sort_keys=True) == json.dumps(oracle, sort_keys=True)
+        n, d = X.shape
+        mtry = 1 + seed % d
+        oracles = []
+        for t in range(n_trees):
+            rng = as_rng(substream_seed(seed, 301, t))
+            rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+            try:
+                oracles.append(grow_recursive(X[rows], y[rows], mtry, rng))
+            except RecursionError:
+                # A threshold at or past the boundary can send every row
+                # of a node to one child; a node whose every draw does so
+                # never ends, in either grower.
+                assume(False)
+        forest = train_forest(make_ds(X, y), n_trees=n_trees, mtry=mtry, seed=seed, bootstrap=bootstrap)
+        assert len(forest.trees) == n_trees
+        for tree, oracle in zip(forest.trees, oracles):
+            assert json.dumps(nested(tree), sort_keys=True) == json.dumps(oracle, sort_keys=True)
 
     @settings(max_examples=100, deadline=None)
     @given(split_problems(), st.integers(1, 20), st.integers(0, 2**16), st.booleans())
@@ -457,6 +514,32 @@ def test_seeded_forest_grid_keeps_its_bytes():
                 h.update(json.dumps(doc, sort_keys=True).encode())
                 h.update(forest_scores(forest, ds.rows).tobytes())
     assert h.hexdigest() == GOLDEN_GRID_SHA256
+
+
+def test_forest_bytes_do_not_depend_on_the_search_budget(monkeypatch):
+    calls = []
+
+    def recorded(X, ranks, y, nodes):
+        calls.append(len(nodes))
+        return search(X, ranks, y, nodes)
+
+    search = baselines._split_search
+    monkeypatch.setattr(baselines, "_split_search", recorded)
+
+    def grid():
+        for seed in range(3):
+            ds = golden_grid_ds(seed)
+            for mtry in (None, 1, ds.d):
+                for bootstrap in (True, False):
+                    forest = train_forest(ds, n_trees=9, mtry=mtry, seed=seed, bootstrap=bootstrap)
+                    yield json.dumps(forest.to_dict(), sort_keys=True)
+
+    batched = list(grid())
+    assert max(calls) > 1
+    calls.clear()
+    monkeypatch.setattr(baselines, "SEARCH_BUDGET", 1)
+    assert list(grid()) == batched
+    assert set(calls) == {1}
 
 
 class TestOnFixture:

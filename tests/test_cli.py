@@ -26,7 +26,7 @@ from buyintent.baselines import Forest
 from buyintent.dataset import Dataset, dataset_header, load_dataset, save_dataset
 from buyintent.evaluation import MAX_BUDGET
 from buyintent.features import constant_columns
-from buyintent.ingest import load_store
+from buyintent.ingest import ParseIssue, load_store, parse_events
 from buyintent.neural import Hyperparams, Network
 from buyintent.util import MAX_EPOCHS, check_epochs
 from network_oracles import assert_in_search_space
@@ -262,6 +262,19 @@ class TestIngest:
         assert json.loads(stdout)["parse_errors"] == 1
         assert out.read_bytes() == work["store"].read_bytes()
 
+    @pytest.mark.parametrize("line", [b"[1, 2]", b'"pageview"', b"17", b"null"])
+    def test_json_line_that_is_not_an_object_is_a_parse_error(self, work, tmp_path, line):
+        lines = (work["corpus"] / "events.jsonl").read_bytes().splitlines(keepends=True)
+        log = tmp_path / "events.jsonl"
+        log.write_bytes(b"".join(lines[:5] + [line + b"\n"] + lines[5:]))
+        with open(log, "rb") as fh:
+            assert parse_events(fh).errors == [ParseIssue(6, "line is not a JSON object")]
+        out = tmp_path / "s.json"
+        rc, stdout, _ = run_cli(["ingest", "--input", str(log), "--out", str(out)])
+        assert rc == 0
+        assert json.loads(stdout)["parse_errors"] == 1
+        assert out.read_bytes() == work["store"].read_bytes()
+
 
 class TestFeaturize:
     def test_meta_sidecar_describes_the_dataset(self, work):
@@ -306,6 +319,35 @@ class TestFeaturize:
         )
         assert rc == 0
         assert again.read_bytes() == work["balanced"].read_bytes()
+
+    def test_blank_embeddings_line_is_skipped(self, work, tmp_path):
+        lines = (work["corpus"] / "embeddings.tsv").read_bytes().splitlines(keepends=True)
+        table = tmp_path / "embeddings.tsv"
+        table.write_bytes(b"".join(lines[:2] + [b"\n"] + lines[2:] + [b"\n"]))
+        out = tmp_path / "bal2.bin"
+        rc, _, _ = run_cli(
+            ["featurize", "--store", str(work["store"]), "--embeddings", str(table), "--categories", "12",
+             "--balance-seed", "5", "--out", str(out)]
+        )
+        assert rc == 0
+        assert out.read_bytes() == work["balanced"].read_bytes()
+
+    @pytest.mark.parametrize("width", [1, 50, 52])
+    def test_wrong_width_embeddings_line_names_its_line(self, work, tmp_path, width):
+        lines = (work["corpus"] / "embeddings.tsv").read_bytes().splitlines(keepends=True)
+        parts = lines[3].rstrip(b"\n").split(b"\t")
+        lines[3] = b"\t".join((parts * 2)[:width]) + b"\n"
+        table = tmp_path / "embeddings.tsv"
+        table.write_bytes(b"".join(lines))
+        out = tmp_path / "bad.bin"
+        rc, stdout, err = run_cli(
+            ["featurize", "--store", str(work["store"]), "--embeddings", str(table), "--categories", "12",
+             "--out", str(out)]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": f"{table}:4: expected 51 columns, got {width}"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_category_count_below_one_is_a_structured_error(self, work, tmp_path, count):
@@ -823,6 +865,26 @@ class TestEvaluate:
             reports.append(json.loads(path.read_text()))
         assert reports[0]["fold_aucs"] != reports[1]["fold_aucs"]
 
+    def test_single_class_fold_is_refused_before_training(self, work, lr_model, tmp_path, monkeypatch):
+        # with one row per fold, fold 0's validation set holds one class
+        n = load_dataset(work["balanced"]).n
+        monkeypatch.setattr(baselines, "Standardizer", _no_training)
+        report = tmp_path / "cv.report.json"
+        rc, stdout, err = run_cli(
+            ["evaluate", "--model", str(lr_model), "--in", str(work["balanced"]),
+             "--cv", str(n), "--seed", "9", "--report", str(report)]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        error = stderr_error(err)
+        assert error["error"] == "ValueError"
+        assert re.fullmatch(
+            rf"{re.escape(str(work['balanced']))}: cv{n} fold 0: the validation set holds "
+            r"(1 buy and 0|0 buy and 1) non-buy rows; its AUC needs both classes",
+            error["detail"],
+        )
+        assert not report.exists()
+
 
 class TestSearch:
     def test_small_budget_search(self, work, tmp_path):
@@ -865,6 +927,29 @@ class TestSearch:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert stderr_error(err) == {"error": "ValueError", "detail": f"budget must be at most {MAX_BUDGET}, got 1000000000"}
+        assert not report.exists()
+
+    def test_single_class_set_is_refused_before_any_trial_trains(self, work, tmp_path, monkeypatch):
+        # 8 rows with one buy: fold 0 of every holdout plan scores a set
+        # of non-buys only, its validation fold or else its test rows
+        ds = load_dataset(work["balanced"])
+        rows = np.concatenate([np.flatnonzero(ds.labels == 1)[:1], np.flatnonzero(ds.labels == 0)[:7]])
+        small = tmp_path / "small.bin"
+        save_dataset(ds.take(rows), small)
+        monkeypatch.setattr(neural, "RangeScaler", _no_training)
+        report = tmp_path / "search.json"
+        rc, stdout, err = run_cli(
+            ["search", "--model", "sda", "--in", str(small), "--budget", "3", "--seed", "3", "--report", str(report)]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        error = stderr_error(err)
+        assert error["error"] == "ValueError"
+        assert re.fullmatch(
+            rf"{re.escape(str(small))}: holdout25x4 fold 0: the (validation|test) set holds 0 buy and [12] "
+            r"non-buy rows; its AUC needs both classes",
+            error["detail"],
+        )
         assert not report.exists()
 
 
@@ -1024,7 +1109,7 @@ def test_malformed_input_file_is_one_error_line_naming_it(work, lr_model, tmp_pa
 def test_count_past_its_ceiling_is_refused_before_training(work, tmp_path, monkeypatch, model, flags, named):
     # each trainer's first step after its argument checks
     monkeypatch.setattr(baselines, "Standardizer", None)
-    monkeypatch.setattr(baselines, "train_tree", None)
+    monkeypatch.setattr(baselines, "substream_seed", None)
     monkeypatch.setattr(neural, "RangeScaler", None)
     out = tmp_path / "out"
     rc, _, err = run_cli(["train", "--model", model, "--in", str(work["balanced"]), "--seed", "1",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -501,23 +502,67 @@ def outcome(run):
         return type(err).__name__, str(err)
 
 
+# what the fold loops raised on a scored set of one class, after training
+# every fold before it
+LOOP_SINGLE_CLASS = ("ValueError", "labels must contain both classes")
+
+
+def recording(calls):
+    """trainer_with_state, noting each call's seed in calls."""
+
+    def trainer(train, seed):
+        calls.append(seed)
+        return trainer_with_state(train, seed)
+
+    return trainer
+
+
+def assert_names_the_first_single_class_set(message, protocol, plan, labels):
+    """message names the plan's first scored set of one class, in the
+    fold loop's order, with its class counts."""
+    m = re.fullmatch(
+        r"(\S+) fold (\d+): the (\w+) set holds (\d+) buy and (\d+) non-buy rows; its AUC needs both classes",
+        message,
+    )
+    assert m and m[1] == protocol
+    bad = [(i, name) for i, (_, scored) in enumerate(plan) for name, idx in scored.items()
+           if labels[idx].min() == labels[idx].max()]
+    assert bad[0] == (int(m[2]), m[3])
+    named = labels[plan[int(m[2])][1][m[3]]]
+    assert (int(m[4]), int(m[5])) == (named.sum(), len(named) - named.sum())
+
+
 class TestProtocolsAgainstTheFoldLoops:
     """cv, holdout and search reports keep the bytes of the two loops in
-    evaluation_oracles, errors included."""
+    evaluation_oracles. Where a loop raised on a scored set of one class,
+    the package refuses the plan before any model trains, naming that
+    set."""
 
     @settings(max_examples=150, deadline=None)
     @given(evaluation_problems())
     def test_cross_validate(self, problem):
         ds, k, seed = problem
-        got = outcome(lambda: cross_validate(trainer_with_state, ds, k, seed, "m", "d").to_json())
-        assert got == outcome(lambda: cross_validate_loop(trainer_with_state, ds, k, seed, "m", "d").to_json())
+        calls = []
+        got = outcome(lambda: cross_validate(recording(calls), ds, k, seed, "m", "d").to_json())
+        want = outcome(lambda: cross_validate_loop(trainer_with_state, ds, k, seed, "m", "d").to_json())
+        if want == LOOP_SINGLE_CLASS:
+            assert got[0] == "SingleClassSet" and calls == []
+            assert_names_the_first_single_class_set(got[1], f"cv{k}", cv_protocol(ds.n, k, seed), ds.labels)
+        else:
+            assert got == want and len(calls) == (k if isinstance(got, str) else 0)
 
     @settings(max_examples=150, deadline=None)
     @given(evaluation_problems())
     def test_holdout_evaluate(self, problem):
         ds, _, seed = problem
-        got = outcome(lambda: holdout_evaluate(trainer_with_state, ds, seed, "m", "d").to_json())
-        assert got == outcome(lambda: holdout_evaluate_loop(trainer_with_state, ds, seed, "m", "d").to_json())
+        calls = []
+        got = outcome(lambda: holdout_evaluate(recording(calls), ds, seed, "m", "d").to_json())
+        want = outcome(lambda: holdout_evaluate_loop(trainer_with_state, ds, seed, "m", "d").to_json())
+        if want == LOOP_SINGLE_CLASS:
+            assert got[0] == "SingleClassSet" and calls == []
+            assert_names_the_first_single_class_set(got[1], "holdout25x4", holdout_protocol(ds, seed), ds.labels)
+        else:
+            assert got == want and len(calls) == (4 if isinstance(got, str) else 0)
 
     @settings(max_examples=60, deadline=None)
     @given(evaluation_problems())
@@ -532,10 +577,23 @@ class TestProtocolsAgainstTheFoldLoops:
 
             return trainer
 
-        def search():
-            result = random_search(SearchSpace(), factory, ds, budget // 2, seed, "m", "d")
-            return result.best_hyperparams, result.best_report.to_json(), dumps(result.trials)
+        def steady_factory(hp):
+            return lambda train, seed: trainer_with_state(train, seed, hp.initial_learning_rate)
 
-        got = outcome(search)
+        def search(make_trainer):
+            def run():
+                result = random_search(SearchSpace(), make_trainer, ds, budget // 2, seed, "m", "d")
+                return result.best_hyperparams, result.best_report.to_json(), dumps(result.trials)
+
+            return outcome(run)
+
+        got = search(factory)
         with mock.patch.object(evaluation, "holdout_evaluate", holdout_evaluate_loop):
-            assert got == outcome(search)
+            want = search(factory)
+            # A trial that diverged before its first single-class set never
+            # reached it in the loop. With trainers that never diverge, the
+            # loop raises exactly when some trial's plan holds such a set.
+            reaches_single_class = search(steady_factory) == LOOP_SINGLE_CLASS
+        assert (got[0] == "SingleClassSet") == reaches_single_class
+        if not reaches_single_class:
+            assert got == want

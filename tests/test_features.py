@@ -481,6 +481,9 @@ class TestFeaturizeStore:
     def test_no_constant_columns_on_fixture(self, feature_dataset):
         assert constant_columns(feature_dataset) == []
 
+    def test_zero_rows_have_no_constant_columns(self, feature_dataset):
+        assert constant_columns(feature_dataset.take(np.arange(0))) == []
+
 
 WEEK = 7 * DAY
 MAX_DAY = MAX_TIMESTAMP_MS // DAY

@@ -5,8 +5,9 @@ grow_recursive grows a tree depth-first by recursion into the nested
 dict the first model format saved; nested converts a flat Tree to that
 dict without recursion. tree_prob_walk sends one row down one tree, and
 forest_scores_walk averages one row's per-tree probabilities with
-np.mean. The package's vectorised split search, stack-based grower and
-block traversal must match them bit for bit.
+np.mean. The package's batched split search (several nodes per call),
+lockstep grower (every tree of a forest grown together) and block
+traversal must match them bit for bit.
 """
 
 from __future__ import annotations
