@@ -10,6 +10,11 @@ one vectorised search per SEARCH_BUDGET (row, candidate feature) pairs,
 so numpy's per-call cost is paid per round rather than per node. Each
 tree draws from its own RNG substream in the order of a grower that
 finishes one tree before starting the next, so the trees are the same.
+
+A forest scores its rows in one level-synchronous walk: the trees' nodes
+are stacked into one table, and every (row, tree) pair of a block of at
+most SCORE_BUDGET pairs moves one level down per pass, so numpy's
+per-call cost is paid per level rather than per node of every tree.
 """
 
 from __future__ import annotations
@@ -42,21 +47,24 @@ class LogisticModel:
         return cls(
             weights=np.array(d["weights"], dtype=float),
             bias=float(d["bias"]),
-            scaler=scaler_from_dict(d["scaler"]) if d.get("scaler") else None,
+            scaler=scaler_from_dict(d.get("scaler")),
         )
 
 
-def logistic_loss_and_gradients(weights, bias, X, y, l2: float):
-    """Mean cross-entropy plus (l2/2)||w||^2, with its exact gradients.
+def logistic_loss(weights, bias, X, y, l2: float) -> float:
+    """Mean cross-entropy plus (l2/2)||w||^2.
 
     The per-row loss is softplus(z) - y z for z = w.x + b, which equals
     the cross-entropy of sigmoid(z) without ever forming log(p).
     """
     z = X @ weights + bias
-    p = sigmoid(z)
-    loss = float(np.mean(softplus(z) - y * z) + 0.5 * l2 * weights @ weights)
-    resid = (p - y) / len(y)
-    return loss, X.T @ resid + l2 * weights, float(resid.sum())
+    return float(np.mean(softplus(z) - y * z) + 0.5 * l2 * weights @ weights)
+
+
+def logistic_gradients(weights, bias, X, y, l2: float):
+    """Exact gradients of logistic_loss in the weights and in the bias."""
+    resid = (sigmoid(X @ weights + bias) - y) / len(y)
+    return X.T @ resid + l2 * weights, float(resid.sum())
 
 
 def train_logistic(
@@ -86,11 +94,10 @@ def train_logistic(
         order = rng.permutation(n)
         for i in range(0, n, bs):
             idx = order[i : i + bs]
-            _, gw, gb = logistic_loss_and_gradients(w, b, X[idx], y[idx], l2)
+            gw, gb = logistic_gradients(w, b, X[idx], y[idx], l2)
             w -= learning_rate * gw
             b -= learning_rate * gb
-        loss, _, _ = logistic_loss_and_gradients(w, b, X, y, l2)
-        if not np.isfinite(loss):
+        if not np.isfinite(logistic_loss(w, b, X, y, l2)):
             raise TrainingDiverged(epoch, "logistic cross-entropy")
     return LogisticModel(weights=w, bias=b, scaler=scaler)
 
@@ -169,7 +176,8 @@ def _column_ranks(X):
 
 def _split_search(X, ranks, y, nodes):
     """Lowest weighted-Gini split of each (rows, candidate features) node,
-    all in one vectorised search: None when nothing splits, else
+    all in one vectorised search: None when nothing splits or the best
+    split's threshold sends every row to one side, else
     (impurity, feature, threshold, left child, right child) with each
     child as (rows, positives).
 
@@ -229,8 +237,11 @@ def _split_search(X, ranks, y, nodes):
         # The segment is in value order, so the rows with x <= threshold
         # are a prefix; it can end past the boundary, as the midpoint of
         # two adjacent doubles may round up to the larger, and a sum near
-        # the float maximum overflows to ±inf.
+        # the float maximum overflows to ±inf. A threshold that sends
+        # every row to one side splits nothing, and the node stays a leaf.
         cut = start + int(np.count_nonzero(X[row[start:stop], feature] <= threshold))
+        if cut in (start, stop):
+            continue
         left, right = int(cum[cut] - cum[start]), int(cum[stop] - cum[cut])
         splits[j] = (impurity, feature, threshold, (row[start:cut].copy(), left), (row[cut:stop].copy(), right))
     return splits
@@ -355,28 +366,69 @@ def train_forest(
     return Forest(trees=trees, mtry=mtry, seed=seed, bootstrap=bootstrap, n_features=train.d)
 
 
+def _slot_table(trees: list[Tree]):
+    """The trees' nodes stacked with global ids, as tables over slots.
+
+    Node k of the stack has slots 2k and 2k + 1. A pair at node k holds
+    slot 2k and moves to child[2k + (x[column[2k]] <= threshold[2k])],
+    the next node's slot; a leaf's slots lead back to its own, and
+    value[2k] is node k's n_pos / n_total. Returns (root slot of each
+    tree, child, column, threshold, leaf, value).
+    """
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum([0, *sizes], dtype=np.intp)[:-1]
+    shift = np.repeat(roots, sizes)
+    feature = np.array([f for tree in trees for f in tree.feature], dtype=np.intp)
+    left = np.array([k for tree in trees for k in tree.left], dtype=np.intp) + shift
+    right = np.array([k for tree in trees for k in tree.right], dtype=np.intp) + shift
+    leaf = feature == -1
+    itself = np.arange(len(feature))
+    child = 2 * np.column_stack([np.where(leaf, itself, right), np.where(leaf, itself, left)]).ravel()
+    threshold = np.array([v for tree in trees for v in tree.threshold], dtype=float)
+    value = np.array([pos / total for tree in trees for pos, total in zip(tree.n_pos, tree.n_total)])
+    column = np.where(leaf, 0, feature)
+    return (2 * roots, child, *(np.repeat(a, 2) for a in (column, threshold, leaf, value)))
+
+
+# the most (row, tree) pairs forest_scores walks at once: it caps the
+# walk's working arrays near the size of the rows x trees matrix that the
+# scores are averaged from, while keeping each pass's numpy calls long
+SCORE_BUDGET = 2**16
+
+
 def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Mean of per-tree leaf probabilities for each row.
 
-    Rows go down one tree at a time in index blocks and fill a
+    Every (row, tree) pair of a block of at most SCORE_BUDGET pairs steps
+    one level down the stacked trees per pass (see _slot_table). Pairs at
+    a leaf step in place until they are half of those walked, and are
+    then written out and dropped. Each block fills its rows of a
     C-contiguous rows x trees matrix. Its mean along axis 1 adds each
     row's tree probabilities in the same order as np.mean over that row's
     list, so scores do not depend on how many rows are scored together.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != forest.n_features:
-        raise ValueError(f"input has {X.shape[1]} features, forest expects {forest.n_features}")
-    probs = np.empty((X.shape[0], len(forest.trees)))
-    for t, tree in enumerate(forest.trees):
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            k, idx = stack.pop()
-            f = tree.feature[k]
-            if f == -1:
-                probs[idx, t] = tree.n_pos[k] / tree.n_total[k]
-                continue
-            go_left = X[idx, f] <= tree.threshold[k]
-            for child, rows in ((tree.left[k], idx[go_left]), (tree.right[k], idx[~go_left])):
-                if rows.size:
-                    stack.append((child, rows))
+    n, d = X.shape
+    if d != forest.n_features:
+        raise ValueError(f"input has {d} features, forest expects {forest.n_features}")
+    n_trees = len(forest.trees)
+    roots, child, column, threshold, leaf, value = _slot_table(forest.trees)
+    flat = X.ravel()
+    probs = np.empty((n, n_trees))
+    rows_per_block = max(1, SCORE_BUDGET // max(1, n_trees))
+    for start in range(0, n, rows_per_block):
+        block = probs[start : start + rows_per_block]
+        out = block.reshape(-1)  # pair j: row start + j // n_trees, tree j % n_trees
+        slot = np.tile(roots, len(block))
+        base = np.repeat(np.arange(start, start + len(block)) * d, n_trees)
+        pair = np.arange(len(slot))
+        while True:
+            done = leaf[slot]
+            if 2 * np.count_nonzero(done) >= len(slot):
+                out[pair] = value[slot]
+                keep = np.flatnonzero(~done)
+                if not keep.size:
+                    break
+                pair, slot, base = pair[keep], slot[keep], base[keep]
+            slot = child[slot + (flat[base + column[slot]] <= threshold[slot])]
     return probs.mean(axis=1)

@@ -207,7 +207,8 @@ class RangeScaler:
         return out
 
 
-def scaler_from_dict(d: dict):
+def scaler_from_dict(d: dict | None):
+    """The scaler a model file saved, or None where it saved none."""
     if d is None:
         return None
     if d["kind"] == "standardize":

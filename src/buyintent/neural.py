@@ -312,7 +312,7 @@ class Network:
                 for l in d["layers"]
             ],
             activation=d["activation"],
-            scaler=scaler_from_dict(d["scaler"]) if d.get("scaler") else None,
+            scaler=scaler_from_dict(d.get("scaler")),
             dropout_fraction=d.get("dropout_fraction", 0.0),
         )
 

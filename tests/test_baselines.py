@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buyintent import baselines
@@ -19,7 +24,8 @@ from buyintent.baselines import (
     _split_search,
     default_mtry,
     forest_scores,
-    logistic_loss_and_gradients,
+    logistic_gradients,
+    logistic_loss,
     predict_logistic,
     train_forest,
     train_logistic,
@@ -27,6 +33,7 @@ from buyintent.baselines import (
 from buyintent.dataset import Dataset
 from buyintent.evaluation import auc
 from buyintent.util import TrainingDiverged, as_rng, substream_seed
+from logistic_oracles import train_logistic_loop
 from tree_oracles import best_split_loop, depth, forest_scores_walk, grow_recursive, nested
 
 
@@ -68,6 +75,28 @@ def leaf_tree(n_pos, n_total):
     return Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], n_pos=[n_pos], n_total=[n_total])
 
 
+def chain_tree(levels):
+    """A tree whose split nodes form one path: node 2i sends x[0] up to an
+    ascending threshold in [-3, 3] to leaf 2i + 1 and the rest on down,
+    so a row's value sets how deep it goes, and +inf and NaN go to the
+    bottom leaf, `levels` splits below the root."""
+    feature, threshold, left, right = [], [], [], []
+    for i in range(levels):
+        feature += [0, -1]
+        threshold += [-3.0 + 6.0 * i / levels, 0.0]
+        left += [2 * i + 1, -1]
+        right += [2 * i + 2, -1]
+    n = len(feature) + 1
+    return Tree(
+        feature=[*feature, -1],
+        threshold=[*threshold, 0.0],
+        left=[*left, -1],
+        right=[*right, -1],
+        n_pos=[k % 8 for k in range(n)],
+        n_total=[7] * n,
+    )
+
+
 class TestLogisticGradients:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(13)
@@ -77,25 +106,23 @@ class TestLogisticGradients:
             w = rng.normal(size=4) * 0.5
             b = float(rng.normal())
             l2 = 0.1
-            loss, gw, gb = logistic_loss_and_gradients(w, b, X, y, l2)
+            gw, gb = logistic_gradients(w, b, X, y, l2)
             eps = 1e-6
             for j in range(4):
                 wp, wm = w.copy(), w.copy()
                 wp[j] += eps
                 wm[j] -= eps
-                lp, _, _ = logistic_loss_and_gradients(wp, b, X, y, l2)
-                lm, _, _ = logistic_loss_and_gradients(wm, b, X, y, l2)
-                fd = (lp - lm) / (2 * eps)
+                fd = (logistic_loss(wp, b, X, y, l2) - logistic_loss(wm, b, X, y, l2)) / (2 * eps)
                 assert gw[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-            lp, _, _ = logistic_loss_and_gradients(w, b + eps, X, y, l2)
-            lm, _, _ = logistic_loss_and_gradients(w, b - eps, X, y, l2)
+            lp = logistic_loss(w, b + eps, X, y, l2)
+            lm = logistic_loss(w, b - eps, X, y, l2)
             assert gb == pytest.approx((lp - lm) / (2 * eps), rel=1e-6, abs=1e-9)
 
     def test_zero_parameters_loss_is_log_two(self):
         X = np.random.default_rng(1).normal(size=(6, 3))
         y = np.array([0, 1, 0, 1, 1, 0], dtype=float)
-        loss, _, gb = logistic_loss_and_gradients(np.zeros(3), 0.0, X, y, 0.0)
-        assert loss == pytest.approx(np.log(2.0))
+        _, gb = logistic_gradients(np.zeros(3), 0.0, X, y, 0.0)
+        assert logistic_loss(np.zeros(3), 0.0, X, y, 0.0) == pytest.approx(np.log(2.0))
         assert gb == pytest.approx(0.5 - y.mean())
 
 
@@ -118,7 +145,7 @@ class TestTrainLogistic:
         for epochs in range(1, 51):
             model = train_logistic(ds, learning_rate=1e-3, epochs=epochs, seed=0)
             X = model.scaler.transform(ds.rows)
-            trace.append(logistic_loss_and_gradients(model.weights, model.bias, X, y, 0.0)[0])
+            trace.append(logistic_loss(model.weights, model.bias, X, y, 0.0))
         trace = np.array(trace)
         assert np.all(np.diff(trace) <= 1e-12)
         assert trace[-1] < trace[0]
@@ -158,6 +185,43 @@ class TestTrainLogistic:
         model = LogisticModel(weights=np.zeros(3), bias=0.0)
         with pytest.raises(ValueError, match="features"):
             predict_logistic(model, np.zeros(5))
+
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.sampled_from([1e-3, 0.1, 1.0, 1e40, 1e160]),
+        st.sampled_from([0.0, 0.01, 1.0]),
+        st.integers(0, 2**16),
+    )
+    def test_equals_the_loop_that_computed_every_loss(self, n, d, epochs, learning_rate, l2, seed):
+        # Rows past one minibatch give several steps per epoch. With l2 > 0
+        # a learning rate of 1e160 diverges in epoch 0, and 1e40 in epochs
+        # 1 to 4, as the weights grow past the square root of the float
+        # maximum.
+        rng = np.random.default_rng(seed)
+        ds = make_ds(np.round(rng.normal(size=(n, d)) * 3.0, 1), rng.integers(0, 2, n))
+
+        def outcome(trainer):
+            try:
+                model = trainer(ds, learning_rate, epochs, l2, seed)
+            except TrainingDiverged as exc:
+                return ("diverged", exc.epoch)
+            return (model.weights.tobytes(), np.float64(model.bias).tobytes(), json.dumps(model.to_dict()))
+
+        assert outcome(train_logistic) == outcome(train_logistic_loop)
+
+    def test_model_without_a_scaler_loads_without_one(self):
+        # A saved null scaler and a missing one both load as None.
+        model = LogisticModel(weights=np.array([0.5, -1.0]), bias=0.25)
+        saved = json.loads(json.dumps(model.to_dict()))
+        assert saved["scaler"] is None
+        for d in (saved, {"weights": saved["weights"], "bias": saved["bias"]}):
+            clone = LogisticModel.from_dict(d)
+            assert clone.scaler is None
+            assert predict_logistic(clone, np.ones(2)) == predict_logistic(model, np.ones(2))
 
     def test_round_trip_preserves_predictions(self):
         ds = separable_ds(n=40, seed=11)
@@ -225,6 +289,46 @@ class TestDecisionTree:
         tree = grow_one(ds, mtry=1)
         assert depth(tree) == n - 1
         assert (forest_scores(one_tree(tree, 1), ds.rows) == ds.labels).all()
+
+    def test_threshold_sending_every_row_one_way_ends_the_branch(self):
+        # The midpoint of 0.15 and the next double rounds up to the larger,
+        # so the root's left child holds 0.15 and two of the next double,
+        # and its best threshold sends all three left. A grower that took
+        # that split grew the same node for ever, so a fresh interpreter
+        # runs it under a timeout.
+        src = str(Path(baselines.__file__).resolve().parents[1])
+        code = (
+            "import json, numpy as np\n"
+            "from buyintent.baselines import train_forest\n"
+            "from buyintent.dataset import Dataset\n"
+            "X = np.array([[0.15], [0.15000000000000002], [0.15000000000000002], [1.0]])\n"
+            "ds = Dataset(rows=X, labels=np.array([0, 1, 1, 1], dtype=np.uint8), feature_names=['f0'],\n"
+            "             aggregation='weekly', category_count=0, n_base_cols=1)\n"
+            "print(json.dumps(train_forest(ds, n_trees=1, bootstrap=False).trees[0].to_dict()))\n"
+        )
+        ran = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert ran.returncode == 0, ran.stderr
+        assert json.loads(ran.stdout) == {
+            "feature": [0, -1, -1],
+            "threshold": [0.15000000000000002, 0.0, 0.0],
+            "left": [1, -1, -1],
+            "right": [2, -1, -1],
+            "n_pos": [3, 2, 1],
+            "n_total": [4, 3, 1],
+        }
+
+    def test_threshold_sending_every_row_one_way_leaves_no_empty_leaf(self):
+        # The root's only split sends every row left; a grower that took it
+        # kept an empty right leaf, which no saved tree may hold and no
+        # score may divide by.
+        X = np.array([[0.15, 0], [0.15000000000000002, 1], [0.15000000000000002, 0], [0.15, 1]])
+        forest = train_forest(make_ds(X, [0, 1, 0, 1]), n_trees=1, mtry=1, seed=0, bootstrap=False)
+        assert forest.trees[0].to_dict() == leaf_tree(2, 4).to_dict()
+        clone = Forest.from_dict(json.loads(json.dumps(forest.to_dict())))
+        assert forest_scores(clone, X).tobytes() == forest_scores_walk(forest, X).tobytes() == np.full(4, 0.5).tobytes()
 
     def test_default_mtry_is_sqrt_rounded_up(self):
         assert default_mtry(4) == 2
@@ -416,7 +520,10 @@ class TestAgainstScalarOracles:
         splits = _split_search(X, _column_ranks(X), y, nodes)
         assert len(splits) == len(nodes)
         for (rows, feats), split in zip(nodes, splits):
-            assert split_bits(split) == split_bits(best_split_loop(X[rows], y[rows], np.sort(feats)))
+            best = best_split_loop(X[rows], y[rows], np.sort(feats))
+            if best is not None and len(set(X[rows, best[1]] <= best[2])) == 1:
+                best = None  # its threshold sends every row to one side
+            assert split_bits(split) == split_bits(best)
             if split is not None:
                 _, f, thr, (left, left_pos), (right, right_pos) = split
                 assert [type(v) for v in split[:3]] == [float, int, float]
@@ -437,25 +544,37 @@ class TestAgainstScalarOracles:
         for t in range(n_trees):
             rng = as_rng(substream_seed(seed, 301, t))
             rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-            try:
-                oracles.append(grow_recursive(X[rows], y[rows], mtry, rng))
-            except RecursionError:
-                # A threshold at or past the boundary can send every row
-                # of a node to one child; a node whose every draw does so
-                # never ends, in either grower.
-                assume(False)
+            oracles.append(grow_recursive(X[rows], y[rows], mtry, rng))
         forest = train_forest(make_ds(X, y), n_trees=n_trees, mtry=mtry, seed=seed, bootstrap=bootstrap)
         assert len(forest.trees) == n_trees
         for tree, oracle in zip(forest.trees, oracles):
             assert json.dumps(nested(tree), sort_keys=True) == json.dumps(oracle, sort_keys=True)
 
     @settings(max_examples=100, deadline=None)
-    @given(split_problems(), st.integers(1, 20), st.integers(0, 2**16), st.booleans())
-    def test_forest_scores_equal_the_per_row_walk(self, problem, n_trees, seed, bootstrap):
+    @given(
+        split_problems(), st.integers(1, 20), st.integers(0, 2**16), st.booleans(), st.sampled_from([0, 1, 2000]),
+        st.integers(1, 64),
+    )
+    def test_forest_scores_equal_the_per_row_walk(self, problem, n_trees, seed, bootstrap, chain, budget):
+        # Probe rows also take values at the trees' thresholds, both signed
+        # zeros, the infinities and NaN. A chain tree, if drawn, joins the
+        # forest, so its trees differ in depth by up to 2,000 levels. Any
+        # block budget gives the same bytes: one pair per block, or a few
+        # rows per block with a part-filled last block.
         X, y, _ = problem
+        n, d = X.shape
         forest = train_forest(make_ds(X, y), n_trees=n_trees, mtry=1, seed=seed, bootstrap=bootstrap)
-        probe = np.vstack([X, np.random.default_rng(seed).normal(size=(5, X.shape[1]))])
-        assert forest_scores(forest, probe).tobytes() == forest_scores_walk(forest, probe).tobytes()
+        rng = np.random.default_rng(seed)
+        special = [v for tree in forest.trees for v in tree.threshold] + [0.0, -0.0, np.inf, -np.inf, np.nan]
+        probe = np.vstack([X, rng.normal(size=(5, d)) * 2.0, rng.choice(special, size=(8, d))])
+        if chain:
+            forest.trees.insert(seed % (n_trees + 1), chain_tree(chain))
+        expected = forest_scores_walk(forest, probe).tobytes()
+        assert forest_scores(forest, probe).tobytes() == expected
+        with mock.patch.object(baselines, "SCORE_BUDGET", budget):
+            assert forest_scores(forest, probe).tobytes() == expected
+        assert forest_scores(forest, probe[:0]).shape == (0,)
+        assert forest_scores(forest, probe[-1]).tobytes() == forest_scores_walk(forest, probe[-1:]).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 300), st.integers(0, 2**16))

@@ -677,6 +677,18 @@ class TestNetworkPredict:
         X = np.random.default_rng(3).random((5, 4))
         assert np.allclose(network_predict(clone, X), network_predict(net, X))
 
+    def test_network_without_a_scaler_loads_without_one(self):
+        # A saved null scaler and a missing one both load as None.
+        hp = Hyperparams(hidden_units=(3,))
+        net = build_network(init_stack(4, (3,), seed=3), 2, hp, seed=4)
+        saved = net.to_dict()
+        assert saved["scaler"] is None
+        X = np.random.default_rng(3).random((5, 4))
+        for d in (saved, {k: v for k, v in saved.items() if k != "scaler"}):
+            clone = Network.from_dict(d)
+            assert clone.scaler is None
+            assert network_predict(clone, X).tobytes() == network_predict(net, X).tobytes()
+
 
 class TestEndToEndTrainers:
     def test_sda_learns_the_fixture(self, balanced_dataset):

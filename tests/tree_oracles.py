@@ -6,8 +6,10 @@ dict the first model format saved; nested converts a flat Tree to that
 dict without recursion. tree_prob_walk sends one row down one tree, and
 forest_scores_walk averages one row's per-tree probabilities with
 np.mean. The package's batched split search (several nodes per call),
-lockstep grower (every tree of a forest grown together) and block
-traversal must match them bit for bit.
+lockstep grower (every tree of a forest grown together) and stacked
+level-by-level scorer (every tree of a forest walked together) must
+match them bit for bit. Both growers leave a node a leaf when its best
+threshold sends every row to one side.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ def grow_recursive(X, y, mtry: int, rng) -> dict:
         return node
     _, f, thr = best
     mask = X[:, f] <= thr
+    if mask.all() or not mask.any():
+        return node
     node["feature"] = f
     node["threshold"] = thr
     node["left"] = grow_recursive(X[mask], y[mask], mtry, rng)
