@@ -322,6 +322,8 @@ class Forest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
+        if not d["trees"]:
+            raise ValueError("forest has no trees")
         return cls(
             trees=[Tree.from_dict(t, d["n_features"]) for t in d["trees"]],
             mtry=d["mtry"],

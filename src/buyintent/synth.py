@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .evaluation import auc
+from .ingest import MAX_TIMESTAMP_MS
 from .util import as_rng, dumps, sigmoid
 
 WORDS_PER_DESC = (3, 7)
@@ -31,6 +33,10 @@ VOCAB_SIZE = 320
 # reveal where an item sits on the budget-to-premium axis
 STYLE_WORDS = ("budget", "value", "basic", "standard", "plus", "pro", "premium", "deluxe")
 STYLE_CONCENTRATION = 2.5
+# each item's place on its category's budget-to-premium ladder, centred
+# so that premium shoppers open premium items and budget shoppers budget
+# ones
+TIER_LADDER = np.arange(ITEMS_PER_CATEGORY) / (ITEMS_PER_CATEGORY - 1) - 0.5
 LINEAR_WEIGHTS = (1.0, 1.0)
 NONLINEAR_WEIGHTS = (0.6, 0.9, 3.0, 0.9, 1.3)
 MS_PER_HOUR = 3_600_000
@@ -39,6 +45,17 @@ MS_PER_DAY = 24 * MS_PER_HOUR
 # ISO weeks and weekly aggregation yields exactly `weeks` columns per
 # category
 WINDOW_BASE_MS = 4 * MS_PER_DAY
+# how far past its start a session's events can reach: at most 24 clicks
+# and a basketview, then the 90 h buy gap. A week holds them unless a
+# session's dwell factor draws past 11 standard deviations.
+SESSION_SPAN_MS = 7 * MS_PER_DAY
+# the most weeks whose sessions all end by ingest's last timestamp
+MAX_WEEKS = (MAX_TIMESTAMP_MS - WINDOW_BASE_MS - SESSION_SPAN_MS) // (7 * MS_PER_DAY)
+# below these, user, session (at most 3 per user) and category ids keep
+# their fixed width (u99999, s299999, c999), so their string order is
+# their number order
+MAX_USERS = 100_000
+MAX_CATEGORIES = 1_000
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,13 @@ class SynthConfig:
     impulsive_fraction: float = 0.1
 
     def __post_init__(self):
+        for name, flag, value, ceiling in (
+            ("n_users", "--users", self.n_users, MAX_USERS),
+            ("n_categories", "--categories", self.n_categories, MAX_CATEGORIES),
+            ("weeks", "--weeks", self.weeks, MAX_WEEKS),
+        ):
+            if value > ceiling:
+                raise ValueError(f"{name} ({flag}) must be at most {ceiling}, got {value}")
         if self.n_users < 1 or self.n_categories < N_SIGNAL_CATEGORIES + 2:
             raise ValueError("need at least one user and a catalog beyond the signal categories")
         if not 0.0 < self.buy_rate < 1.0:
@@ -73,7 +97,7 @@ class SynthResult:
     config_path: str
     n_sessions: int
     n_buy_sessions: int
-    bayes_auc: float
+    bayes_auc: float | None
 
 
 def _calibrate_alpha(raw: np.ndarray, target_rate: float) -> float:
@@ -220,40 +244,55 @@ def _session_scores(cfg: SynthConfig, plans) -> np.ndarray:
     return cfg.signal_strength * score
 
 
-def _emit_session(cfg, plan, label: str, impulsive: bool, categories, items, rng):
-    """Materialize one session's events in timestamp order.
+def _emit_session(plan, label: str, impulsive: bool, categories, items, rng, heads: dict) -> list[str]:
+    """One session's events.jsonl lines, sorted stably by (timestamp,
+    event type).
+
+    Each line holds the bytes util.dumps writes for the event's dict.
+    The fields that sort before "session_id" depend only on the event
+    kind and the item, so `heads` keeps their JSON, closing brace
+    dropped, per (kind, item id) from the first such event on; the
+    session's id, the timestamp and the user's id complete the line.
 
     Basketviews appear at the same rate for buy and non-buy sessions so
     that their mere presence carries no label signal; only the planted
     drivers separate the classes.
     """
-    def event(ts, kind, item_id, **extra):
-        return {"user_id": plan["user"], "session_id": plan["sid"], "timestamp": int(ts),
-                "event_type": kind, "item_id": item_id, "category_id": None, **extra}
+    events = []  # (timestamp, event type, line)
+    mid = f',"session_id":{dumps(plan["sid"])},"timestamp":'
+    end = f',"user_id":{dumps(plan["user"])}}}\n'
 
-    events = []
+    def event(ts, kind, item_id, **extra):
+        head = heads.get((kind, item_id))
+        if head is None:
+            head = heads[kind, item_id] = dumps(
+                {"category_id": None, "event_type": kind, "item_id": item_id, **extra})[:-1]
+        events.append((ts, kind, f"{head}{mid}{ts}{end}"))
+
     t = plan["start"]
     cats = plan["interests"]
     # one view per interest first, so viewed-category indicators equal
     # the planted interest mask exactly
     click_cats = list(cats) + [cats[int(k)] for k in rng.integers(0, len(cats), size=plan["n_clicks"] - len(cats))]
     dwell_scale = float(np.exp(3.4 + 0.5 * plan["dwell_factor"]))
-    # premium shoppers open premium items, budget shoppers budget ones
-    tiers = np.arange(ITEMS_PER_CATEGORY) / (ITEMS_PER_CATEGORY - 1) - 0.5
-    tier_logits = STYLE_CONCENTRATION * plan["style"] * tiers
+    tier_logits = STYLE_CONCENTRATION * plan["style"] * TIER_LADDER
     tier_probs = np.exp(tier_logits - tier_logits.max())
     tier_probs /= tier_probs.sum()
-    tier_cdf = _cdf(tier_probs)
+    # per click, one double picks the item and the next sets the dwell:
+    # the stream order of one scalar rng.random() call for each
+    u = rng.random(2 * len(click_cats))
+    picks = _cdf(tier_probs).searchsorted(u[0::2], side="right").tolist()
+    steps = (dwell_scale * (0.5 + u[1::2]) * 1000).tolist()
     clicked_items: list[dict] = []
-    for c in click_cats:
+    for c, pick, step in zip(click_cats, picks, steps):
         cat = categories[c]
-        item = items[cat][int(tier_cdf.searchsorted(rng.random(), side="right"))]
+        item = items[cat][pick]
         clicked_items.append(item)
-        events.append(event(t, "pageview", item["item_id"], category_id=cat, description=item["description"]))
-        t += int(dwell_scale * (0.5 + rng.random()) * 1000)
+        event(t, "pageview", item["item_id"], category_id=cat, description=item["description"])
+        t += int(step)
     if rng.random() < 0.3:
         item = clicked_items[int(rng.integers(0, len(clicked_items)))]
-        events.append(event(t, "basketview", item["item_id"], price=item["price"]))
+        event(t, "basketview", item["item_id"], price=item["price"])
         t += int(dwell_scale * 500)
     if label == "buy":
         bought = clicked_items[int(rng.integers(0, len(clicked_items)))]
@@ -261,17 +300,19 @@ def _emit_session(cfg, plan, label: str, impulsive: bool, categories, items, rng
             gap = int(rng.integers(10 * 60 * 1000, 2 * MS_PER_HOUR))
         else:
             gap = int(rng.integers(25 * MS_PER_HOUR, 90 * MS_PER_HOUR))
-        events.append(event(t + gap, "buy", bought["item_id"], price=bought["price"]))
+        event(t + gap, "buy", bought["item_id"], price=bought["price"])
     if rng.random() < 0.03:
         ad_kind = "adclick" if rng.random() < 0.3 else "adview"
-        events.append(event(plan["start"] + 1500, ad_kind, "ad_banner"))
-    return sorted(events, key=lambda e: (e["timestamp"], e["event_type"]))
+        event(plan["start"] + 1500, ad_kind, "ad_banner")
+    events.sort(key=itemgetter(0, 1))
+    return [line for _, _, line in events]
 
 
 def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
     """Write events.jsonl, truth.jsonl, embeddings.tsv, and the config
     echo (with the calibrated intercept and the intent-probability AUC
-    ceiling) into out_dir; byte-identical for identical configs."""
+    ceiling, null for a corpus of one class) into out_dir;
+    byte-identical for identical configs."""
     os.makedirs(out_dir, exist_ok=True)
     rng = as_rng(cfg.seed)
     categories, items, vectors = _build_catalog(cfg, rng)
@@ -288,14 +329,14 @@ def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
     config_path = os.path.join(out_dir, "config.json")
 
     n_buy = 0
+    heads: dict = {}
     with open(events_path, "w", encoding="utf-8") as ev_fh, open(
         truth_path, "w", encoding="utf-8"
     ) as tr_fh:
         for i, plan in enumerate(plans):
             label = "buy" if labels[i] else "non_buy"
             n_buy += int(labels[i])
-            for ev in _emit_session(cfg, plan, label, bool(impulsive[i]), categories, items, rng):
-                ev_fh.write(dumps(ev) + "\n")
+            ev_fh.writelines(_emit_session(plan, label, bool(impulsive[i]), categories, items, rng, heads))
             tr_fh.write(
                 dumps(
                     {
@@ -314,8 +355,9 @@ def generate(cfg: SynthConfig, out_dir: str) -> SynthResult:
             fh.write(f"{word}\t{vals}\n")
 
     # the intent probabilities against the drawn labels: the AUC ceiling
-    # no scorer can beat in expectation
-    ceiling = auc(intents, labels)
+    # no scorer can beat in expectation, and none where one class drew
+    # every session
+    ceiling = auc(intents, labels) if 0 < n_buy < len(plans) else None
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write(
             dumps(

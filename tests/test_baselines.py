@@ -417,6 +417,12 @@ class TestTreeLoading:
         with pytest.raises(ValueError, match="feature 1"):
             Forest.from_dict(d)
 
+    def test_forest_without_trees_is_rejected(self):
+        # it would score every row NaN, with numpy's "Mean of empty slice"
+        d = {"mtry": 1, "seed": 0, "bootstrap": False, "n_features": 2, "trees": []}
+        with pytest.raises(ValueError, match="forest has no trees"):
+            Forest.from_dict(d)
+
 
 class TestForestPrediction:
     def hand_forest(self, probs):

@@ -547,6 +547,20 @@ class TestTrain:
         forest = Forest.from_dict(doc["params"])
         assert len(forest.trees) == 5
 
+    def test_rf_model_without_trees_does_not_load(self, work, tmp_path):
+        path = tmp_path / "rf.model.json"
+        rc, _, _ = run_cli(
+            ["train", "--model", "rf", "--in", str(work["balanced"]),
+             "--seed", "2", "--out", str(path), "--trees", "2"]
+        )
+        assert rc == 0
+        doc = cli.load_model(str(path))
+        doc["params"]["trees"] = []
+        with pytest.raises(ValueError, match="forest has no trees"):
+            cli.MODEL_KINDS["rf"].load(doc["params"])
+        with pytest.raises(ValueError, match="forest has no trees"):
+            cli.scorer_from_model(doc)
+
     @pytest.mark.parametrize("kind", sorted(TRAIN_FLAGS))
     def test_saved_parameters_score_like_a_retrain(self, work, tmp_path, kind):
         path = tmp_path / f"{kind}.model.json"

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from buyintent import cli, synth
 from buyintent.evaluation import auc
-from buyintent.ingest import ingest_events, parse_events
+from buyintent.ingest import MAX_TIMESTAMP_MS, ingest_events, parse_events
 from buyintent.synth import SESSIONS_PER_USER_CDF, SynthConfig, _cdf, generate
+from buyintent.util import as_rng, dumps
+from synth_oracles import emit_session, generate_dicts
 
 
 def small_cfg(**kw):
@@ -294,3 +301,168 @@ class TestDrawContract:
         assert ours.bit_generator.state == theirs.bit_generator.state
         # the half-used 32-bit word must carry over to the next draw too
         assert ours.integers(0, 1 << 20) == theirs.integers(0, 1 << 20)
+
+
+def read_files(out_dir, names) -> dict:
+    return {n: Path(out_dir, n).read_bytes() for n in names}
+
+
+def assert_equals_the_dict_writer(cfg: SynthConfig, root: str):
+    """Generate cfg with the package and with the dict writer; the files
+    must be byte-equal, config.json included wherever both classes drew.
+    Returns the package's result and its events."""
+    ours, theirs = os.path.join(root, "ours"), os.path.join(root, "theirs")
+    result = generate(cfg, ours)
+    try:
+        generate_dicts(cfg, theirs)
+        both_classes = True
+    except ValueError as exc:  # the dict writer's auc refuses one class
+        assert str(exc) == "labels must contain both classes"
+        both_classes = False
+    names = OUTPUT_FILES if both_classes else OUTPUT_FILES[:3]
+    assert read_files(ours, names) == read_files(theirs, names)
+    assert both_classes == (0 < result.n_buy_sessions < result.n_sessions)
+    assert both_classes == (result.bayes_auc is not None)
+    with open(result.events_path, "r", encoding="utf-8") as fh:
+        return result, [json.loads(line) for line in fh]
+
+
+def buy_gaps(events) -> set[str]:
+    """'impulsive' and/or 'later' for the buys in a log: bought within 2 h
+    of the session's last browse event, or 25 h or more after it."""
+    last_browse, gaps = {}, set()
+    for e in events:
+        if e["event_type"] in ("pageview", "basketview"):
+            last_browse[e["session_id"]] = e["timestamp"]
+        elif e["event_type"] == "buy":
+            gap = e["timestamp"] - last_browse[e["session_id"]]
+            gaps.add("impulsive" if gap < 2 * synth.MS_PER_HOUR else "later")
+    return gaps
+
+
+class TestAgainstTheDictWriter:
+    """The line writer against tests/synth_oracles.py: one dict and one
+    util.dumps call per event, one scalar draw per item and per dwell."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_users=st.integers(2, 40),
+        n_categories=st.integers(6, 300),
+        weeks=st.integers(1, 4),
+        nonlinear=st.booleans(),
+        impulsive_fraction=st.floats(0.0, 1.0),
+        buy_rate=st.floats(0.01, 0.95),
+        signal_strength=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one user at seed 2 draws no buy session
+    @example(n_users=1, n_categories=12, weeks=1, nonlinear=False, impulsive_fraction=0.1, buy_rate=0.03,
+             signal_strength=0.8, seed=2)
+    def test_files_equal_the_dict_writer(self, **kwargs):
+        with tempfile.TemporaryDirectory() as root:
+            assert_equals_the_dict_writer(SynthConfig(**kwargs), root)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_event_kind_and_both_buy_gaps_equal_the_dict_writer(self, tmp_path, seed):
+        cfg = SynthConfig(n_users=200, n_categories=12, buy_rate=0.5, weeks=1, seed=seed, impulsive_fraction=0.5)
+        _, events = assert_equals_the_dict_writer(cfg, str(tmp_path))
+        kinds = {e["event_type"] for e in events}
+        assert kinds == {"pageview", "basketview", "buy", "adclick", "adview"}
+        assert buy_gaps(events) == {"impulsive", "later"}
+
+    def test_tied_timestamps_keep_the_dict_writer_order(self):
+        # A dwell factor of -60 rounds every dwell step down to 0 ms, so
+        # all pageviews and any basketview share the session's start:
+        # the sort must keep emission order among the pageviews and put
+        # the basketview first, by its event type.
+        cfg = small_cfg()
+        categories, items, _ = synth._build_catalog(cfg, as_rng(0))
+        plans = synth._plan_sessions(cfg, as_rng(1))[:20]
+        basketviews = 0
+        for i, plan in enumerate(plans):
+            plan = dict(plan, dwell_factor=-60.0)
+            label = "buy" if i % 2 else "non_buy"
+            ours = synth._emit_session(plan, label, bool(i % 3), categories, items, as_rng(i), {})
+            theirs = emit_session(plan, label, bool(i % 3), categories, items, as_rng(i))
+            assert ours == [dumps(e) + "\n" for e in theirs]
+            assert len({e["timestamp"] for e in theirs if e["event_type"] == "pageview"}) == 1
+            basketviews += theirs[0]["event_type"] == "basketview"
+        assert basketviews >= 2
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestSingleClassCorpus:
+    @pytest.mark.parametrize("users", ["1", "5"])
+    def test_bayes_auc_is_null(self, tmp_path, users):
+        out = tmp_path / "corpus"
+        rc, stdout, err = run_cli(["synth", "--users", users, "--categories", "12", "--weeks", "1",
+                                   "--seed", "2", "--out", str(out)])
+        assert rc == 0, err
+        summary = json.loads(stdout)
+        assert summary["bayes_auc"] is None
+        assert summary["n_buy_sessions"] == 0
+        derived = json.loads((out / "config.json").read_text())["derived"]
+        assert derived["bayes_auc"] is None
+        assert derived["n_buy_sessions"] == 0
+        assert derived["n_sessions"] == summary["n_sessions"]
+        assert (out / "events.jsonl.manifest.json").exists()
+
+
+def _no_generation(*args, **kwargs):
+    raise AssertionError("generation started")
+
+
+class TestSizeCeilings:
+    @pytest.mark.parametrize(
+        "flag, value, ceiling",
+        [
+            ("--users", synth.MAX_USERS + 1, synth.MAX_USERS),
+            ("--users", 10**12, synth.MAX_USERS),
+            ("--categories", synth.MAX_CATEGORIES + 1, synth.MAX_CATEGORIES),
+            ("--categories", 10**9, synth.MAX_CATEGORIES),
+            ("--weeks", synth.MAX_WEEKS + 1, synth.MAX_WEEKS),
+            ("--weeks", 1_000_000, synth.MAX_WEEKS),
+            ("--weeks", 100_000_000_000_000, synth.MAX_WEEKS),
+        ],
+    )
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, flag, value, ceiling):
+        monkeypatch.setattr(synth, "_plan_sessions", _no_generation)
+        monkeypatch.setattr(synth, "_build_catalog", _no_generation)
+        flags = {"--users": "3", "--categories": "12", "--weeks": "1", flag: str(value)}
+        out = tmp_path / "corpus"
+        rc, stdout, err = run_cli(["synth", *[x for kv in flags.items() for x in kv], "--seed", "1",
+                                   "--out", str(out)])
+        assert rc == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert f"({flag}) must be at most {ceiling}, got {value}" in error["detail"]
+        assert not out.exists()
+
+    def test_largest_sizes_are_accepted(self):
+        SynthConfig(n_users=synth.MAX_USERS, n_categories=synth.MAX_CATEGORIES, weeks=synth.MAX_WEEKS)
+
+    def test_last_week_ends_by_ingests_last_timestamp(self):
+        def window_end(weeks):
+            return synth.WINDOW_BASE_MS + weeks * 7 * synth.MS_PER_DAY + synth.SESSION_SPAN_MS
+
+        assert window_end(synth.MAX_WEEKS) <= MAX_TIMESTAMP_MS < window_end(synth.MAX_WEEKS + 1)
+
+    def test_sessions_end_well_inside_the_span(self, tmp_path):
+        # the longest buy gap (90 h) on the slowest browsers of a corpus
+        cfg = small_cfg(n_users=400, buy_rate=0.5, impulsive_fraction=0.0)
+        result = generate(cfg, str(tmp_path))
+        first, last = {}, {}
+        with open(result.events_path, "r", encoding="utf-8") as fh:
+            for e in map(json.loads, fh):
+                first.setdefault(e["session_id"], e["timestamp"])
+                last[e["session_id"]] = e["timestamp"]
+        longest = max(last[s] - first[s] for s in first)
+        assert 25 * synth.MS_PER_HOUR < longest < synth.SESSION_SPAN_MS / 1.5

@@ -8,24 +8,32 @@ networks at --epochs 20, a 3-fold cv of the rf model and a 2-trial
 search for sda and dbn. It runs the package under src/ next to this
 script's directory, inside OUT, which must not exist yet.
 
-Each file but the manifests (they hold wall-clock times) is printed as
-`sha256  path`, the format of sha256sum, in path order. The last line is
-the sha256 of that listing, one digest for the whole chain: two trees
-that write the same bytes print the same listing.
+The first line, `platform {...}`, names what the bytes were made on:
+numpy's version, the kernel numpy's bundled OpenBLAS picked for this CPU
+(`openblas_core`, null where that library does not export
+`scipy_openblas_get_corename64_`) and `OPENBLAS_CORETYPE` where it is
+set. Then each file but the manifests (they hold wall-clock times) is
+printed as `sha256  path`, the format of sha256sum, in path order. The
+last line is the sha256 of that listing, one digest for the whole chain:
+two trees that write the same bytes print the same listing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from buyintent import cli  # noqa: E402
+from buyintent.util import dumps  # noqa: E402
 
 NETWORKS = ("sda", "dbn", "mlp")
 
@@ -62,6 +70,24 @@ def listing(root: Path) -> list[str]:
     return [f"{hashlib.sha256((root / f).read_bytes()).hexdigest()}  {f}" for f in files]
 
 
+def openblas_core() -> str | None:
+    """The kernel name numpy's bundled OpenBLAS reports, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def platform() -> dict:
+    record = {"numpy": np.__version__, "openblas_core": openblas_core()}
+    if "OPENBLAS_CORETYPE" in os.environ:
+        record["OPENBLAS_CORETYPE"] = os.environ["OPENBLAS_CORETYPE"]
+    return record
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
@@ -77,6 +103,7 @@ def main(argv: list[str]) -> int:
             sys.stderr.write(f"{' '.join(step)} exited {rc}: {stderr.getvalue()}")
             return 1
     lines = listing(out)
+    print("platform", dumps(platform()))
     print("\n".join(lines))
     print(hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest())
     return 0
