@@ -82,7 +82,7 @@ def train_logistic(
     check_epochs(epochs)
     if train.n == 0:
         raise ValueError("cannot train on an empty dataset")
-    scaler = Standardizer().fit(train.rows)
+    scaler = Standardizer.fit(train.rows)
     X = scaler.transform(train.rows)
     y = train.labels.astype(float)
     n, d = X.shape

@@ -223,15 +223,22 @@ class ModelKind(NamedTuple):
     """One model family: fit(ds, config, seed) -> model, score(model, X),
     load(params) -> model, the JSON type of each config field (see
     _has_type), check(config), which raises ValueError for a value its
-    trainer refuses, and the space `search` samples, if it tunes the
-    kind."""
+    trainer refuses, the flags of _OPTIONAL_FLAGS its `train` reads, and
+    the space `search` samples, if it tunes the kind."""
 
     fit: Callable
     score: Callable
     load: Callable
     config: dict
     check: Callable
+    flags: tuple[str, ...]
     search_space: SearchSpace | None = None
+
+
+# train's flags that default to None; a kind refuses those it does not
+# read. --trees and --l2 are not among them: their defaults are in every
+# train manifest.
+_OPTIONAL_FLAGS = ("mtry", "lr", "epochs", "layers", "hp")
 
 
 def _network_kind(train, search_space=None) -> ModelKind:
@@ -241,6 +248,7 @@ def _network_kind(train, search_space=None) -> ModelKind:
         load=Network.from_dict,
         config={"hidden_units": [int], **_HP_FIELD_TYPES},
         check=Hyperparams.from_dict,
+        flags=("lr", "epochs", "layers", "hp"),
         search_space=search_space,
     )
 
@@ -252,6 +260,7 @@ MODEL_KINDS = {
         load=LogisticModel.from_dict,
         config={"learning_rate": float, "epochs": int, "l2": float},
         check=lambda cfg: check_epochs(cfg["epochs"]),
+        flags=("lr", "epochs"),
     ),
     "rf": ModelKind(
         fit=lambda ds, cfg, seed: train_forest(ds, n_trees=cfg["n_trees"], mtry=cfg["mtry"], seed=seed),
@@ -259,6 +268,7 @@ MODEL_KINDS = {
         load=Forest.from_dict,
         config={"n_trees": int, "mtry": (int, type(None))},
         check=lambda cfg: check_n_trees(cfg["n_trees"]),
+        flags=("mtry",),
     ),
     "sda": _network_kind(train_sda, SearchSpace(depth_choices=(1, 2), with_input_noise=True)),
     "dbn": _network_kind(train_dbn, SearchSpace(depth_choices=(1, 2), activations=("sigmoid",))),
@@ -267,7 +277,11 @@ MODEL_KINDS = {
 
 
 def _train_config(args) -> dict:
-    """The saved config for `train`'s flags; fit trains from this dict."""
+    """The saved config for `train`'s flags; fit trains from this dict.
+    A flag of _OPTIONAL_FLAGS the kind does not read is refused."""
+    for name in _OPTIONAL_FLAGS:
+        if getattr(args, name) is not None and name not in MODEL_KINDS[args.model].flags:
+            raise ValueError(f"--{name} does not apply to --model {args.model}")
     if args.model == "lr":
         return {"learning_rate": args.lr if args.lr is not None else 0.1,
                 "epochs": args.epochs if args.epochs is not None else 100,

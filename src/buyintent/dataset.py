@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class Dataset:
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2:
-            raise ValueError("rows must be a 2-D matrix")
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if not np.isfinite(self.rows).all():
             raise ValueError("rows must be finite")
@@ -139,20 +137,17 @@ class Standardizer:
     """Per-column zero-mean unit-variance scaling, fit on training data
     only. Constant columns pass through unscaled."""
 
-    mean: np.ndarray = field(default=None)
-    std: np.ndarray = field(default=None)
+    mean: np.ndarray
+    std: np.ndarray
 
-    def fit(self, X: np.ndarray) -> "Standardizer":
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=float)
-        self.mean = X.mean(axis=0)
         std = X.std(axis=0)
         std[std == 0.0] = 1.0
-        self.std = std
-        return self
+        return cls(mean=X.mean(axis=0), std=std)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            raise ValueError("Standardizer not fitted")
         X = np.asarray(X, dtype=float)
         if X.shape[-1] != self.mean.shape[0]:
             raise ValueError("column count does not match fitted statistics")
@@ -163,10 +158,7 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
-        out = cls()
-        out.mean = np.asarray(d["mean"], dtype=float)
-        out.std = np.asarray(d["std"], dtype=float)
-        return out
+        return cls(mean=np.asarray(d["mean"], dtype=float), std=np.asarray(d["std"], dtype=float))
 
 
 @dataclass(eq=False)
@@ -177,20 +169,18 @@ class RangeScaler:
     interval; unseen data is clipped back into it after scaling.
     """
 
-    lo: np.ndarray = field(default=None)
-    span: np.ndarray = field(default=None)
+    lo: np.ndarray
+    span: np.ndarray
 
-    def fit(self, X: np.ndarray) -> "RangeScaler":
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "RangeScaler":
         X = np.asarray(X, dtype=float)
-        self.lo = X.min(axis=0)
-        span = X.max(axis=0) - self.lo
+        lo = X.min(axis=0)
+        span = X.max(axis=0) - lo
         span[span == 0.0] = 1.0
-        self.span = span
-        return self
+        return cls(lo=lo, span=span)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.lo is None:
-            raise ValueError("RangeScaler not fitted")
         X = np.asarray(X, dtype=float)
         if X.shape[-1] != self.lo.shape[0]:
             raise ValueError("column count does not match fitted statistics")
@@ -201,10 +191,7 @@ class RangeScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RangeScaler":
-        out = cls()
-        out.lo = np.asarray(d["lo"], dtype=float)
-        out.span = np.asarray(d["span"], dtype=float)
-        return out
+        return cls(lo=np.asarray(d["lo"], dtype=float), span=np.asarray(d["span"], dtype=float))
 
 
 def scaler_from_dict(d: dict | None):

@@ -10,7 +10,7 @@ know about it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -99,16 +99,7 @@ class EvalReport:
     def to_json(self) -> str:
         """Canonical bytes for hashing and golden comparisons; the
         wall-clock lives in the run manifest, not here."""
-        body = {
-            "model": self.model,
-            "dataset": self.dataset,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "fold_aucs": self.fold_aucs,
-            "auc": self.auc,
-            "extras": self.extras,
-        }
-        return dumps(body)
+        return dumps(asdict(self))
 
 
 class SingleClassSet(ValueError):

@@ -65,9 +65,6 @@ class EmbeddingTable:
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for tok, vec in self.entries.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(f"embedding for '{tok}' has length {vec.shape}, want {self.dim}")
         kept = [tok for tok in self.entries if tok not in self.stopwords]
         self.row_of = {tok: i for i, tok in enumerate(kept)}
         self.matrix = np.array([self.entries[tok] for tok in kept]).reshape(len(kept), self.dim)
@@ -113,8 +110,6 @@ def item_durations(clicks) -> dict[str, float]:
     the only one). Per-item duration sums the dwells of that item's
     clicks.
     """
-    if not clicks:
-        return {}
     gaps = [
         (clicks[i + 1].timestamp - clicks[i].timestamp) / 1000.0
         for i in range(len(clicks) - 1)

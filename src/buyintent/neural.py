@@ -221,11 +221,10 @@ def _descend(weights, biases, n: int, hp: Hyperparams, rng, step, what: str) -> 
     """Momentum SGD over _epochs(n, hp, rng), shared by train_ae_layer and
     finetune: step(idx) returns batch idx's GradientSet (drawing its noise
     from rng), which moves weights (with L2 decay) and biases in place. A
-    non-finite batch or epoch loss raises TrainingDiverged(epoch, what)."""
+    non-finite batch loss raises TrainingDiverged(epoch, what)."""
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     for epoch, batches in enumerate(_epochs(n, hp, rng)):
-        epoch_loss = 0.0
         for idx, lr in batches:
             g = step(idx)
             if not np.isfinite(g.loss):
@@ -236,9 +235,6 @@ def _descend(weights, biases, n: int, hp: Hyperparams, rng, step, what: str) -> 
             for i, b in enumerate(biases):
                 vel_b[i] = hp.momentum * vel_b[i] - lr * g.biases[i]
                 b += vel_b[i]
-            epoch_loss += g.loss * len(idx)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(epoch, what)
 
 
 def train_ae_layer(X: np.ndarray, n_hidden: int, hp: Hyperparams, seed) -> Layer:
@@ -361,8 +357,6 @@ def network_gradients(net: Network, X: np.ndarray, T: np.ndarray, masks=None) ->
 def build_network(stack, n_classes: int, hp: Hyperparams, seed, scaler=None) -> Network:
     """Assemble a Network from copies of the W and b of pretrained (or
     fresh) hidden layers and a newly initialized softmax head."""
-    if not stack:
-        raise ValueError("network needs at least one hidden layer")
     layers = [Layer(W=l.W.copy(), b=l.b.copy()) for l in stack]
     layers.append(init_layer(layers[-1].W.shape[0], n_classes, as_rng(seed)))
     return Network(
@@ -444,7 +438,7 @@ def train_network(ds: Dataset, hp: Hyperparams, seed, make_stack) -> Network:
             f"hidden_units {list(hp.hidden_units)} on {ds.n} rows of {ds.d} columns need an array of "
             f"{largest} elements, more than {MAX_ELEMENTS}"
         )
-    scaler = RangeScaler().fit(ds.rows)
+    scaler = RangeScaler.fit(ds.rows)
     X = scaler.transform(ds.rows)
     stack = make_stack(X, hp.hidden_units, hp, substream_seed(seed, 1))
     return finetune(stack, X, ds.labels, hp, substream_seed(seed, 2), scaler=scaler)

@@ -17,6 +17,9 @@ from .util import as_rng
 
 EPS = 1e-12
 
+# the most sweeps nmf_factorize and nmf_transform run
+MAX_ITERS = 100_000
+
 
 @dataclass(eq=False)
 class NmfFactors:
@@ -48,6 +51,8 @@ def _check_max_iters(max_iters: int) -> None:
     # With no sweep the factors are only their random initialization.
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if max_iters > MAX_ITERS:
+        raise ValueError(f"max_iters must be at most {MAX_ITERS}, got {max_iters}")
 
 
 def nmf_factorize(

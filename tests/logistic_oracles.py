@@ -26,7 +26,7 @@ def logistic_loss_and_gradients(weights, bias, X, y, l2: float):
 
 
 def train_logistic_loop(train, learning_rate: float, epochs: int, l2: float, seed: int) -> LogisticModel:
-    scaler = Standardizer().fit(train.rows)
+    scaler = Standardizer.fit(train.rows)
     X = scaler.transform(train.rows)
     y = train.labels.astype(float)
     n, d = X.shape

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import buyintent
-from buyintent import baselines, cli, evaluation, neural
+from buyintent import baselines, cli, evaluation, neural, nmf
 from buyintent.baselines import MAX_TREES
 from buyintent.baselines import Forest
 from buyintent.dataset import Dataset, dataset_header, load_dataset, save_dataset
@@ -28,6 +28,7 @@ from buyintent.evaluation import MAX_BUDGET
 from buyintent.features import constant_columns
 from buyintent.ingest import ParseIssue, load_store, parse_events
 from buyintent.neural import Hyperparams, Network
+from buyintent.nmf import MAX_ITERS
 from buyintent.util import MAX_EPOCHS, check_epochs
 from network_oracles import assert_in_search_space
 from tree_oracles import depth, nested
@@ -320,6 +321,22 @@ class TestFeaturize:
         assert rc == 0
         assert again.read_bytes() == work["balanced"].read_bytes()
 
+    def test_store_nested_past_the_recursion_limit_is_a_structured_error(self, work, tmp_path):
+        # json.load recurses once per nesting level, well-formed or not
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10_000 + "]" * 10_000)
+        out = tmp_path / "deep.bin"
+        rc, stdout, err = run_cli(
+            ["featurize", "--store", str(deep), "--embeddings", str(work["corpus"] / "embeddings.tsv"),
+             "--categories", "12", "--out", str(out)]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        error = stderr_error(err)
+        assert error["error"] == "RecursionError"
+        assert error["detail"].startswith(f"{deep}: maximum recursion depth exceeded")
+        assert not out.exists()
+
     def test_blank_embeddings_line_is_skipped(self, work, tmp_path):
         lines = (work["corpus"] / "embeddings.tsv").read_bytes().splitlines(keepends=True)
         table = tmp_path / "embeddings.tsv"
@@ -507,6 +524,19 @@ class TestReduce:
         assert stderr_error(err) == {"error": "ValueError", "detail": f"max_iters must be at least 1, got {sweeps}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweeps", [str(MAX_ITERS + 1), str(10**12)])
+    def test_sweeps_past_the_ceiling_are_refused_before_any_sweep(self, work, tmp_path, monkeypatch, sweeps):
+        monkeypatch.setattr(nmf, "_init_factors", _no_training)
+        out = tmp_path / "r.bin"
+        rc, _, err = run_cli(
+            ["reduce", "--in", str(work["plain"]), "--rank", "4", "--max-iters", sweeps, "--tol=-inf",
+             "--seed", "3", "--out", str(out)]
+        )
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": f"max_iters must be at most {MAX_ITERS}, got {sweeps}"}
+        assert not out.exists()
+
     def test_bad_rank_is_a_structured_error(self, work, tmp_path):
         rc, _, err = run_cli(
             ["reduce", "--in", str(work["plain"]), "--rank", "0",
@@ -576,6 +606,21 @@ class TestTrain:
         assert saved.shape == (ds.n,)
         assert np.all((saved >= 0) & (saved <= 1))
         assert np.array_equal(saved, retrained)
+
+    @pytest.mark.parametrize("kind", ["sda", "dbn", "mlp"])
+    def test_saved_network_refuses_rows_of_another_width(self, work, tmp_path, kind):
+        # network_predict scales the rows before it checks their width
+        path = tmp_path / f"{kind}.model.json"
+        rc, _, _ = run_cli(
+            ["train", "--model", kind, "--in", str(work["balanced"]),
+             "--seed", "2", "--out", str(path), *TRAIN_FLAGS[kind]]
+        )
+        assert rc == 0
+        score = cli.scorer_from_model(cli.load_model(str(path)))
+        rows = load_dataset(work["balanced"]).rows
+        for narrow in (rows[:, :-1], rows[0, 1:]):
+            with pytest.raises(ValueError, match="^column count does not match fitted statistics$"):
+                score(narrow)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", sorted(TRAIN_FLAGS))
@@ -818,6 +863,23 @@ class TestHyperparamFiles:
         )
         assert rc == 1
         assert "key = value" in stderr_error(err)["detail"]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_layer_list_is_a_structured_error(self, work, tmp_path, source):
+        if source == "flag":
+            flags, detail = ["--layers", ","], "bad --layers value ',': expected at least one layer size"
+        else:
+            hp_file = self.write_hp(tmp_path, "hidden_units = ,\n")
+            flags, detail = ["--hp", hp_file], f"{hp_file}:1: hidden_units: expected at least one layer size"
+        out = tmp_path / "m.json"
+        rc, stdout, err = run_cli(
+            ["train", "--model", "mlp", "--in", str(work["balanced"]),
+             "--seed", "3", "--out", str(out), *flags]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": detail}
+        assert not out.exists()
 
     def test_bad_layers_value_is_a_structured_error(self, work, tmp_path):
         rc, _, err = run_cli(
@@ -1131,6 +1193,51 @@ def test_count_past_its_ceiling_is_refused_before_training(work, tmp_path, monke
     assert rc == 1
     assert stderr_error(err) == {"error": "ValueError", "detail": f"{named}, got {flags[1]}"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, flags",
+    [
+        ("lr", ["--layers", "5"]),
+        ("lr", ["--hp", "nonexistent.hp"]),
+        ("lr", ["--mtry", "2"]),
+        ("rf", ["--layers", "5", "--hp", "nonexistent.hp"]),
+        ("rf", ["--hp", "nonexistent.hp"]),
+        ("rf", ["--lr", "0.1"]),
+        ("rf", ["--epochs", "3"]),
+        ("sda", ["--mtry", "2"]),
+        ("dbn", ["--mtry", "2"]),
+        ("mlp", ["--mtry", "2", "--layers", "4"]),
+    ],
+)
+def test_flag_the_kind_does_not_read_is_refused_before_training(work, tmp_path, monkeypatch, model, flags):
+    # each trainer's first step after its argument checks
+    monkeypatch.setattr(baselines, "Standardizer", None)
+    monkeypatch.setattr(baselines, "substream_seed", None)
+    monkeypatch.setattr(neural, "RangeScaler", None)
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(["train", "--model", model, "--in", str(work["balanced"]), "--seed", "1",
+                               "--out", str(out), *flags])
+    assert (rc, stdout) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert stderr_error(err) == {"error": "ValueError", "detail": f"{flags[0]} does not apply to --model {model}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, flags, config",
+    [
+        ("lr", ["--lr", "0.2", "--epochs", "3"], {"learning_rate": 0.2, "epochs": 3}),
+        ("rf", ["--mtry", "2", "--trees", "2"], {"mtry": 2, "n_trees": 2}),
+    ],
+)
+def test_flags_the_kind_reads_reach_its_config(work, tmp_path, model, flags, config):
+    out = tmp_path / "out"
+    rc, _, _ = run_cli(["train", "--model", model, "--in", str(work["balanced"]), "--seed", "1",
+                        "--out", str(out), *flags])
+    assert rc == 0
+    saved = cli.load_model(str(out))["config"]
+    assert {k: saved[k] for k in config} == config
 
 
 def test_ceilings_admit_their_own_value():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buyintent.ingest import (
+    AD_EVENT_TYPES,
     EVENT_TYPES,
     MAX_TIMESTAMP_MS,
     MS_PER_HOUR,
@@ -379,6 +380,44 @@ class TestIngestReport:
         assert report.sessions_removed_min_clicks == 1
         assert report.unusable_buy_sessions == 0
         assert store.sessions["s1"].usable
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), min_clicks=st.integers(1, 6))
+    def test_counts_agree_with_the_store(self, data, min_clicks):
+        # Up to 4 users with up to 3 sessions of up to 8 events each, of
+        # every type, on the hours of two days, so buys land both inside
+        # and outside the 24 h window and events share timestamps; some
+        # events are repeated exactly.
+        events = []
+        for u in range(data.draw(st.integers(1, 4))):
+            for k in range(data.draw(st.integers(1, 3))):
+                start = data.draw(st.integers(0, 5 * DAY))
+                for _ in range(data.draw(st.integers(1, 8))):
+                    events.append(ev(user=f"u{u}", sid=f"s{u}.{k}", ts=start + data.draw(st.integers(0, 48)) * MS_PER_HOUR,
+                                     etype=data.draw(st.sampled_from(sorted(EVENT_TYPES))),
+                                     item=data.draw(st.sampled_from(["i1", "i2", "i3"]))))
+        events += data.draw(st.lists(st.sampled_from(events), max_size=4))
+        events = data.draw(st.permutations(events))
+        store, report = ingest_events(ParseResult(list(events), []), min_clicks=min_clicks, horizon_ms=DAY)
+
+        sessions = list(store.sessions.values())
+        assert report.sessions == len(sessions)
+        assert report.buy_sessions == sum(s.label == "buy" for s in sessions)
+        assert report.users == len({s.user_id for s in sessions})
+        assert report.unusable_buy_sessions == sum(not s.usable for s in sessions)
+        assert all(s.label == "buy" for s in sessions if not s.usable)
+        assert report.events_parsed == len(events) == sum(report.event_type_counts.values())
+        assert report.event_type_counts == {t: sum(e.event_type == t for e in events) for t in sorted(EVENT_TYPES)}
+
+        # the same counts from the drawn log, before any filter
+        kept = {(e.session_id, e.timestamp, e.event_type, e.item_id): e
+                for e in events if e.event_type not in AD_EVENT_TYPES}
+        assert report.duplicates_dropped == store.duplicates_dropped
+        assert report.duplicates_dropped == sum(e.event_type not in AD_EVENT_TYPES for e in events) - len(kept)
+        per_user = Counter(e.user_id for e in kept.values())
+        assert report.users + report.users_removed_min_clicks == len(per_user)
+        assert {s.user_id for s in sessions} == {u for u, n in per_user.items() if n >= min_clicks}
+        assert report.sessions + report.sessions_removed_min_clicks == len({e.session_id for e in kept.values()})
 
     def test_report_json_round_trip(self):
         parsed = ParseResult(events=[], errors=[])

@@ -655,7 +655,7 @@ class TestNetworkPredict:
     def test_scaler_applied_before_forward(self):
         hp = Hyperparams(hidden_units=(3,))
         raw = np.random.default_rng(1).random((8, 4)) * 50.0
-        scaler = RangeScaler().fit(raw)
+        scaler = RangeScaler.fit(raw)
         stack = init_stack(4, (3,), seed=0)
         with_scaler = build_network(stack, 2, hp, seed=1, scaler=scaler)
         without = build_network(init_stack(4, (3,), seed=0), 2, hp, seed=1)
@@ -671,7 +671,7 @@ class TestNetworkPredict:
 
     def test_dict_round_trip_preserves_outputs(self):
         hp = Hyperparams(hidden_units=(3,))
-        scaler = RangeScaler().fit(np.random.default_rng(2).random((6, 4)))
+        scaler = RangeScaler.fit(np.random.default_rng(2).random((6, 4)))
         net = build_network(init_stack(4, (3,), seed=3), 2, hp, seed=4, scaler=scaler)
         clone = Network.from_dict(net.to_dict())
         X = np.random.default_rng(3).random((5, 4))

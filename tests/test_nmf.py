@@ -7,13 +7,43 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buyintent.nmf import nmf_factorize, nmf_transform, reduce_dataset
+from buyintent import nmf
+from buyintent.nmf import MAX_ITERS, nmf_factorize, nmf_transform, reduce_dataset
 from buyintent.dataset import Dataset
 from io_oracles import nmf_transform_loop
 
 
 def random_nonneg(rng, n, d):
     return rng.random((n, d)) * rng.integers(1, 5)
+
+
+class Started(Exception):
+    pass
+
+
+def _no_sweeps(seed):
+    # both functions draw their initial factors right after their checks
+    raise Started
+
+
+@pytest.mark.parametrize("fn", [nmf_factorize, nmf_transform], ids=["factorize", "transform"])
+class TestSweepCeiling:
+    def call(self, fn, max_iters):
+        V = np.ones((4, 3))
+        if fn is nmf_factorize:
+            return fn(V, rank=1, seed=0, max_iters=max_iters, tol=-np.inf)
+        return fn(V, np.ones((1, 3)), seed=0, max_iters=max_iters, tol=-np.inf)
+
+    @pytest.mark.parametrize("max_iters", [MAX_ITERS + 1, 10**12])
+    def test_past_the_ceiling_is_refused_before_any_sweep(self, monkeypatch, fn, max_iters):
+        monkeypatch.setattr(nmf, "as_rng", _no_sweeps)
+        with pytest.raises(ValueError, match=f"^max_iters must be at most {MAX_ITERS}, got {max_iters}$"):
+            self.call(fn, max_iters)
+
+    def test_the_ceiling_itself_is_accepted(self, monkeypatch, fn):
+        monkeypatch.setattr(nmf, "as_rng", _no_sweeps)
+        with pytest.raises(Started):
+            self.call(fn, MAX_ITERS)
 
 
 class TestFactorize:
@@ -122,6 +152,11 @@ class TestTransform:
     def test_no_sweeps_rejected(self, max_iters):
         with pytest.raises(ValueError, match="max_iters"):
             nmf_transform(np.ones((3, 5)), np.ones((2, 5)), seed=0, max_iters=max_iters)
+
+    def test_negative_entries_rejected(self):
+        V = np.array([[1.0, -0.5], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="^V must be nonnegative$"):
+            nmf_transform(V, np.ones((1, 2)), seed=0)
 
     def test_column_mismatch_rejected(self):
         H = np.ones((2, 6))
