@@ -393,12 +393,13 @@ class TestIngestReport:
             for k in range(data.draw(st.integers(1, 3))):
                 start = data.draw(st.integers(0, 5 * DAY))
                 for _ in range(data.draw(st.integers(1, 8))):
-                    events.append(ev(user=f"u{u}", sid=f"s{u}.{k}", ts=start + data.draw(st.integers(0, 48)) * MS_PER_HOUR,
-                                     etype=data.draw(st.sampled_from(sorted(EVENT_TYPES))),
-                                     item=data.draw(st.sampled_from(["i1", "i2", "i3"]))))
+                    ts = start + data.draw(st.integers(0, 48)) * MS_PER_HOUR
+                    etype = data.draw(st.sampled_from(sorted(EVENT_TYPES)))
+                    item = data.draw(st.sampled_from(["i1", "i2", "i3"]))
+                    events.append(ev(user=f"u{u}", sid=f"s{u}.{k}", ts=ts, etype=etype, item=item))
         events += data.draw(st.lists(st.sampled_from(events), max_size=4))
         events = data.draw(st.permutations(events))
-        store, report = ingest_events(ParseResult(list(events), []), min_clicks=min_clicks, horizon_ms=DAY)
+        store, report = ingest_events(ParseResult(events, []), min_clicks=min_clicks, horizon_ms=DAY)
 
         sessions = list(store.sessions.values())
         assert report.sessions == len(sessions)

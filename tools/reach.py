@@ -20,7 +20,7 @@ otherwise, and 2 when a test removed the tracer (by setting its own, or
 by recursing so deep that the tracer hit the recursion limit): the
 record is then incomplete, and the summary names each such test. The
 tracer is set again after it, so later tests are still recorded. The
-whole suite takes about 95 s on 2 cores.
+whole suite takes about 100 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import ast
 import contextlib
 import os
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -109,14 +108,12 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]], list[
                 sys.settrace(tracer)
 
     os.chdir(ROOT)
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         args = ["-q", "-p", "no:cacheprovider", *(f"--deselect={t}" for t in ORDERING_VERDICTS), *pytest_args]
         code = pytest.main(args, plugins=[Watch()])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return int(code), {(os.path.realpath(f), line) for f, line in ran}, dropped
 
 
