@@ -288,8 +288,8 @@ def _train_config(args) -> dict:
                 "l2": args.l2}
     if args.model == "rf":
         return {"n_trees": args.trees, "mtry": args.mtry}
-    fields = _load_hp_file(args.hp) if args.hp else {}
-    if args.layers:
+    fields = _load_hp_file(args.hp) if args.hp is not None else {}
+    if args.layers is not None:
         try:
             fields["hidden_units"] = _parse_layers(args.layers)
         except ValueError as exc:
@@ -376,6 +376,8 @@ def trainer_from_model(doc: dict):
 
 
 def _cmd_evaluate(args) -> Ran:
+    if args.protocol == "holdout" and args.cv is not None:
+        raise ValueError("--cv does not apply to --protocol holdout")
     ds = load_dataset(args.infile)
     doc = load_model(args.model)
     trainer = trainer_from_model(doc)
@@ -383,7 +385,7 @@ def _cmd_evaluate(args) -> Ran:
     if args.protocol == "holdout":
         report = holdout_evaluate(trainer, ds, args.seed, **names)
     else:
-        report = cross_validate(trainer, ds, k=args.cv, seed=args.seed, **names)
+        report = cross_validate(trainer, ds, k=args.cv if args.cv is not None else 10, seed=args.seed, **names)
     _write_text(args.report, report.to_json() + "\n")
     return Ran([args.model, args.infile], [args.report], args.seed, report.to_json())
 
@@ -468,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validate a model configuration on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cv", type=int, default=10)
+    p.add_argument("--cv", type=int, default=None, help="folds of --protocol cv (default 10)")
     p.add_argument("--protocol", choices=("cv", "holdout"), default="cv")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", required=True)

@@ -105,9 +105,17 @@ def parse_events(stream) -> ParseResult:
     Each line must be a self-contained JSON object. Malformed lines are
     collected as ParseIssue records with 1-based line numbers instead of
     being dropped silently. An unreadable stream raises OSError.
+
+    Equal values of an event's string fields share one object: a memo
+    that lives for this call keeps the first of each, since ids, types
+    and descriptions repeat across a log. Each stripped line is decoded
+    by the C scanner json.loads ends in; a line it does not consume
+    whole goes to json.loads, so every error reads as json.loads's.
     """
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
+    scan = json.JSONDecoder().scan_once
+    share = {}.setdefault  # str and None only: 0.0 == -0.0 and 1 == 1.0 == True
     events: list[RawEvent] = []
     errors: list[ParseIssue] = []
     for line_no, raw in enumerate(stream, start=1):
@@ -121,7 +129,12 @@ def parse_events(stream) -> ParseResult:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            try:
+                obj, end = scan(line, 0)
+            except StopIteration:  # no JSON value at the start
+                end = None
+            if end != len(line):
+                obj = json.loads(line)
         except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             errors.append(ParseIssue(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
@@ -135,16 +148,21 @@ def parse_events(stream) -> ParseResult:
         if issue is not None:
             errors.append(ParseIssue(line_no, issue))
             continue
+        user, session, item = str(obj["user_id"]), str(obj["session_id"]), str(obj["item_id"])
+        etype, category, description = obj["event_type"], obj.get("category_id"), obj.get("description")
+        category = None if category is None else str(category)
+        description = None if description is None else str(description)
+        price = obj.get("price")
         events.append(
             RawEvent(
-                user_id=str(obj["user_id"]),
-                session_id=str(obj["session_id"]),
+                user_id=share(user, user),
+                session_id=share(session, session),
                 timestamp=int(obj["timestamp"]),
-                event_type=obj["event_type"],
-                item_id=str(obj["item_id"]),
-                category_id=None if obj.get("category_id") is None else str(obj["category_id"]),
-                price=None if obj.get("price") is None else float(obj["price"]),
-                description=None if obj.get("description") is None else str(obj["description"]),
+                event_type=share(etype, etype),
+                item_id=share(item, item),
+                category_id=share(category, category),
+                price=None if price is None else float(price),
+                description=share(description, description),
             )
         )
     return ParseResult(events, errors)

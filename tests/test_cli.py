@@ -864,10 +864,12 @@ class TestHyperparamFiles:
         assert rc == 1
         assert "key = value" in stderr_error(err)["detail"]
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("source", ["flag", "file", "empty-flag"])
     def test_empty_layer_list_is_a_structured_error(self, work, tmp_path, source):
         if source == "flag":
             flags, detail = ["--layers", ","], "bad --layers value ',': expected at least one layer size"
+        elif source == "empty-flag":  # a value given, not the flag left out
+            flags, detail = ["--layers", ""], "bad --layers value '': expected at least one layer size"
         else:
             hp_file = self.write_hp(tmp_path, "hidden_units = ,\n")
             flags, detail = ["--hp", hp_file], f"{hp_file}:1: hidden_units: expected at least one layer size"
@@ -879,6 +881,18 @@ class TestHyperparamFiles:
         assert (rc, stdout) == (1, "")
         assert len(err.splitlines()) == 1
         assert stderr_error(err) == {"error": "ValueError", "detail": detail}
+        assert not out.exists()
+
+    def test_empty_hp_path_is_a_structured_error(self, work, tmp_path, monkeypatch):
+        # a value given, not the flag left out
+        monkeypatch.setitem(cli.MODEL_KINDS, "mlp", cli.MODEL_KINDS["mlp"]._replace(fit=_no_training))
+        out = tmp_path / "m.json"
+        rc, stdout, err = run_cli(
+            ["train", "--model", "mlp", "--in", str(work["balanced"]), "--seed", "3", "--out", str(out), "--hp", ""]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err) == {"error": "FileNotFoundError", "detail": "[Errno 2] No such file or directory: ''"}
         assert not out.exists()
 
     def test_bad_layers_value_is_a_structured_error(self, work, tmp_path):
@@ -906,6 +920,29 @@ class TestEvaluate:
         assert report["auc"] == pytest.approx(np.mean(report["fold_aucs"]))
         manifest = json.loads((tmp_path / "cv.report.json.manifest.json").read_text())
         assert str(lr_model) in manifest["inputs"]
+
+    def test_cv_defaults_to_ten_folds(self, work, lr_model, tmp_path):
+        report_path = tmp_path / "cv.report.json"
+        rc, _, _ = run_cli(
+            ["evaluate", "--model", str(lr_model), "--in", str(work["plain"]),
+             "--seed", "9", "--report", str(report_path)]
+        )
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert report["protocol"] == "cv10"
+        assert len(report["fold_aucs"]) == 10
+
+    def test_cv_under_the_holdout_protocol_is_refused(self, work, lr_model, tmp_path, monkeypatch):
+        monkeypatch.setattr(baselines, "Standardizer", _no_training)
+        report_path = tmp_path / "holdout.report.json"
+        rc, stdout, err = run_cli(
+            ["evaluate", "--model", str(lr_model), "--in", str(work["balanced"]),
+             "--protocol", "holdout", "--cv", "3", "--seed", "9", "--report", str(report_path)]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": "--cv does not apply to --protocol holdout"}
+        assert not report_path.exists()
 
     def test_holdout_report(self, work, lr_model, tmp_path):
         report_path = tmp_path / "holdout.report.json"

@@ -29,7 +29,7 @@ from buyintent.ingest import (
     save_store,
     sessionize,
 )
-from io_oracles import save_store_dump
+from io_oracles import parse_events_loads, save_store_dump
 
 DAY = 24 * MS_PER_HOUR
 
@@ -76,6 +76,52 @@ BYTE_LINE = st.one_of(
     ),
     st.sampled_from([b"9" * 5000, b'{"user_id": ' + b"7" * 5000 + b"}", b"[" * 5000, b"\xff\xfe", b" \t\r"]),
 ).map(lambda line: line.replace(b"\n", b" "))
+
+
+# The string fields of RawEvent, each shared per parse_events call.
+STRING_FIELDS = ("user_id", "session_id", "event_type", "item_id", "category_id", "description")
+
+# Field values that repeat across a drawn log, among them the values a
+# memo keyed by equality would confuse (0.0 and -0.0, 1 and 1.0 and True).
+_ORACLE_EVENT = st.builds(
+    lambda **kw: json.dumps(base_obj(**kw)).encode("utf-8"),
+    user_id=st.sampled_from(["u1", "u22", 17, 17.0, "17", True]),
+    session_id=st.sampled_from(["s1", "s22", "s1 "]),
+    timestamp=st.sampled_from([0, 1000, 1000.0, -0.0, 12.5, "1", True, -3, MAX_TIMESTAMP_MS + 1]),
+    event_type=st.sampled_from([*sorted(EVENT_TYPES), "hover"]),
+    item_id=st.sampled_from(["i1", "i22", 5, None]),
+    category_id=st.sampled_from([None, "c1", "c12", 3]),
+    price=st.sampled_from([None, 0, 0.0, -0.0, 1, 1.0, 2.5, True, -1]),
+    description=st.sampled_from([None, "red shoe", "blue hat", "", "\u00e9t\u00e9"]),
+)
+
+# One newline-free log line for the reader oracle: a drawn event with a
+# prefix and suffix that JSON, str.strip or UTF-8 treat each their own
+# way (a BOM, Unicode whitespace, a CR, trailing data, a bad byte), a
+# line that fails deep in the decoder, or random bytes.
+ORACLE_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from([b"", b"\xef\xbb\xbf", " \u3000\xa0".encode(), b"\x1c", b"\t"]),
+        _ORACLE_EVENT,
+        st.sampled_from([b"", b"\r", b" x", b"{}", b" \xc2\x85", b"]", b"\xff", b" \t \r"]),
+    ).map(b"".join),
+    st.sampled_from([
+        b"", b"   ", b"\t\r", b"9" * 5000, b'{"user_id": ' + b"7" * 5000 + b"}", b"[" * 5000,
+        b'{"a": ' * 3000, b"[" * 20 + b"]" * 20, b"\xff\xfe", b"\xc3\x28", b"\xed\xa0\x80", b"[1, 2]",
+        b'"str"', b"null", b"nul", b"1e400", b"{}", b"{} {}", b'{"a": 1}x', b"{broken", b'{"a": "\\ud800"}',
+    ]),
+    st.binary(max_size=20).map(lambda line: line.replace(b"\n", b" ")),
+)
+
+
+def _typed(events) -> list:
+    """Each event as its values' types and reprs: -0.0 and 0.0, or 1.0
+    and 1, read as equal events otherwise."""
+    return [[(type(v), repr(v)) for v in e] for e in events]
+
+
+def _zero_priced(price) -> bytes:
+    return json.dumps(base_obj(event_type="buy", price=price)).encode("utf-8")
 
 
 class TestParseEvents:
@@ -224,6 +270,48 @@ class TestParseEvents:
         blank = sum(1 for line in raw_lines if _is_blank(line))
         assert len(result.events) + len(result.errors) + blank == len(raw_lines)
         assert len({e.line_no for e in result.errors}) == len(result.errors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ORACLE_LINE, max_size=12))
+    @example([_zero_priced(0.0), _zero_priced(-0.0), _zero_priced(0)])
+    @example([json.dumps(base_obj()).encode("utf-8") + b" x", b"\xef\xbb\xbf" + json.dumps(base_obj()).encode()])
+    def test_reader_matches_the_json_loads_oracle(self, raw_lines):
+        payload = b"".join(line + b"\n" for line in raw_lines)
+        got, want = parse_events(payload), parse_events_loads(payload)
+        assert _typed(got.events) == _typed(want.events)
+        assert [(e.line_no, e.reason) for e in got.errors] == [(e.line_no, e.reason) for e in want.errors]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (json.dumps(base_obj()) + " x", "invalid JSON: Extra data"),
+            (json.dumps(base_obj()) + "{}", "invalid JSON: Extra data"),
+            ("\ufeff" + json.dumps(base_obj()), "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ("nul", "invalid JSON: Expecting value"),
+        ],
+        ids=["trailing-word", "trailing-object", "bom", "no-value"],
+    )
+    def test_a_line_the_scanner_does_not_consume_whole_reads_json_loads_error(self, line, reason):
+        text = lines(base_obj(timestamp=1)) + line + "\n" + lines(base_obj(timestamp=2))
+        result = parse_events(text.encode("utf-8"))
+        assert [e.timestamp for e in result.events] == [1, 2]
+        assert [(e.line_no, e.reason) for e in result.errors] == [(2, reason)]
+
+    def test_equal_values_share_one_object_per_call(self):
+        log = lines(*(
+            base_obj(user_id=17 if k % 2 else "user-a", session_id=f"session-{k % 3}", timestamp=k,
+                     event_type=("pageview", "basketview")[k % 2], item_id=f"item-{k % 4}",
+                     category_id=None if k % 5 == 0 else f"cat-{k % 2}",
+                     description=None if k % 5 == 0 else f"desc {k % 3}")
+            for k in range(40)
+        )).encode("utf-8")
+        first, second = parse_events(log).events, parse_events(log).events
+        assert len(first) == 40
+        for name in STRING_FIELDS:
+            values = [getattr(e, name) for e in first]
+            assert len({id(v) for v in values}) == len(set(values)) > 1, name
+            # the memo is the call's own: a second call shares nothing with the first
+            assert not {id(v) for v in values if v is not None} & {id(getattr(e, name)) for e in second}, name
 
     def test_bytes_input_and_blank_lines(self):
         payload = ("\n" + lines(base_obj()) + "\n").encode("utf-8")

@@ -28,9 +28,9 @@ If a bench run exits non-zero, the file is still written from the pairs
 completed before it, with a `failure` entry naming the side, tree, seed,
 exit code and the last lines of its stderr, and the script exits 1.
 
-The output file holds one entry per workload; an existing file keeps
-its other workloads' entries, so several runs of this script fill one
-file.
+The output file holds one entry per workload under its `workloads`
+key; an existing file keeps its other workloads' entries and its other
+keys (tools/chain_times.py's `chain`), so several runs fill one file.
 """
 
 from __future__ import annotations
@@ -167,11 +167,11 @@ def main(argv=None) -> int:
     }
     if failure:
         entry["failure"] = failure
-    doc = {"workloads": {}}
+    doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc["workloads"][args.workload] = entry
+    doc.setdefault("workloads", {})[args.workload] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 1 if failure else 0
