@@ -223,8 +223,8 @@ class ModelKind(NamedTuple):
     """One model family: fit(ds, config, seed) -> model, score(model, X),
     load(params) -> model, the JSON type of each config field (see
     _has_type), check(config), which raises ValueError for a value its
-    trainer refuses, the flags of _OPTIONAL_FLAGS its `train` reads, and
-    the space `search` samples, if it tunes the kind."""
+    trainer refuses or ignores, the flags of _OPTIONAL_FLAGS its `train`
+    reads, and the space `search` samples, if it tunes the kind."""
 
     fit: Callable
     score: Callable
@@ -241,13 +241,22 @@ class ModelKind(NamedTuple):
 _OPTIONAL_FLAGS = ("mtry", "lr", "epochs", "layers", "hp")
 
 
-def _network_kind(train, search_space=None) -> ModelKind:
+def _network_kind(kind: str, train, search_space=None, **pinned) -> ModelKind:
+    """A network family; pinned holds each Hyperparams field its trainer
+    does not read, with the one value its config may record."""
+
+    def check(cfg):
+        Hyperparams.from_dict(cfg)
+        for name, value in pinned.items():
+            if cfg[name] != value:
+                raise ValueError(f"{name} {cfg[name]!r} does not apply to {kind} models, which use {value!r}")
+
     return ModelKind(
         fit=lambda ds, cfg, seed: train(ds, Hyperparams.from_dict(cfg), seed),
         score=network_predict,
         load=Network.from_dict,
         config={"hidden_units": [int], **_HP_FIELD_TYPES},
-        check=Hyperparams.from_dict,
+        check=check,
         flags=("lr", "epochs", "layers", "hp"),
         search_space=search_space,
     )
@@ -270,9 +279,10 @@ MODEL_KINDS = {
         check=lambda cfg: check_n_trees(cfg["n_trees"]),
         flags=("mtry",),
     ),
-    "sda": _network_kind(train_sda, SearchSpace(depth_choices=(1, 2), with_input_noise=True)),
-    "dbn": _network_kind(train_dbn, SearchSpace(depth_choices=(1, 2), activations=("sigmoid",))),
-    "mlp": _network_kind(train_mlp),
+    "sda": _network_kind("sda", train_sda, SearchSpace(depth_choices=(1, 2), with_input_noise=True)),
+    "dbn": _network_kind("dbn", train_dbn, SearchSpace(depth_choices=(1, 2), activations=("sigmoid",)),
+                         activation="sigmoid", input_noise_level=0.0),
+    "mlp": _network_kind("mlp", train_mlp, input_noise_level=0.0),
 }
 
 
@@ -304,8 +314,9 @@ def _train_config(args) -> dict:
 
 def _cmd_train(args) -> Ran:
     ds = load_dataset(args.infile)
-    config = _train_config(args)
-    model = MODEL_KINDS[args.model].fit(ds, config, args.seed)
+    config, entry = _train_config(args), MODEL_KINDS[args.model]
+    entry.check(config)
+    model = entry.fit(ds, config, args.seed)
     _write_text(args.out, _model_payload(args.model, args.seed, config, model.to_dict()) + "\n")
     return Ran([args.infile], [args.out], args.seed, dumps({"kind": args.model, "out": args.out}))
 
@@ -340,7 +351,7 @@ def _has_type(value, typ) -> bool:
 def _model_kind(doc: dict) -> ModelKind:
     """The registry entry for a model document, after checking that its
     config holds exactly the kind's fields, each of its declared type
-    and with a value its trainer accepts."""
+    and with a value its trainer accepts and reads."""
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind '{kind}'")

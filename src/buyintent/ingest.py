@@ -61,13 +61,11 @@ class ParseResult:
 @dataclass(eq=False)
 class Session:
     """A user's events sharing one session id, sorted by timestamp, with
-    the label, bought_items and usable flag session_fields derives from
-    them."""
+    the label and usable flag session_fields derives from them."""
 
     session_id: str
     user_id: str
     events: list[RawEvent]
-    bought_items: set[str]
     label: str
     usable: bool
 
@@ -76,13 +74,11 @@ class Session:
         return [e for e in self.events if e.event_type != "buy"]
 
 
-def session_fields(events) -> tuple[str, set[str], bool]:
-    """A session's (label, bought_items, usable) from its events: label
-    "buy" iff a buy event, bought_items the buy events' items, and usable
-    iff an event that is not a buy."""
-    bought = {e.item_id for e in events if e.event_type == "buy"}
-    usable = any(e.event_type != "buy" for e in events)
-    return ("buy" if bought else "non_buy"), bought, usable
+def session_fields(events) -> tuple[str, bool]:
+    """A session's (label, usable) from its events: label "buy" iff a buy
+    event, and usable iff an event that is not a buy."""
+    types = {e.event_type for e in events}
+    return ("buy" if "buy" in types else "non_buy"), bool(types - {"buy"})
 
 
 @dataclass(eq=False)
@@ -100,7 +96,8 @@ class SessionStore:
 
 
 def parse_events(stream) -> ParseResult:
-    """Parse a JSON Lines byte/text stream into RawEvents.
+    """Parse a JSON Lines byte/text stream, or the lines one bytes or str
+    value holds, into RawEvents.
 
     Each line must be a self-contained JSON object. Malformed lines are
     collected as ParseIssue records with 1-based line numbers instead of
@@ -114,6 +111,8 @@ def parse_events(stream) -> ParseResult:
     """
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
+    elif isinstance(stream, str):
+        stream = io.StringIO(stream)
     scan = json.JSONDecoder().scan_once
     share = {}.setdefault  # str and None only: 0.0 == -0.0 and 1 == 1.0 == True
     events: list[RawEvent] = []
@@ -223,8 +222,7 @@ def sessionize(events) -> SessionStore:
     for sid in sorted(groups):
         evs = groups[sid]
         evs.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
-        label, bought, usable = session_fields(evs)
-        sessions[sid] = Session(sid, evs[0].user_id, evs, bought, label, usable)
+        sessions[sid] = Session(sid, evs[0].user_id, evs, *session_fields(evs))
     return SessionStore(sessions, duplicates)
 
 
@@ -257,7 +255,7 @@ def exclude_prediction_window(session: Session, horizon_ms: int = 24 * MS_PER_HO
     first_buy = min(e.timestamp for e in session.events if e.event_type == "buy")
     cutoff = first_buy - horizon_ms
     kept = [e for e in session.events if e.event_type == "buy" or e.timestamp < cutoff]
-    return replace(session, events=kept, usable=session_fields(kept)[2])
+    return replace(session, events=kept, usable=session_fields(kept)[1])
 
 
 def apply_prediction_window(store: SessionStore, horizon_ms: int = 24 * MS_PER_HOUR) -> SessionStore:
@@ -317,7 +315,7 @@ def ingest_events(
 
 
 STORE_FORMAT = "buyintent-store"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 def save_store(store: SessionStore, path) -> None:
@@ -335,13 +333,8 @@ def save_store(store: SessionStore, path) -> None:
             rec = {
                 "session_id": s.session_id,
                 "user_id": s.user_id,
-                "label": s.label,
-                "usable": s.usable,
-                "bought_items": sorted(s.bought_items),
                 "events": [
                     {
-                        "user_id": e.user_id,
-                        "session_id": e.session_id,
                         "timestamp": e.timestamp,
                         "event_type": e.event_type,
                         "item_id": e.item_id,
@@ -357,10 +350,8 @@ def save_store(store: SessionStore, path) -> None:
 
 
 # The types save_store writes for each event field; load_store accepts
-# an int price too.
+# an int price too. The ids are the session's, not the event's.
 _EVENT_FIELD_TYPES = {
-    "user_id": {str},
-    "session_id": {str},
     "timestamp": {int},
     "event_type": {str},
     "item_id": {str},
@@ -368,20 +359,22 @@ _EVENT_FIELD_TYPES = {
     "price": {int, float, type(None)},
     "description": {str, type(None)},
 }
-_SESSION_KEYS = {"session_id", "user_id", "label", "usable", "bought_items", "events"}
+_SESSION_KEYS = {"session_id", "user_id", "events"}
 
 
 def load_store(path) -> SessionStore:
     """Read a store written by save_store.
 
-    A file that is not UTF-8 JSON, a document that is not a store, or
-    one whose sessions and events lack the keys, types and ranges
-    save_store writes, raises ValueError naming the path (JSON nested
-    past the recursion limit stays a RecursionError, with the path).
-    Every session needs an event, its events must be in time order, and
-    its usable flag, label and bought_items must be what session_fields
-    derives from them. Event fields are checked a column at a time over
-    the whole store first, so those checks cost a constant per event.
+    A file that is not UTF-8 JSON, a document that is not a version 2
+    store, or one whose sessions and events lack the keys, types and
+    ranges save_store writes, raises ValueError naming the path (JSON
+    nested past the recursion limit stays a RecursionError, with the
+    path). Every session needs an event, its events must be in time
+    order, and a price must be finite, at least 0 and on a buy or
+    basketview event, as in a log. Each event takes its session's ids,
+    and session_fields derives each session's label and usable flag, as
+    in sessionize. Event fields are checked a column at a time over the
+    whole store, so those checks cost a constant per event.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -413,28 +406,20 @@ def _read_sessions(doc: dict) -> SessionStore:
     for n, rec in enumerate(records):
         if not isinstance(rec, dict) or rec.keys() != _SESSION_KEYS:
             raise ValueError(f"session {n} must be an object with keys {sorted(_SESSION_KEYS)}")
-        sid, bought = rec["session_id"], rec["bought_items"]
-        if not (
-            type(sid) is str
-            and type(rec["user_id"]) is str
-            and rec["label"] in ("buy", "non_buy")
-            and type(rec["usable"]) is bool
-            and type(bought) is list
-            and all(type(item) is str for item in bought)
-            and type(rec["events"]) is list
-        ):
-            raise ValueError(f"session {n} has a field of the wrong type or value")
+        sid, uid = rec["session_id"], rec["user_id"]
+        if not (type(sid) is str and type(uid) is str and type(rec["events"]) is list):
+            raise ValueError(f"session {n} has a field of the wrong type")
         if sid in sessions:
             raise ValueError(f"session {sid!r} appears twice")
         try:
-            events = [RawEvent(**ev) for ev in rec["events"]]
+            events = [RawEvent(uid, sid, **ev) for ev in rec["events"]]
         except TypeError as exc:
             raise ValueError(f"session {sid!r} has a malformed event: {exc}") from None
         if not events:
             raise ValueError(f"session {sid!r} has no events")
         starts.append(len(all_events))
         all_events += events
-        sessions[sid] = Session(sid, rec["user_id"], events, set(bought), rec["label"], rec["usable"])
+        sessions[sid] = Session(sid, uid, events, *session_fields(events))
     if all_events:
         columns = dict(zip(RawEvent._fields, zip(*all_events)))
         for name, allowed in _EVENT_FIELD_TYPES.items():
@@ -446,19 +431,16 @@ def _read_sessions(doc: dict) -> SessionStore:
             raise ValueError(f"event timestamps must lie in [0, {MAX_TIMESTAMP_MS}]")
         if not types <= EVENT_TYPES:
             raise ValueError(f"unknown event_type '{min(types - EVENT_TYPES)}'")
+        priced = {t for t, p in zip(columns["event_type"], columns["price"]) if p is not None}
+        if not priced <= PRICED_EVENT_TYPES:
+            raise ValueError(f"price not allowed on '{min(priced - PRICED_EVENT_TYPES)}' events")
+        # false for NaN; the upper bound also refuses infinity and any int too large to become a float
+        if not all(0 <= p <= sys.float_info.max for p in columns["price"] if p is not None):
+            raise ValueError("event prices must be finite and at least 0")
         step = np.diff(np.array(stamps, dtype=np.int64))
         step[np.array(starts[1:], dtype=np.int64) - 1] = 0  # a session may start before the last one ends
         back = np.flatnonzero(step < 0)
         if back.size:
             sid = list(sessions)[np.searchsorted(starts, back[0], side="right") - 1]
             raise ValueError(f"session {sid!r} has events out of time order")
-    for s, rec in zip(sessions.values(), records):
-        label, bought, usable = session_fields(s.events)
-        if s.usable != usable:
-            state = "usable" if s.usable else "unusable"
-            raise ValueError(f"{state} session {s.session_id!r} has {'no' if s.usable else 'some'} feature events")
-        if s.label != label:
-            raise ValueError(f"session {s.session_id!r} has label {s.label!r} but {'a' if bought else 'no'} buy event")
-        if rec["bought_items"] != sorted(bought):
-            raise ValueError(f"session {s.session_id!r} has bought_items other than the items of its buy events")
     return SessionStore(sessions, dropped)

@@ -80,13 +80,8 @@ def save_store_dump(store, path) -> None:
             {
                 "session_id": s.session_id,
                 "user_id": s.user_id,
-                "label": s.label,
-                "usable": s.usable,
-                "bought_items": sorted(s.bought_items),
                 "events": [
                     {
-                        "user_id": e.user_id,
-                        "session_id": e.session_id,
                         "timestamp": e.timestamp,
                         "event_type": e.event_type,
                         "item_id": e.item_id,

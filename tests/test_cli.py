@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -427,9 +428,14 @@ class TestFeaturize:
         assert not out.exists()
 
 
+def _has_buy(rec) -> bool:
+    return any(e["event_type"] == "buy" for e in rec["events"])
+
+
 def _corrupt(doc, probe):
     """The store document doc with one malformation."""
     first = doc["sessions"][0]
+    basketview = next(e for rec in doc["sessions"] for e in rec["events"] if e["event_type"] == "basketview")
     if probe == "extra-event-key":
         first["events"][0]["extra"] = 1
     elif probe == "missing-timestamp":
@@ -439,7 +445,7 @@ def _corrupt(doc, probe):
     elif probe == "top-level-list":
         return [doc]
     elif probe == "usable-session-without-events":
-        usable = next(rec for rec in doc["sessions"] if rec["usable"])
+        usable = next(rec for rec in doc["sessions"] if any(e["event_type"] != "buy" for e in rec["events"]))
         usable["events"] = []
     elif probe == "string-timestamp":
         first["events"][0]["timestamp"] = str(first["events"][0]["timestamp"])
@@ -447,8 +453,13 @@ def _corrupt(doc, probe):
         doc["sessions"].append(first)
     elif probe == "reversed-events":
         first["events"].reverse()
-    elif probe == "label-without-buy":
-        next(rec for rec in doc["sessions"] if rec["label"] == "non_buy")["label"] = "buy"
+    elif probe == "event-with-its-session-id":
+        non_buy = next(rec for rec in doc["sessions"] if not _has_buy(rec))
+        non_buy["events"][0]["session_id"] = non_buy["session_id"]
+    elif probe == "negative-price":
+        basketview["price"] = -5.0
+    elif probe == "nan-price":
+        basketview["price"] = math.nan
     return doc
 
 
@@ -456,13 +467,13 @@ def _corrupt(doc, probe):
     "probe",
     ["extra-event-key", "missing-timestamp", "sessions-not-a-list", "top-level-list",
      "usable-session-without-events", "string-timestamp", "repeated-session", "reversed-events",
-     "label-without-buy"],
+     "event-with-its-session-id", "negative-price", "nan-price"],
 )
 def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     bad = tmp_path / "bad.store.json"
     doc = json.loads(work["store"].read_text())
     first_sid = doc["sessions"][0]["session_id"]
-    non_buy_sid = next(rec["session_id"] for rec in doc["sessions"] if rec["label"] == "non_buy")
+    non_buy_sid = next(rec["session_id"] for rec in doc["sessions"] if not _has_buy(rec))
     bad.write_text(json.dumps(_corrupt(doc, probe)))
     out = tmp_path / "bad.bin"
     rc, _, err = run_cli(
@@ -476,8 +487,11 @@ def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     assert error["detail"].startswith(f"{bad}: ")
     if probe == "reversed-events":
         assert f"session {first_sid!r}" in error["detail"]
-    if probe == "label-without-buy":
-        assert error["detail"].endswith(f"session {non_buy_sid!r} has label 'buy' but no buy event")
+    if probe == "event-with-its-session-id":
+        assert f"session {non_buy_sid!r} has a malformed event: " in error["detail"]
+        assert error["detail"].endswith("got multiple values for argument 'session_id'")
+    if probe in ("negative-price", "nan-price"):
+        assert error["detail"] == f"{bad}: malformed session store: event prices must be finite and at least 0"
     assert not out.exists()
 
 
@@ -894,6 +908,48 @@ class TestHyperparamFiles:
         assert len(err.splitlines()) == 1
         assert stderr_error(err) == {"error": "FileNotFoundError", "detail": "[Errno 2] No such file or directory: ''"}
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, line, detail",
+        [
+            ("dbn", "activation = relu", "activation 'relu' does not apply to dbn models, which use 'sigmoid'"),
+            ("dbn", "input_noise_level = 0.1", "input_noise_level 0.1 does not apply to dbn models, which use 0.0"),
+            ("mlp", "input_noise_level = 0.1", "input_noise_level 0.1 does not apply to mlp models, which use 0.0"),
+        ],
+    )
+    def test_value_the_trainer_ignores_is_refused_before_training(self, work, tmp_path, monkeypatch, model, line,
+                                                                   detail):
+        monkeypatch.setitem(cli.MODEL_KINDS, model, cli.MODEL_KINDS[model]._replace(fit=_no_training))
+        out = tmp_path / "m.json"
+        rc, stdout, err = run_cli(
+            ["train", "--model", model, "--in", str(work["balanced"]), "--seed", "3", "--out", str(out),
+             "--layers", "4", "--hp", self.write_hp(tmp_path, line + "\n")]
+        )
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err) == {"error": "ValueError", "detail": detail}
+        assert not out.exists()
+
+    def test_model_file_with_a_value_its_trainer_ignores_is_refused(self, work, tmp_path, monkeypatch):
+        for name in ("cross_validate", "holdout_evaluate"):
+            monkeypatch.setattr(cli, name, _no_training)
+        model = tmp_path / "dbn.model.json"
+        model.write_text(cli._model_payload("dbn", 1, Hyperparams((4,), activation="relu").to_dict(), {}) + "\n")
+        report = tmp_path / "r.json"
+        rc, stdout, err = run_cli(["evaluate", "--model", str(model), "--in", str(work["balanced"]), "--seed", "1",
+                                   "--report", str(report)])
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err) == {
+            "error": "ValueError",
+            "detail": f"{model}: activation 'relu' does not apply to dbn models, which use 'sigmoid'",
+        }
+        assert not report.exists()
+
+    @pytest.mark.parametrize("model, field, value", [("sda", "input_noise_level", 0.1), ("mlp", "activation", "relu"),
+                                                     ("dbn", "activation", "sigmoid")])
+    def test_value_the_trainer_reads_passes_its_check(self, model, field, value):
+        cli.MODEL_KINDS[model].check(Hyperparams((4,), **{field: value}).to_dict())
 
     def test_bad_layers_value_is_a_structured_error(self, work, tmp_path):
         rc, _, err = run_cli(
@@ -1404,7 +1460,8 @@ class TestPipelineReproducibility:
 
 # sha256 of ingest -> featurize outputs on two small corpora, under each
 # scheme with and without balancing, computed at a4c6325 (before the
-# one-pass featurizer); a change to the store writer, the features or
+# one-pass featurizer), the stores again for store version 2, which holds
+# each id and label once; a change to the store writer, the features or
 # the dataset writer that moves a byte fails here.
 GOLDEN_CORPORA = {
     "linear-2w": SYNTH_FLAGS,
@@ -1412,8 +1469,8 @@ GOLDEN_CORPORA = {
                      "--nonlinear", "--weeks", "3", "--seed", "3"],
 }
 GOLDEN_STORE_SHA256 = {
-    "linear-2w": "1a763b2da20b318d637b3f2f1b552e3336750368553178d50c936431ac265e37",
-    "nonlinear-3w": "a6b674a82cd9e1d17cd3b5a97fca8643ae486dd6362bcecc1adc36132679daf7",
+    "linear-2w": "f6de844f38e93cc1f62378cf3373aa12074b881e34723626cb13f2ceb904529c",
+    "nonlinear-3w": "566009d107e0dbedfa56c3b36770f3e049d3ce6966fd52fe532c389668381e9e",
 }
 # (corpus, scheme, --balance-seed) -> sha256 of the .dataset and its .meta.json
 GOLDEN_FEATURIZE_SHA256 = {

@@ -313,6 +313,24 @@ class TestParseEvents:
             # the memo is the call's own: a second call shares nothing with the first
             assert not {id(v) for v in values if v is not None} & {id(getattr(e, name)) for e in second}, name
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                _ORACLE_EVENT.map(lambda line: line.decode("utf-8")),
+                st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=10),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    @example([json.dumps(base_obj()), "", "{broken"], "\n")
+    def test_str_input_parses_as_its_bytes(self, log_lines, newline):
+        text = newline.join(log_lines)
+        as_str, as_bytes = parse_events(text), parse_events(text.encode("utf-8"))
+        assert _typed(as_str.events) == _typed(as_bytes.events)
+        assert as_str.errors == as_bytes.errors
+
     def test_bytes_input_and_blank_lines(self):
         payload = ("\n" + lines(base_obj()) + "\n").encode("utf-8")
         result = parse_events(payload)
@@ -345,20 +363,19 @@ class TestSessionize:
         )
         s = store.sessions["s1"]
         assert s.label == "buy"
-        assert s.bought_items == {"ix"}
+        assert [e.item_id for e in s.events if e.event_type == "buy"] == ["ix"]
         assert [e.item_id for e in s.feature_events()] == ["i1"]
 
     def test_non_buy_session(self):
         store = sessionize([ev(), ev(ts=1, etype="basketview", item="i2", price=2.0)])
         s = store.sessions["s1"]
         assert s.label == "non_buy"
-        assert not s.bought_items
         assert s.usable
         assert [e.event_type for e in s.feature_events()] == ["pageview", "basketview"]
 
     def test_buy_only_session_is_unusable(self):
         s = sessionize([ev(etype="buy", item="ix"), ev(ts=1, etype="adview")]).sessions["s1"]
-        assert (s.label, s.bought_items, s.usable) == ("buy", {"ix"}, False)
+        assert (s.label, s.usable) == ("buy", False)
 
 
 def sessions_per_user(store) -> dict[str, int]:
@@ -536,6 +553,7 @@ class TestStorePersistence:
         sid = next(iter(store.sessions))
         assert reloaded.sessions[sid].events == store.sessions[sid].events
         assert reloaded.sessions[sid].usable == store.sessions[sid].usable
+        assert [s.label for s in reloaded.ordered_sessions()] == [s.label for s in store.ordered_sessions()]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -558,7 +576,6 @@ class TestStorePersistence:
                     ),
                     max_size=4,
                 ),
-                bought_items=st.sets(TEXT, max_size=3),
                 label=st.sampled_from(["buy", "non_buy"]),
                 usable=st.booleans(),
             ),
@@ -586,13 +603,26 @@ class TestStorePersistence:
         with pytest.raises(ValueError):
             load_store(bad)
 
+    def test_version_1_store_is_refused(self, tmp_path):
+        path = tmp_path / "store.json"
+        event = base_obj(category_id=None, price=None, description=None)
+        session = {"session_id": "s1", "user_id": "u1", "label": "non_buy", "usable": True, "bought_items": [],
+                   "events": [event]}
+        path.write_text(json.dumps({"duplicates_dropped": 0, "format": "buyintent-store", "sessions": [session],
+                                    "version": 1}))
+        with pytest.raises(ValueError) as excinfo:
+            load_store(path)
+        assert str(excinfo.value) == f"{path}: unsupported store version 1"
+
     @pytest.mark.parametrize(
         "where, key, value, named",
         [
-            ("session", "label", "maybe", "wrong type or value"),
-            ("session", "usable", 1, "wrong type or value"),
-            ("session", "bought_items", [7], "wrong type or value"),
+            ("session", "user_id", 7, "wrong type"),
+            ("session", "events", {}, "wrong type"),
             ("session", "extra", 1, "must be an object with keys"),
+            ("session", "label", "buy", "must be an object with keys"),
+            ("event", "session_id", "zzz", "has a malformed event"),
+            ("event", "user_id", "uzzz", "has a malformed event"),
             ("event", "event_type", "click", "unknown event_type 'click'"),
             ("event", "timestamp", -1, "timestamps must lie in"),
             ("event", "timestamp", MAX_TIMESTAMP_MS + 1, "timestamps must lie in"),
@@ -600,10 +630,7 @@ class TestStorePersistence:
             ("event", "price", "5", "'price' has type str"),
             ("event", "category_id", 3, "'category_id' has type int"),
             ("event", "description", ["red"], "'description' has type list"),
-            ("event", "event_type", "buy", "has no feature events"),
-            ("session", "usable", False, "unusable session 's1' has some feature events"),
-            ("session", "label", "buy", "session 's1' has label 'buy' but no buy event"),
-            ("session", "bought_items", ["B"], "session 's1' has bought_items other than the items of its buy events"),
+            ("event", "price", 2.5, "price not allowed on 'pageview' events"),
         ],
     )
     def test_malformed_record_names_the_file(self, tmp_path, where, key, value, named):
@@ -630,14 +657,27 @@ class TestStorePersistence:
             load_store(path)
         assert str(excinfo.value).startswith(f"{path}: malformed session store: ")
 
-    @pytest.mark.parametrize("bought", [["B", "A"], ["A", "A", "B"], ["A"]])
-    def test_bought_items_are_the_sorted_distinct_buys(self, tmp_path, bought):
+    @pytest.mark.parametrize("price", [-5.0, math.nan, math.inf, -math.inf, 10**400])
+    def test_store_price_follows_the_log_rule(self, tmp_path, price):
         path = tmp_path / "store.json"
-        buys = [ev(ts=k, etype="buy", item=item) for k, item in enumerate("BAA", start=1)]
-        save_store(sessionize([ev(ts=0), *buys]), path)
-        assert load_store(path).sessions["s1"].bought_items == {"A", "B"}
+        save_store(sessionize([ev(ts=0), ev(ts=1, etype="basketview", price=2.5)]), path)
         doc = json.loads(path.read_text())
-        doc["sessions"][0]["bought_items"] = bought
+        doc["sessions"][0]["events"][1]["price"] = price
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="'s1' has bought_items other than the items of its buy events"):
+        with pytest.raises(ValueError) as excinfo:
             load_store(path)
+        assert str(excinfo.value) == f"{path}: malformed session store: event prices must be finite and at least 0"
+
+    def test_events_take_their_session_ids_and_derived_fields(self, tmp_path):
+        path = tmp_path / "store.json"
+        buys = [ev(user="u2", sid="s2", ts=5, etype="buy", item="ix", price=1)]
+        save_store(sessionize([ev(ts=0), ev(ts=1, etype="basketview", price=0.5), *buys]), path)
+        doc = json.loads(path.read_text())
+        assert [sorted(rec) for rec in doc["sessions"]] == [["events", "session_id", "user_id"]] * 2
+        assert sorted(doc["sessions"][0]["events"][0]) == [
+            "category_id", "description", "event_type", "item_id", "price", "timestamp"]
+        store = load_store(path)
+        assert [(s.session_id, s.user_id, s.label, s.usable) for s in store.ordered_sessions()] == [
+            ("s1", "u1", "non_buy", True), ("s2", "u2", "buy", False)]
+        for s in store.sessions.values():
+            assert all(e.session_id is s.session_id and e.user_id is s.user_id for e in s.events)
