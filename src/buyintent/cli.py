@@ -41,7 +41,7 @@ from .evaluation import (
     holdout_evaluate,
     random_search,
 )
-from .features import balance, constant_columns, featurize_store, load_embedding_table
+from .features import FeaturizeError, constant_columns, featurize_store, load_embedding_table
 from .ingest import ingest_events, load_store, parse_events, save_store
 from .neural import Hyperparams, Network, network_predict, train_mlp, train_sda
 from .nmf import reduce_dataset
@@ -138,9 +138,11 @@ def _cmd_ingest(args) -> Ran:
 def _cmd_featurize(args) -> Ran:
     store = load_store(args.store)
     table = load_embedding_table(args.embeddings)
-    ds = featurize_store(store, table, scheme=args.scheme, n_categories=args.categories)
-    if args.balance_seed is not None:
-        ds = balance(ds, args.balance_seed)
+    try:
+        ds = featurize_store(store, table, scheme=args.scheme, n_categories=args.categories,
+                             balance_seed=args.balance_seed)
+    except FeaturizeError as exc:
+        raise ValueError(f"{args.store}: {exc}") from None
     save_dataset(ds, args.out)
     meta = {k: v for k, v in dataset_header(ds).items() if k not in ("format", "version")}
     meta["positives"] = int(ds.labels.sum())

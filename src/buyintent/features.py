@@ -166,16 +166,19 @@ def compute_session_features(store: SessionStore, sessions, table: EmbeddingTabl
     """One float64 row per session of sessions, in their order: the
     SCALAR_FEATURES values, then the description vector.
 
-    Historical values come from one _user_history walk over each user's
-    sessions in store, ordered by (first event time, session id). A
+    Historical values come from one _user_history walk over all of a
+    row owner's sessions in store, ordered by (first event time, session
+    id); users who own no row are not walked. A
     session's description vector is the mean of the table rows of every
     in-vocabulary, non-stopword token of its feature events'
     descriptions, in event order; each distinct description is
     tokenized once per call.
     """
+    owners = {sess.user_id for sess in sessions}
     by_user: dict[str, list] = {}
     for sess in store.sessions.values():
-        by_user.setdefault(sess.user_id, []).append(sess)
+        if sess.user_id in owners:
+            by_user.setdefault(sess.user_id, []).append(sess)
     history: dict[str, tuple[float, float, float]] = {}
     user_pageviews: dict[str, np.ndarray] = {}
     for user_id, user_sessions in by_user.items():
@@ -231,11 +234,18 @@ class AggregateFragment:
     column_names: list[str]
 
 
-def aggregate_pageviews(sessions, categories, scheme: str) -> AggregateFragment:
+def feature_span(sessions) -> tuple[int, int]:
+    """The first and last feature-event timestamps of sessions."""
+    stamps = [e.timestamp for sess in sessions for e in sess.feature_events()]
+    return min(stamps), max(stamps)
+
+
+def aggregate_pageviews(sessions, categories, scheme: str, span=None) -> AggregateFragment:
     """Count each session's pageviews per product category and calendar
     time bucket, one row per session of sessions, in their order.
 
-    Buckets are ISO weeks spanning the sessions' feature events; the
+    Buckets are ISO weeks spanning span, the (first, last) feature-event
+    timestamps the columns cover, by default feature_span(sessions); the
     semiweekly scheme splits each week into days 1-3 and 4-7. Buckets
     come from integer UTC days: epoch day 0 is a Thursday, so
     day - (day + 3) % 7 is the day's Monday. A span whose columns would
@@ -250,17 +260,16 @@ def aggregate_pageviews(sessions, categories, scheme: str) -> AggregateFragment:
 
     # a repeated category counts in the column of its last occurrence
     cat_col = {cat: i for i, cat in enumerate(categories)}
-    rows, stamps, cats, bounds = [], [], [], []
+    rows, stamps, cats = [], [], []
     for row, sess in enumerate(sessions):
-        feats = sess.feature_events()
-        bounds += (min(e.timestamp for e in feats), max(e.timestamp for e in feats))
-        for e in feats:
+        for e in sess.feature_events():
             if e.event_type == "pageview" and e.category_id in cat_col:
                 rows.append(row)
                 stamps.append(e.timestamp)
                 cats.append(cat_col[e.category_id])
 
-    first_day, last_day = min(bounds) // MS_PER_DAY, max(bounds) // MS_PER_DAY
+    first_ms, last_ms = feature_span(sessions) if span is None else span
+    first_day, last_day = first_ms // MS_PER_DAY, last_ms // MS_PER_DAY
     first_monday = first_day - (first_day + 3) % 7
     n_weeks = (last_day - first_monday) // 7 + 1
     halves = ["h1", "h2"] if scheme == "semiweekly" else [""]
@@ -287,23 +296,34 @@ def aggregate_pageviews(sessions, categories, scheme: str) -> AggregateFragment:
     return AggregateFragment(counts.reshape(len(sessions), len(names)), names)
 
 
-def balance(ds: Dataset, seed: int) -> Dataset:
-    """Equalize classes by subsampling non-buy rows without replacement,
-    then shuffle. Deterministic for a given seed."""
-    pos = np.flatnonzero(ds.labels == 1)
-    neg = np.flatnonzero(ds.labels == 0)
+class FeaturizeError(ValueError):
+    """The store cannot give the rows asked of featurize_store: its
+    classes cannot be balanced, or a kept row is not finite."""
+
+
+def balanced_index(labels: np.ndarray, seed: int) -> np.ndarray:
+    """The rows balance(ds, seed) keeps of a dataset labelled labels, in
+    its order: every buy row and as many non-buy rows drawn without
+    replacement, shuffled. Deterministic for a given seed."""
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
     if len(pos) == 0:
-        raise ValueError("cannot balance a dataset with no positives")
+        raise FeaturizeError(f"cannot balance a dataset with no positives (0 buy and {len(neg)} non-buy rows)")
     if len(pos) > len(neg):
-        raise ValueError(
+        raise FeaturizeError(
             f"more positives ({len(pos)}) than negatives ({len(neg)}); "
             "cannot balance by negative subsampling"
         )
     rng = np.random.default_rng(seed)
     neg_keep = rng.choice(neg, size=len(pos), replace=False)
     idx = np.concatenate([pos, neg_keep])
-    idx = idx[rng.permutation(len(idx))]
-    out = ds.take(idx)
+    return idx[rng.permutation(len(idx))]
+
+
+def balance(ds: Dataset, seed: int) -> Dataset:
+    """Equalize classes by subsampling non-buy rows without replacement,
+    then shuffle: the rows balanced_index(ds.labels, seed) names."""
+    out = ds.take(balanced_index(ds.labels, seed))
     out.seed = seed
     return out
 
@@ -334,22 +354,41 @@ def featurize_store(
     scheme: str = "weekly",
     *,
     n_categories: int,
+    balance_seed: int | None = None,
 ) -> Dataset:
     """Full featurization: one row per usable session, in session-id
     order, of engineered features, the top n_categories categories'
     aggregation columns and the buy label.
 
-    The result is unbalanced; apply balance() afterwards.
+    With a balance_seed the rows are those balance(ds, balance_seed)
+    keeps of that dataset, in its order and with its seed, and only
+    they are built; the aggregation columns still span every usable
+    session's feature events. A built row that is not finite (a sum of
+    finite values that overflows float64) raises FeaturizeError naming
+    its session and feature.
     """
     categories = top_categories(store, n_categories)
     sessions = [s for s in store.ordered_sessions() if s.usable]
-    fragment = aggregate_pageviews(sessions, categories, scheme)
-    ds = Dataset(
-        rows=np.hstack([compute_session_features(store, sessions, table), fragment.matrix]),
-        labels=np.array([s.label == "buy" for s in sessions], dtype=np.uint8),
-        feature_names=SCALAR_FEATURES + [f"desc_{i:02d}" for i in range(EMBED_DIM)] + fragment.column_names,
+    labels = np.array([s.label == "buy" for s in sessions], dtype=np.uint8)
+    span = feature_span(sessions) if sessions else None
+    if balance_seed is not None:
+        idx = balanced_index(labels, balance_seed)
+        sessions, labels = [sessions[i] for i in idx], labels[idx]
+    fragment = aggregate_pageviews(sessions, categories, scheme, span)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = compute_session_features(store, sessions, table)
+    names = SCALAR_FEATURES + [f"desc_{i:02d}" for i in range(EMBED_DIM)]
+    finite = np.isfinite(base)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise FeaturizeError(f"session {sessions[row].session_id!r}: feature {names[col]} is not finite "
+                             "(a sum of its finite inputs overflows float64)")
+    return Dataset(
+        rows=np.hstack([base, fragment.matrix]),
+        labels=labels,
+        feature_names=names + fragment.column_names,
         aggregation=scheme,
         category_count=len(categories),
-        n_base_cols=len(SCALAR_FEATURES) + EMBED_DIM,
+        seed=balance_seed,
+        n_base_cols=len(names),
     )
-    return ds

@@ -34,10 +34,12 @@ class NmfFactors:
         return self.error_trace[-1]
 
 
-def _residual_norm(V, WH) -> float:
-    """Frobenius norm of V - WH, for WH the product W @ H."""
-    R = V - WH
-    return float(np.sqrt(np.sum(R * R)))
+def _residual_norm(V, WH, out=None) -> float:
+    """Frobenius norm of V - WH, for WH the product W @ H. The residual
+    is formed and squared in out, by default WH itself."""
+    R = np.subtract(V, WH, out=WH if out is None else out)
+    np.multiply(R, R, out=R)
+    return float(np.sqrt(np.sum(R)))
 
 
 def _init_factors(V, rank, rng):
@@ -103,14 +105,16 @@ def nmf_transform(V: np.ndarray, H: np.ndarray, seed, max_iters: int = 500, tol:
     scale = np.sqrt(max(float(V.mean()), EPS) / rank)
     W = rng.uniform(0.0, 1.0, size=(V.shape[0], rank)) * scale
     # H is fixed, so V H^T is the same every sweep, and the W H of one
-    # sweep's error is the W H of the next sweep's update.
+    # sweep's error is the W H of the next sweep's update: the residual
+    # goes to a scratch buffer.
     VHt = V @ H.T
     WH = W @ H
-    prev = _residual_norm(V, WH)
+    scratch = np.empty_like(WH)
+    prev = _residual_norm(V, WH, scratch)
     for _ in range(max_iters):
         W *= VHt / (WH @ H.T + EPS)
         WH = W @ H
-        err = _residual_norm(V, WH)
+        err = _residual_norm(V, WH, scratch)
         if prev > 0 and (prev - err) / prev < tol:
             break
         prev = err

@@ -15,6 +15,12 @@ Monday with timedelta, which raises OverflowError once the last event
 falls in the final ISO week of 9999.
 features.compute_session_features and features.aggregate_pageviews
 must match them bit for bit everywhere else.
+
+featurize_store_all is the package's first featurize_store: it builds
+a row for every usable session, its aggregation columns spanning them
+all, and leaves balancing to balance() afterwards. featurize_store with
+a balance_seed builds the kept rows only and must save to the same
+bytes as balance() of its result.
 """
 
 from __future__ import annotations
@@ -24,7 +30,17 @@ from statistics import median
 
 import numpy as np
 
-from buyintent.features import SCALAR_FEATURES, AggregateFragment, item_durations, tokenize
+from buyintent.dataset import Dataset
+from buyintent.features import (
+    EMBED_DIM,
+    SCALAR_FEATURES,
+    AggregateFragment,
+    aggregate_pageviews,
+    compute_session_features,
+    item_durations,
+    tokenize,
+    top_categories,
+)
 from buyintent.ingest import CLICK_EVENT_TYPES, MS_PER_HOUR
 
 
@@ -193,3 +209,17 @@ def aggregate_pageviews_dates(store, categories, scheme: str) -> AggregateFragme
             half = "" if scheme == "weekly" else ("h1" if d.isocalendar()[2] <= 3 else "h2")
             matrix[row, col_of[(_week_monday(d), half, ev.category_id)]] += 1.0
     return AggregateFragment(matrix, names)
+
+
+def featurize_store_all(store, table, scheme: str = "weekly", *, n_categories: int) -> Dataset:
+    categories = top_categories(store, n_categories)
+    sessions = [s for s in store.ordered_sessions() if s.usable]
+    fragment = aggregate_pageviews(sessions, categories, scheme)
+    return Dataset(
+        rows=np.hstack([compute_session_features(store, sessions, table), fragment.matrix]),
+        labels=np.array([s.label == "buy" for s in sessions], dtype=np.uint8),
+        feature_names=SCALAR_FEATURES + [f"desc_{i:02d}" for i in range(EMBED_DIM)] + fragment.column_names,
+        aggregation=scheme,
+        category_count=len(categories),
+        n_base_cols=len(SCALAR_FEATURES) + EMBED_DIM,
+    )

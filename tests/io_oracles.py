@@ -10,8 +10,11 @@ save_store_dump writes a session store the way the package first did:
 build the whole document, then json.dump it with sorted keys and no
 whitespace. nmf_transform_loop projects rows onto a fixed H with the
 package's first loop, which forms V @ H.T and W @ H afresh for every
-update and every error. ingest.save_store and nmf.nmf_transform must
-match them bit for bit.
+update and every error. nmf_factorize_loop is the package's first
+factorization loop. Both take the residual norm in residual_norm_temps,
+the first form, which makes V - W H and its square as two new arrays.
+ingest.save_store, nmf.nmf_transform and nmf.nmf_factorize must match
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import numpy as np
 
 from buyintent.ingest import STORE_FORMAT, STORE_VERSION, ParseIssue, ParseResult, RawEvent, _validate_event
-from buyintent.nmf import EPS, _residual_norm
+from buyintent.nmf import EPS, NmfFactors, _init_factors
 from buyintent.util import as_rng
 
 
@@ -100,6 +103,26 @@ def save_store_dump(store, path) -> None:
         fh.write("\n")
 
 
+def residual_norm_temps(V, WH) -> float:
+    R = V - WH
+    return float(np.sqrt(np.sum(R * R)))
+
+
+def nmf_factorize_loop(V, rank, seed, max_iters: int = 500, tol: float = 1e-5) -> NmfFactors:
+    V = np.asarray(V, dtype=float)
+    W, H = _init_factors(V, rank, as_rng(seed))
+    trace = [residual_norm_temps(V, W @ H)]
+    for it in range(1, max_iters + 1):
+        H *= (W.T @ V) / (W.T @ W @ H + EPS)
+        W *= (V @ H.T) / (W @ H @ H.T + EPS)
+        err = residual_norm_temps(V, W @ H)
+        prev = trace[-1]
+        trace.append(err)
+        if prev > 0 and (prev - err) / prev < tol:
+            break
+    return NmfFactors(W=W, H=H, rank=rank, n_iters=it, error_trace=trace)
+
+
 def nmf_transform_loop(V, H, seed, max_iters: int = 500, tol: float = 1e-5) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -107,10 +130,10 @@ def nmf_transform_loop(V, H, seed, max_iters: int = 500, tol: float = 1e-5) -> n
     rank = H.shape[0]
     scale = np.sqrt(max(float(V.mean()), EPS) / rank)
     W = rng.uniform(0.0, 1.0, size=(V.shape[0], rank)) * scale
-    prev = _residual_norm(V, W @ H)
+    prev = residual_norm_temps(V, W @ H)
     for _ in range(max_iters):
         W *= (V @ H.T) / (W @ H @ H.T + EPS)
-        err = _residual_norm(V, W @ H)
+        err = residual_norm_temps(V, W @ H)
         if prev > 0 and (prev - err) / prev < tol:
             break
         prev = err

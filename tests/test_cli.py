@@ -26,7 +26,7 @@ from buyintent.baselines import MAX_TREES
 from buyintent.baselines import Forest
 from buyintent.dataset import Dataset, dataset_header, load_dataset, save_dataset
 from buyintent.evaluation import MAX_BUDGET
-from buyintent.features import constant_columns
+from buyintent.features import balanced_index, constant_columns
 from buyintent.ingest import ParseIssue, load_store, parse_events
 from buyintent.neural import Hyperparams, Network
 from buyintent.nmf import MAX_ITERS
@@ -426,6 +426,76 @@ class TestFeaturize:
                       f"{416_629 * 4} aggregation columns, more than {2**20}",
         }
         assert not out.exists()
+
+
+def _featurize_log(tmp_path, work, sessions, *flags):
+    """Ingest a log of sessions, {session id: [(event type, price)]}, all
+    of one user and each a minute per event after the last, and featurize
+    it with flags: the store path and run_cli's result."""
+    events, ts = tmp_path / "events.jsonl", 1_425_254_400_000
+    with open(events, "w") as fh:
+        for sid, evs in sessions.items():
+            for k, (etype, price) in enumerate(evs):
+                ts += 60_000
+                rec = {"user_id": "u", "session_id": sid, "timestamp": ts, "event_type": etype,
+                       "item_id": f"i{k}", "category_id": "c"}
+                if price is not None:
+                    rec["price"] = price
+                fh.write(json.dumps(rec) + "\n")
+    store = tmp_path / "store.json"
+    # a 36 s prediction window keeps the pageview a minute before a buy
+    assert run_cli(["ingest", "--input", str(events), "--min-clicks", "1", "--horizon-hours", "0.01",
+                    "--out", str(store)])[0] == 0
+    argv = ["featurize", "--store", str(store), "--embeddings", str(work["corpus"] / "embeddings.tsv"),
+            "--categories", "1", "--out", str(tmp_path / "out.bin"), *flags]
+    return store, run_cli(argv)
+
+
+# one buy session and two non-buy ones, the last of whose basketview
+# prices are finite but overflow their mean
+OVERFLOW_LOG = {
+    "b": [("pageview", None), ("buy", 5.0)],
+    "n1": [("pageview", None), ("pageview", None)],
+    "n2": [("basketview", 1.7e308), ("basketview", 1.7e308)],
+}
+
+
+def _seed_keeping(n2_kept: bool) -> int:
+    # rows b, n1, n2 in session-id order; n2 is row 2
+    return next(s for s in range(100) if (2 in balanced_index(np.array([1, 0, 0]), s)) == n2_kept)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [[], ["--balance-seed", str(_seed_keeping(True))]], ids=["all-rows", "kept"])
+def test_overflowing_price_mean_names_the_store_and_session(work, tmp_path, flags):
+    store, (rc, stdout, err) = _featurize_log(tmp_path, work, OVERFLOW_LOG, *flags)
+    assert (rc, stdout) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert stderr_error(err) == {
+        "error": "ValueError",
+        "detail": f"{store}: session 'n2': feature price is not finite "
+                  "(a sum of its finite inputs overflows float64)",
+    }
+    assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_row_that_balance_drops_is_not_built(work, tmp_path):
+    seed = _seed_keeping(False)
+    _, (rc, stdout, err) = _featurize_log(tmp_path, work, OVERFLOW_LOG, "--balance-seed", str(seed))
+    assert (rc, err) == (0, "")
+    ds = load_dataset(tmp_path / "out.bin")
+    assert (ds.n, int(ds.labels.sum()), ds.seed) == (2, 1, seed)
+
+
+def test_balancing_a_store_without_buys_names_the_store_and_counts(work, tmp_path):
+    log = {"n1": [("pageview", None)], "n2": [("pageview", None), ("basketview", 3.0)]}
+    store, (rc, _, err) = _featurize_log(tmp_path, work, log, "--balance-seed", "1")
+    assert rc == 1
+    assert stderr_error(err) == {
+        "error": "ValueError",
+        "detail": f"{store}: cannot balance a dataset with no positives (0 buy and 2 non-buy rows)",
+    }
 
 
 def _has_buy(rec) -> bool:

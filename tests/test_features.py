@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from buyintent.features import (
@@ -17,6 +19,7 @@ from buyintent.features import (
     EmbeddingTable,
     aggregate_pageviews,
     balance,
+    balanced_index,
     compute_session_features,
     constant_columns,
     item_durations,
@@ -24,6 +27,7 @@ from buyintent.features import (
     tokenize,
     top_categories,
 )
+from buyintent.dataset import save_dataset
 from buyintent.ingest import (
     MAX_TIMESTAMP_MS,
     MS_PER_HOUR,
@@ -32,7 +36,13 @@ from buyintent.ingest import (
     apply_prediction_window,
     sessionize,
 )
-from feature_oracles import aggregate_pageviews_dates, click_buy_ratio, click_events, compute_session_features_loop
+from feature_oracles import (
+    aggregate_pageviews_dates,
+    click_buy_ratio,
+    click_events,
+    compute_session_features_loop,
+    featurize_store_all,
+)
 
 DAY = 24 * MS_PER_HOUR
 
@@ -449,7 +459,7 @@ class TestBalance:
 
     def test_no_positives_rejected(self, feature_dataset):
         neg = feature_dataset.take(np.flatnonzero(feature_dataset.labels == 0)[:10])
-        with pytest.raises(ValueError, match="no positives"):
+        with pytest.raises(ValueError, match=r"no positives \(0 buy and 10 non-buy rows\)"):
             balance(neg, seed=0)
 
     def test_more_positives_than_negatives_rejected(self, feature_dataset):
@@ -458,6 +468,12 @@ class TestBalance:
         skewed = feature_dataset.take(np.concatenate([pos, neg[: len(pos) // 2]]))
         with pytest.raises(ValueError, match="more positives"):
             balance(skewed, seed=0)
+
+    def test_keeps_the_rows_balanced_index_names(self, feature_dataset):
+        out = balance(feature_dataset, seed=4)
+        idx = balanced_index(feature_dataset.labels, 4)
+        assert out.rows.tobytes() == feature_dataset.rows[idx].tobytes()
+        assert out.seed == 4
 
     def test_already_balanced_is_permutation(self, feature_dataset):
         pos = np.flatnonzero(feature_dataset.labels == 1)
@@ -584,3 +600,112 @@ class TestOracleEquality:
     @example(["a\u03a3", "b"])
     def test_joined_text_tokenizes_like_its_parts(self, descriptions):
         assert tokenize(" ".join(descriptions)) == [t for d in descriptions for t in tokenize(d)]
+
+
+def saved_bytes(ds) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds")
+        save_dataset(ds, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+TABLE50 = tiny_table(
+    dim=EMBED_DIM,
+    **{tok: np.random.default_rng(k).uniform(-1e3, 1e3, EMBED_DIM) for k, tok in enumerate(VOCAB[:-1])},
+)
+# shared between sessions, so dropped and kept rows look up the same text
+POOL = [None, "", "red shoe", "The RED k", "size 42", "i \u0130 shoe"]
+SESSION = st.tuples(
+    st.integers(0, 3),  # user
+    st.sampled_from(["buy", "non_buy", "non_buy", "non_buy", "non_buy", "unusable"]),
+    # start: a day of the two weeks and a time of day
+    st.tuples(st.sampled_from(range(14)), st.integers(0, DAY - 10 * 60_000)).map(lambda t: t[0] * DAY + t[1]),
+    st.lists(
+        st.tuples(st.sampled_from(["pageview", "pageview", "basketview"]), st.sampled_from([None, "c1", "c2", "c3"]),
+                  st.sampled_from(POOL), st.sampled_from("ABC")),
+        min_size=1, max_size=4,
+    ),
+)
+
+
+@st.composite
+def two_class_stores(draw):
+    """A sessionized store over two ISO weeks: sessions of up to four
+    users, each a buy, non-buy or unusable (buy events only) session,
+    and a user whose only session is unusable."""
+    monday = (4 + 7 * draw(st.integers(0, 2000))) * DAY
+    events = []
+    sessions = draw(st.lists(SESSION, min_size=3, max_size=12))
+    sessions.append((9, "unusable", draw(SESSION)[2], []))
+    for k, (user, kind, start, clicks) in enumerate(sessions):
+        ts = monday + start
+        common = dict(user=f"u{user}", sid=f"s{k:02d}")
+        if kind != "unusable":
+            for j, (etype, cat, desc, item) in enumerate(clicks):
+                price = float(j + 1) if etype == "basketview" else None
+                events.append(ev(ts=ts + j * 60_000, etype=etype, item=item, category_id=cat, description=desc,
+                                 price=price, **common))
+        if kind != "non_buy":
+            events.append(ev(ts=ts + 5 * 60_000, etype="buy", item="A", price=float(k), **common))
+    return sessionize(events)
+
+
+class TestKeptRows:
+    """featurize_store with a balance_seed builds only the rows balance()
+    keeps, and saves to the bytes of balance() of every row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(store=two_class_stores(), k=st.integers(1, 3), scheme=st.sampled_from(["weekly", "semiweekly"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kept_rows_save_like_balance_of_every_row(self, store, k, scheme, seed):
+        try:
+            full = featurize_store_all(store, TABLE50, scheme, n_categories=k)
+        except ValueError as exc:
+            # a store that cannot be balanced either may give that error first
+            with pytest.raises(ValueError):
+                featurize_store(store, TABLE50, scheme, n_categories=k, balance_seed=seed)
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                featurize_store(store, TABLE50, scheme, n_categories=k)
+            return
+        assert saved_bytes(featurize_store(store, TABLE50, scheme, n_categories=k)) == saved_bytes(full)
+        try:
+            want = balance(full, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                featurize_store(store, TABLE50, scheme, n_categories=k, balance_seed=seed)
+            event("refused by balance")
+            return
+        got = featurize_store(store, TABLE50, scheme, n_categories=k, balance_seed=seed)
+        assert saved_bytes(got) == saved_bytes(want)
+        kept = [usable(store)[i] for i in balanced_index(full.labels, seed)]
+        narrower = len(aggregate_pageviews(kept, top_categories(store, k), scheme).column_names) < full.d - 61
+        event(f"balanced, {len({name.split('_')[2] for name in full.feature_names[61:]})} week(s)"
+              + (", the kept rows span fewer" if narrower else ""))
+
+    @pytest.mark.parametrize("scheme", ["weekly", "semiweekly"])
+    def test_columns_span_a_last_week_no_kept_row_reaches(self, scheme):
+        monday = ms_at(2015, 3, 2)
+        store = sessionize([
+            ev(user="u1", sid="a", ts=monday, item="A", category_id="c", description="red shoe"),
+            ev(user="u1", sid="a", ts=monday + 60_000, etype="buy", item="A", price=3.0),
+            ev(user="u2", sid="b", ts=monday + DAY, item="B", category_id="c", description="red shoe"),
+            ev(user="u1", sid="c", ts=monday + WEEK + DAY, item="C", category_id="c", description="red shoe"),
+        ])
+        # rows a, b, c: a seed that keeps b and drops c, the last week's only session
+        seed = next(s for s in range(100) if 2 not in balanced_index(np.array([1, 0, 0]), s))
+        got = featurize_store(store, TABLE50, scheme, n_categories=1, balance_seed=seed)
+        kept = [store.sessions[sid] for sid in ("a", "b")]
+        assert len(got.feature_names) > 61 + len(aggregate_pageviews(kept, ["c"], scheme).column_names)
+        assert got.feature_names[-1].startswith("cat_c_2015w11")
+        assert saved_bytes(got) == saved_bytes(balance(featurize_store_all(store, TABLE50, scheme, n_categories=1), seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(store=stores(), table=vocab_tables(), data=st.data())
+    def test_rows_of_some_sessions_are_those_of_every_session(self, store, table, data):
+        sessions = usable(store)
+        picks = data.draw(st.permutations(range(len(sessions))))[: data.draw(st.integers(0, len(sessions)))]
+        got = compute_session_features(store, [sessions[i] for i in picks], table)
+        want = compute_session_features(store, sessions, table)[np.array(picks, dtype=int)]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

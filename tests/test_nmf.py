@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from buyintent import nmf
 from buyintent.nmf import MAX_ITERS, nmf_factorize, nmf_transform, reduce_dataset
 from buyintent.dataset import Dataset
-from io_oracles import nmf_transform_loop
+from io_oracles import nmf_factorize_loop, nmf_transform_loop
 
 
 def random_nonneg(rng, n, d):
@@ -126,6 +126,31 @@ class TestFactorize:
     def test_zero_matrix_is_fixed_point(self):
         out = nmf_factorize(np.zeros((5, 4)), rank=2, seed=0, max_iters=20)
         assert out.error <= 1e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 25),
+        d=st.integers(1, 300),
+        lead=st.integers(0, 3),
+        rank=st.integers(1, 8),
+        zeros=st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        max_iters=st.integers(1, 40),
+        tol=st.sampled_from([0.0, 1e-5, 1e-2, 1.0, -np.inf]),
+    )
+    @example(n=20, d=257, lead=2, rank=8, zeros=0.99, data_seed=1, seed=2, max_iters=40, tol=-np.inf)
+    @example(n=12, d=6, rank=3, lead=0, zeros=1.0, data_seed=1, seed=2, max_iters=40, tol=1e-5)  # V = 0
+    def test_bits_equal_the_two_temporary_loop(self, n, d, lead, rank, zeros, data_seed, seed, max_iters, tol):
+        # V is the trailing columns of a wider block, as reduce_dataset passes it
+        rng = np.random.default_rng(data_seed)
+        block = rng.uniform(0.0, 3.0, size=(n, lead + d)) * (rng.random((n, lead + d)) >= zeros)
+        V = block[:, lead:]
+        rank = min(rank, n, d)
+        got = nmf_factorize(V, rank, seed, max_iters=max_iters, tol=tol)
+        want = nmf_factorize_loop(V, rank, seed, max_iters=max_iters, tol=tol)
+        assert (got.W.tobytes(), got.H.tobytes()) == (want.W.tobytes(), want.H.tobytes())
+        assert (got.n_iters, got.error_trace) == (want.n_iters, want.error_trace)
 
 
 class TestTransform:

@@ -21,12 +21,23 @@ by recursing so deep that the tracer hit the recursion limit): the
 record is then incomplete, and the summary names each such test. The
 tracer is set again after it, so later tests are still recorded. The
 whole suite takes about 100 s on 2 cores.
+
+Python drops a trace function that raises, and a call made at the
+recursion limit raises. The cyclic garbage collector can start at any
+allocation and runs Python callbacks (hypothesis registers one in
+gc.callbacks), so a collection that started inside a deeply nested C
+call, such as json decoding a line of 5,000 brackets, called the tracer
+at the limit on some runs and not others. The collector's automatic
+runs are therefore off while the suite runs, and it collects after each
+test instead, so whether a test keeps the tracer depends on the tree
+alone.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import os
 import sys
 import time
@@ -103,17 +114,20 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]], list[
         @pytest.hookimpl(hookwrapper=True)
         def pytest_runtest_protocol(self, item):
             yield
+            gc.collect()
             if sys.gettrace() is not tracer:
                 dropped.append(item.nodeid)
                 sys.settrace(tracer)
 
     os.chdir(ROOT)
+    gc.disable()
     sys.settrace(tracer)
     try:
         args = ["-q", "-p", "no:cacheprovider", *(f"--deselect={t}" for t in ORDERING_VERDICTS), *pytest_args]
         code = pytest.main(args, plugins=[Watch()])
     finally:
         sys.settrace(None)
+        gc.enable()
     return int(code), {(os.path.realpath(f), line) for f, line in ran}, dropped
 
 
