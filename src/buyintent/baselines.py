@@ -176,8 +176,7 @@ def _column_ranks(X):
 
 def _split_search(X, ranks, y, nodes):
     """Lowest weighted-Gini split of each (rows, candidate features) node,
-    all in one vectorised search: None when nothing splits or the best
-    split's threshold sends every row to one side, else
+    all in one vectorised search: None when nothing splits, else
     (impurity, feature, threshold, left child, right child) with each
     child as (rows, positives).
 
@@ -186,10 +185,14 @@ def _split_search(X, ranks, y, nodes):
     segment of the flat layout is sorted by rank, and each boundary
     between two ranks is scored from label prefix sums. The first minimum
     in (feature id, boundary) order wins: the tie rule of a loop over
-    sorted features and then boundaries with a strict comparison. A score
-    counts the rows at or below a value, and a threshold adds two unequal
-    values, so neither depends on the order of tied rows, and an unstable
-    sort serves.
+    sorted features and then boundaries with a strict comparison. The
+    threshold is the midpoint of the boundary's two values, or the lower
+    value where the midpoint is not strictly between them (the midpoint
+    of two adjacent doubles rounds to one of them, and a sum past the
+    float maximum overflows to ±inf), so the rows at or below it are the
+    ones the boundary scored. A score counts the rows at or below a
+    value, and a threshold reads two unequal values, so neither depends
+    on the order of tied rows, and an unstable sort serves.
     """
     feats = np.sort([f for _, f in nodes], axis=1)
     n_nodes, mtry = feats.shape
@@ -228,20 +231,14 @@ def _split_search(X, ranks, y, nodes):
     pick = hit[np.searchsorted(node[hit], np.flatnonzero(best < np.inf))]
     q, s = b[pick], s[pick]
     f = feats.ravel()[s]
-    thr = (X[row[q], f] + X[row[q + 1], f]) / 2.0
+    x_lo, x_hi = X[row[q], f], X[row[q + 1], f]
+    mid = (x_lo + x_hi) / 2.0
+    thr = np.where((x_lo < mid) & (mid < x_hi), mid, x_lo)
     splits = [None] * n_nodes
-    for j, impurity, feature, threshold, start, stop in zip(
+    for j, impurity, feature, threshold, start, cut, stop in zip(
         node[pick].tolist(), score[pick].tolist(), f.tolist(), thr.tolist(), seg_start[s].tolist(),
-        seg_end[s].tolist(),
+        (q + 1).tolist(), seg_end[s].tolist(),
     ):
-        # The segment is in value order, so the rows with x <= threshold
-        # are a prefix; it can end past the boundary, as the midpoint of
-        # two adjacent doubles may round up to the larger, and a sum near
-        # the float maximum overflows to ±inf. A threshold that sends
-        # every row to one side splits nothing, and the node stays a leaf.
-        cut = start + int(np.count_nonzero(X[row[start:stop], feature] <= threshold))
-        if cut in (start, stop):
-            continue
         left, right = int(cum[cut] - cum[start]), int(cum[stop] - cum[cut])
         splits[j] = (impurity, feature, threshold, (row[start:cut].copy(), left), (row[cut:stop].copy(), right))
     return splits

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +27,16 @@ MS_PER_HOUR = 3_600_000
 
 # 9999-12-31T23:59:59.999Z, the last millisecond a datetime can hold.
 MAX_TIMESTAMP_MS = 253_402_300_799_999
+
+# The deepest bracket nesting a log line may hold; an event nests one
+# level. The JSON decoder recurses once per level, and how many levels it
+# can take depends on how deep its caller's stack already is. A fixed
+# limit far below the interpreter's recursion limit gives a line the same
+# verdict from any caller.
+MAX_LINE_DEPTH = 100
+# a JSON string, whole or running to the end of the line, or one bracket
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 class RawEvent(NamedTuple):
@@ -105,9 +118,11 @@ def parse_events(stream) -> ParseResult:
 
     Equal values of an event's string fields share one object: a memo
     that lives for this call keeps the first of each, since ids, types
-    and descriptions repeat across a log. Each stripped line is decoded
-    by the C scanner json.loads ends in; a line it does not consume
-    whole goes to json.loads, so every error reads as json.loads's.
+    and descriptions repeat across a log. A line nested deeper than
+    MAX_LINE_DEPTH is refused before it is decoded. Each other stripped
+    line is decoded by the C scanner json.loads ends in; a line it does
+    not consume whole goes to json.loads, so every error reads as
+    json.loads's.
     """
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
@@ -127,6 +142,10 @@ def parse_events(stream) -> ParseResult:
         line = raw.strip()
         if not line:
             continue
+        # a line with no more opening brackets than the limit cannot nest deeper
+        if line.count("[") + line.count("{") > MAX_LINE_DEPTH and _nesting_depth(line) > MAX_LINE_DEPTH:
+            errors.append(ParseIssue(line_no, f"invalid JSON: nested more than {MAX_LINE_DEPTH} levels deep"))
+            continue
         try:
             try:
                 obj, end = scan(line, 0)
@@ -136,9 +155,6 @@ def parse_events(stream) -> ParseResult:
                 obj = json.loads(line)
         except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             errors.append(ParseIssue(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
-            continue
-        except RecursionError:
-            errors.append(ParseIssue(line_no, "invalid JSON: nested too deeply"))
             continue
         if not isinstance(obj, dict):
             errors.append(ParseIssue(line_no, "line is not a JSON object"))
@@ -165,6 +181,13 @@ def parse_events(stream) -> ParseResult:
             )
         )
     return ParseResult(events, errors)
+
+
+def _nesting_depth(line: str) -> int:
+    """The deepest bracket nesting of line; brackets inside strings do
+    not count."""
+    steps = map(_DEPTH_STEP.get, _JSON_TOKEN.findall(line), repeat(0))
+    return max(accumulate(steps, initial=0))
 
 
 def _validate_event(obj: dict) -> str | None:
@@ -315,66 +338,87 @@ def ingest_events(
 
 
 STORE_FORMAT = "buyintent-store"
-STORE_VERSION = 2
+STORE_VERSION = 3
+
+# A version 3 store's columns: one entry per session, in session-id
+# order, and one per event, in that order and each session's event
+# order. An event takes its two ids from its session.
+_SESSION_COLUMNS = ("session_id", "user_id", "n_events")
+# The types save_store writes in each event column: event_type holds
+# indexes into event_types, and item_id, category_id and description
+# indexes into strings. load_store accepts an int price too.
+_COLUMN_TYPES = {
+    "timestamp": {int},
+    "event_type": {int},
+    "item_id": {int},
+    "category_id": {int, type(None)},
+    "price": {int, float, type(None)},
+    "description": {int, type(None)},
+}
+_STORE_KEYS = {"format", "version", "duplicates_dropped", "strings", "event_types", *_SESSION_COLUMNS,
+               *_COLUMN_TYPES}
 
 
 def save_store(store: SessionStore, path) -> None:
-    """Persist a store as canonical JSON; round-trips bit-exactly.
+    """Persist a store as canonical JSON, laid out by column; round-trips
+    bit-exactly.
 
-    The document is one object with sorted keys and no whitespace. Its
-    top level is written here and each session record by util.dumps,
-    whose C encoder gives the same bytes as encoding the whole document
-    in one call, without building it in memory.
+    The document is one object with sorted keys and no whitespace.
+    strings holds each distinct item id, category id and description
+    once and event_types each distinct event type, both sorted. The
+    session columns hold each session's id, user id and event count
+    (n_events); the event columns hold each event's timestamp, price
+    (null where absent), event_type as an index into event_types, and
+    item_id, category_id and description as indexes into strings (null
+    where absent). Each value is built only when its key is written, by
+    util.dumps, whose C encoder gives the same bytes as encoding the
+    whole document in one call, without holding it in memory.
     """
+    sessions = store.ordered_sessions()
+    events = [e for s in sessions for e in s.events]
+
+    def column(name):
+        return map(attrgetter(name), events)
+
+    strings = sorted({*column("item_id"), *column("category_id"), *column("description")} - {None})
+    index = {s: i for i, s in enumerate(strings)}
+    index[None] = None
+    event_types = sorted(set(column("event_type")))
+    code = {t: i for i, t in enumerate(event_types)}
+    values = {
+        "format": lambda: STORE_FORMAT,
+        "version": lambda: STORE_VERSION,
+        "duplicates_dropped": lambda: store.duplicates_dropped,
+        "strings": lambda: strings,
+        "event_types": lambda: event_types,
+        "session_id": lambda: [s.session_id for s in sessions],
+        "user_id": lambda: [s.user_id for s in sessions],
+        "n_events": lambda: [len(s.events) for s in sessions],
+        "timestamp": lambda: list(column("timestamp")),
+        "event_type": lambda: list(map(code.__getitem__, column("event_type"))),
+        "price": lambda: list(column("price")),
+        **{name: lambda name=name: list(map(index.__getitem__, column(name)))
+           for name in ("item_id", "category_id", "description")},
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        dropped, fmt = dumps(store.duplicates_dropped), dumps(STORE_FORMAT)
-        fh.write(f'{{"duplicates_dropped":{dropped},"format":{fmt},"sessions":[')
-        for i, s in enumerate(store.ordered_sessions()):
-            rec = {
-                "session_id": s.session_id,
-                "user_id": s.user_id,
-                "events": [
-                    {
-                        "timestamp": e.timestamp,
-                        "event_type": e.event_type,
-                        "item_id": e.item_id,
-                        "category_id": e.category_id,
-                        "price": e.price,
-                        "description": e.description,
-                    }
-                    for e in s.events
-                ],
-            }
-            fh.write(("," if i else "") + dumps(rec))
-        fh.write(f'],"version":{dumps(STORE_VERSION)}}}\n')
-
-
-# The types save_store writes for each event field; load_store accepts
-# an int price too. The ids are the session's, not the event's.
-_EVENT_FIELD_TYPES = {
-    "timestamp": {int},
-    "event_type": {str},
-    "item_id": {str},
-    "category_id": {str, type(None)},
-    "price": {int, float, type(None)},
-    "description": {str, type(None)},
-}
-_SESSION_KEYS = {"session_id", "user_id", "events"}
+        for i, key in enumerate(sorted(values)):
+            fh.write(("," if i else "{") + f"{dumps(key)}:{dumps(values[key]())}")
+        fh.write("}\n")
 
 
 def load_store(path) -> SessionStore:
     """Read a store written by save_store.
 
-    A file that is not UTF-8 JSON, a document that is not a version 2
-    store, or one whose sessions and events lack the keys, types and
-    ranges save_store writes, raises ValueError naming the path (JSON
-    nested past the recursion limit stays a RecursionError, with the
-    path). Every session needs an event, its events must be in time
-    order, and a price must be finite, at least 0 and on a buy or
+    A file that is not UTF-8 JSON, a document that is not a version 3
+    store, or one whose columns lack the keys, lengths, types and ranges
+    save_store writes, raises ValueError naming the path (JSON nested
+    past the recursion limit stays a RecursionError, with the path).
+    Session ids are unique, every session has an event, its events are
+    in time order, and a price is finite, at least 0 and on a buy or
     basketview event, as in a log. Each event takes its session's ids,
     and session_fields derives each session's label and usable flag, as
-    in sessionize. Event fields are checked a column at a time over the
-    whole store, so those checks cost a constant per event.
+    in sessionize. The checks run a column at a time, so they cost a
+    constant per event.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -393,54 +437,88 @@ def load_store(path) -> SessionStore:
         raise ValueError(f"{path}: malformed session store: {exc}") from None
 
 
+def _decode(doc: dict, name: str, table: str) -> list:
+    """Column name with each index replaced by table's entry at it."""
+    entry = dict(enumerate(doc[table]))
+    entry[None] = None
+    try:
+        return list(map(entry.__getitem__, doc[name]))
+    except KeyError as exc:
+        raise ValueError(f"'{name}' index {exc.args[0]} lies outside the {len(doc[table])} entries of "
+                         f"'{table}'") from None
+
+
 def _read_sessions(doc: dict) -> SessionStore:
-    dropped = doc.get("duplicates_dropped", 0)
+    if doc.keys() != _STORE_KEYS:
+        raise ValueError(f"the store must be an object with keys {sorted(_STORE_KEYS)}")
+    dropped = doc["duplicates_dropped"]
     if type(dropped) is not int or dropped < 0:
         raise ValueError(f"'duplicates_dropped' must be a nonnegative int, got {dropped!r}")
-    records = doc.get("sessions")
-    if not isinstance(records, list):
-        raise ValueError("'sessions' must be a list")
-    sessions: dict[str, Session] = {}
-    all_events: list[RawEvent] = []
-    starts: list[int] = []
-    for n, rec in enumerate(records):
-        if not isinstance(rec, dict) or rec.keys() != _SESSION_KEYS:
-            raise ValueError(f"session {n} must be an object with keys {sorted(_SESSION_KEYS)}")
-        sid, uid = rec["session_id"], rec["user_id"]
-        if not (type(sid) is str and type(uid) is str and type(rec["events"]) is list):
+    for name in ("strings", "event_types", *_SESSION_COLUMNS, *_COLUMN_TYPES):
+        if type(doc[name]) is not list:
+            raise ValueError(f"'{name}' must be a list")
+    sids, uids, counts = (doc[name] for name in _SESSION_COLUMNS)
+    for name in _SESSION_COLUMNS[1:]:
+        if len(doc[name]) != len(sids):
+            raise ValueError(f"'{name}' holds {len(doc[name])} sessions, but 'session_id' holds {len(sids)}")
+    seen: set[str] = set()
+    for n, (sid, uid, count) in enumerate(zip(sids, uids, counts)):
+        if not (type(sid) is str and type(uid) is str and type(count) is int):
             raise ValueError(f"session {n} has a field of the wrong type")
-        if sid in sessions:
+        if sid in seen:
             raise ValueError(f"session {sid!r} appears twice")
-        try:
-            events = [RawEvent(uid, sid, **ev) for ev in rec["events"]]
-        except TypeError as exc:
-            raise ValueError(f"session {sid!r} has a malformed event: {exc}") from None
-        if not events:
+        if count < 1:
             raise ValueError(f"session {sid!r} has no events")
-        starts.append(len(all_events))
-        all_events += events
-        sessions[sid] = Session(sid, uid, events, *session_fields(events))
-    if all_events:
-        columns = dict(zip(RawEvent._fields, zip(*all_events)))
-        for name, allowed in _EVENT_FIELD_TYPES.items():
-            wrong = set(map(type, columns[name])) - allowed
-            if wrong:
-                raise ValueError(f"event field '{name}' has type {min(t.__name__ for t in wrong)}")
-        stamps, types = columns["timestamp"], set(columns["event_type"])
-        if min(stamps) < 0 or max(stamps) > MAX_TIMESTAMP_MS:
-            raise ValueError(f"event timestamps must lie in [0, {MAX_TIMESTAMP_MS}]")
-        if not types <= EVENT_TYPES:
-            raise ValueError(f"unknown event_type '{min(types - EVENT_TYPES)}'")
-        priced = {t for t, p in zip(columns["event_type"], columns["price"]) if p is not None}
-        if not priced <= PRICED_EVENT_TYPES:
-            raise ValueError(f"price not allowed on '{min(priced - PRICED_EVENT_TYPES)}' events")
-        # false for NaN; the upper bound also refuses infinity and any int too large to become a float
-        if not all(0 <= p <= sys.float_info.max for p in columns["price"] if p is not None):
-            raise ValueError("event prices must be finite and at least 0")
-        step = np.diff(np.array(stamps, dtype=np.int64))
-        step[np.array(starts[1:], dtype=np.int64) - 1] = 0  # a session may start before the last one ends
-        back = np.flatnonzero(step < 0)
-        if back.size:
-            sid = list(sessions)[np.searchsorted(starts, back[0], side="right") - 1]
-            raise ValueError(f"session {sid!r} has events out of time order")
+        seen.add(sid)
+    total = sum(counts)
+    for name, allowed in _COLUMN_TYPES.items():
+        if len(doc[name]) != total:
+            raise ValueError(f"'{name}' holds {len(doc[name])} events, but 'n_events' sums to {total}")
+        wrong = set(map(type, doc[name])) - allowed
+        if wrong:
+            raise ValueError(f"event column '{name}' has type {min(t.__name__ for t in wrong)}")
+    types = _decode(doc, "event_type", "event_types")
+    items, categories, descriptions = (_decode(doc, name, "strings") for name in ("item_id", "category_id",
+                                                                                   "description"))
+    for table, columns in (("event_types", ["event_type"]), ("strings", ["item_id", "category_id", "description"])):
+        at = next((i for i, s in enumerate(doc[table]) if type(s) is not str), None)
+        if at is not None:
+            kind = type(doc[table][at]).__name__
+            name = next((name for name in columns if at in doc[name]), None)
+            raise ValueError(f"event field '{name}' has type {kind}" if name else
+                             f"'{table}' entry {at} has type {kind}")
+    try:
+        stamps = np.array(doc["timestamp"], dtype=np.int64)
+    except OverflowError:  # an int past int64 lies past MAX_TIMESTAMP_MS too
+        stamps = None
+    if stamps is None or stamps.size and (stamps.min() < 0 or stamps.max() > MAX_TIMESTAMP_MS):
+        raise ValueError(f"event timestamps must lie in [0, {MAX_TIMESTAMP_MS}]")
+    unknown = set(doc["event_types"]) - EVENT_TYPES
+    if unknown:
+        raise ValueError(f"unknown event_type '{min(unknown)}'")
+    prices = doc["price"]
+    priced = [i for i, p in enumerate(prices) if p is not None]
+    unpriced = {types[i] for i in priced} - PRICED_EVENT_TYPES
+    if unpriced:
+        raise ValueError(f"price not allowed on '{min(unpriced)}' events")
+    # false for NaN; the upper bound also refuses infinity and any int too large to become a float
+    if not all(0 <= prices[i] <= sys.float_info.max for i in priced):
+        raise ValueError("event prices must be finite and at least 0")
+    if not sids:
+        return SessionStore({}, dropped)
+    starts = np.cumsum([0, *counts[:-1]])
+    step = np.diff(stamps)
+    step[starts[1:] - 1] = 0  # a session may start before the last one ends
+    back = np.flatnonzero(step < 0)
+    if back.size:
+        raise ValueError(f"session {sids[np.searchsorted(starts, back[0], side='right') - 1]!r} has events out of "
+                         "time order")
+    events = list(map(RawEvent._make, zip(
+        chain.from_iterable(map(repeat, uids, counts)), chain.from_iterable(map(repeat, sids, counts)),
+        doc["timestamp"], types, items, categories, prices, descriptions,
+    )))
+    sessions: dict[str, Session] = {}
+    for sid, uid, start, end in zip(sids, uids, starts.tolist(), accumulate(counts)):
+        own = events[start:end]
+        sessions[sid] = Session(sid, uid, own, *session_fields(own))
     return SessionStore(sessions, dropped)

@@ -2,15 +2,18 @@
 NMF projection.
 
 parse_events_loads reads a log the way the package first did: one
-json.loads per stripped line, each string field its own object.
+json.loads per stripped line, each string field its own object, once
+nesting_depth_loop, walking the line one character at a time, finds it
+no deeper than MAX_LINE_DEPTH.
 ingest.parse_events must give equal events (each value of the same type
 and repr) and the same (line_no, reason) list.
 
-save_store_dump writes a session store the way the package first did:
-build the whole document, then json.dump it with sorted keys and no
-whitespace. nmf_transform_loop projects rows onto a fixed H with the
-package's first loop, which forms V @ H.T and W @ H afresh for every
-update and every error. nmf_factorize_loop is the package's first
+save_store_dump writes a session store in store version 3's column
+layout, one event at a time, each index found by list.index: build the
+whole document, then json.dump it with sorted keys and no whitespace.
+nmf_transform_loop projects rows onto a fixed H with the package's first
+loop, which forms V @ H.T and W @ H afresh for every update and every
+error. nmf_factorize_loop is the package's first
 factorization loop. Both take the residual norm in residual_norm_temps,
 the first form, which makes V - W H and its square as two new arrays.
 ingest.save_store, nmf.nmf_transform and nmf.nmf_factorize must match
@@ -24,9 +27,38 @@ import json
 
 import numpy as np
 
-from buyintent.ingest import STORE_FORMAT, STORE_VERSION, ParseIssue, ParseResult, RawEvent, _validate_event
+from buyintent.ingest import (
+    MAX_LINE_DEPTH,
+    STORE_FORMAT,
+    STORE_VERSION,
+    ParseIssue,
+    ParseResult,
+    RawEvent,
+    _validate_event,
+)
 from buyintent.nmf import EPS, NmfFactors, _init_factors
 from buyintent.util import as_rng
+
+
+def nesting_depth_loop(line: str) -> int:
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in line:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
 
 
 def parse_events_loads(stream) -> ParseResult:
@@ -44,13 +76,13 @@ def parse_events_loads(stream) -> ParseResult:
         line = raw.strip()
         if not line:
             continue
+        if nesting_depth_loop(line) > MAX_LINE_DEPTH:
+            errors.append(ParseIssue(line_no, f"invalid JSON: nested more than {MAX_LINE_DEPTH} levels deep"))
+            continue
         try:
             obj = json.loads(line)
         except ValueError as exc:
             errors.append(ParseIssue(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
-            continue
-        except RecursionError:
-            errors.append(ParseIssue(line_no, "invalid JSON: nested too deeply"))
             continue
         if not isinstance(obj, dict):
             errors.append(ParseIssue(line_no, "line is not a JSON object"))
@@ -75,29 +107,32 @@ def parse_events_loads(stream) -> ParseResult:
 
 
 def save_store_dump(store, path) -> None:
+    sessions = store.ordered_sessions()
+    strings = sorted({v for s in sessions for e in s.events for v in (e.item_id, e.category_id, e.description)
+                      if v is not None})
+    event_types = sorted({e.event_type for s in sessions for e in s.events})
     doc = {
         "format": STORE_FORMAT,
         "version": STORE_VERSION,
         "duplicates_dropped": store.duplicates_dropped,
-        "sessions": [
-            {
-                "session_id": s.session_id,
-                "user_id": s.user_id,
-                "events": [
-                    {
-                        "timestamp": e.timestamp,
-                        "event_type": e.event_type,
-                        "item_id": e.item_id,
-                        "category_id": e.category_id,
-                        "price": e.price,
-                        "description": e.description,
-                    }
-                    for e in s.events
-                ],
-            }
-            for s in store.ordered_sessions()
-        ],
+        "strings": strings,
+        "event_types": event_types,
+        "session_id": [],
+        "user_id": [],
+        "n_events": [],
+        **{name: [] for name in ("timestamp", "event_type", "item_id", "category_id", "price", "description")},
     }
+    for s in sessions:
+        doc["session_id"].append(s.session_id)
+        doc["user_id"].append(s.user_id)
+        doc["n_events"].append(len(s.events))
+        for e in s.events:
+            doc["timestamp"].append(e.timestamp)
+            doc["event_type"].append(event_types.index(e.event_type))
+            doc["price"].append(e.price)
+            for name in ("item_id", "category_id", "description"):
+                value = getattr(e, name)
+                doc[name].append(None if value is None else strings.index(value))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")

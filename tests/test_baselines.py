@@ -291,11 +291,12 @@ class TestDecisionTree:
         assert (forest_scores(one_tree(tree, 1), ds.rows) == ds.labels).all()
 
     def test_threshold_sending_every_row_one_way_ends_the_branch(self):
-        # The midpoint of 0.15 and the next double rounds up to the larger,
-        # so the root's left child holds 0.15 and two of the next double,
-        # and its best threshold sends all three left. A grower that took
-        # that split grew the same node for ever, so a fresh interpreter
-        # runs it under a timeout.
+        # The midpoint of 0.15 and the next double rounds up to the larger.
+        # A threshold at that midpoint sent all three rows of the root's
+        # left child left, and a grower that took that split grew the same
+        # node for ever, so a fresh interpreter runs it under a timeout.
+        # The threshold is now 0.15 itself: the root makes the split it
+        # scored, and both children are pure.
         src = str(Path(baselines.__file__).resolve().parents[1])
         code = (
             "import json, numpy as np\n"
@@ -313,22 +314,27 @@ class TestDecisionTree:
         assert ran.returncode == 0, ran.stderr
         assert json.loads(ran.stdout) == {
             "feature": [0, -1, -1],
-            "threshold": [0.15000000000000002, 0.0, 0.0],
+            "threshold": [0.15, 0.0, 0.0],
             "left": [1, -1, -1],
             "right": [2, -1, -1],
-            "n_pos": [3, 2, 1],
-            "n_total": [4, 3, 1],
+            "n_pos": [3, 0, 3],
+            "n_total": [4, 1, 3],
         }
 
     def test_threshold_sending_every_row_one_way_leaves_no_empty_leaf(self):
-        # The root's only split sends every row left; a grower that took it
-        # kept an empty right leaf, which no saved tree may hold and no
-        # score may divide by.
+        # A threshold at the rounded-up midpoint sent every row of the root
+        # left, and a grower that took it kept an empty right leaf, which
+        # no saved tree may hold and no score may divide by. At 0.15 the
+        # root splits the two values apart; its left child, whose one
+        # drawn feature is constant there, stays a leaf.
         X = np.array([[0.15, 0], [0.15000000000000002, 1], [0.15000000000000002, 0], [0.15, 1]])
         forest = train_forest(make_ds(X, [0, 1, 0, 1]), n_trees=1, mtry=1, seed=0, bootstrap=False)
-        assert forest.trees[0].to_dict() == leaf_tree(2, 4).to_dict()
+        tree = forest.trees[0]
+        assert (tree.feature, tree.threshold) == ([0, -1, 1, -1, -1], [0.15, 0.0, 0.5, 0.0, 0.0])
+        assert (tree.n_pos, tree.n_total) == ([2, 1, 1, 0, 1], [4, 2, 2, 1, 1])
         clone = Forest.from_dict(json.loads(json.dumps(forest.to_dict())))
-        assert forest_scores(clone, X).tobytes() == forest_scores_walk(forest, X).tobytes() == np.full(4, 0.5).tobytes()
+        expected = np.array([0.5, 1.0, 0.0, 0.5]).tobytes()
+        assert forest_scores(clone, X).tobytes() == forest_scores_walk(forest, X).tobytes() == expected
 
     def test_default_mtry_is_sqrt_rounded_up(self):
         assert default_mtry(4) == 2
@@ -527,13 +533,12 @@ class TestAgainstScalarOracles:
         assert len(splits) == len(nodes)
         for (rows, feats), split in zip(nodes, splits):
             best = best_split_loop(X[rows], y[rows], np.sort(feats))
-            if best is not None and len(set(X[rows, best[1]] <= best[2])) == 1:
-                best = None  # its threshold sends every row to one side
             assert split_bits(split) == split_bits(best)
             if split is not None:
                 _, f, thr, (left, left_pos), (right, right_pos) = split
                 assert [type(v) for v in split[:3]] == [float, int, float]
                 goes_left = X[rows, f] <= thr
+                assert goes_left.any() and not goes_left.all()
                 assert sorted(left) == sorted(rows[goes_left]) and sorted(right) == sorted(rows[~goes_left])
                 assert (left_pos, right_pos) == (y[left].sum(), y[right].sum())
 

@@ -8,6 +8,7 @@ structured error path, and byte-identical reruns.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -498,38 +499,49 @@ def test_balancing_a_store_without_buys_names_the_store_and_counts(work, tmp_pat
     }
 
 
-def _has_buy(rec) -> bool:
-    return any(e["event_type"] == "buy" for e in rec["events"])
+EVENT_COLUMNS = ("timestamp", "event_type", "item_id", "category_id", "price", "description")
+
+
+def _session_events(doc) -> list[tuple[str, slice]]:
+    """Each session's id and the slice of the event columns its events fill."""
+    ends = itertools.accumulate(doc["n_events"])
+    return [(sid, slice(end - n, end)) for sid, n, end in zip(doc["session_id"], doc["n_events"], ends)]
+
+
+def _usable_sessions(doc) -> list[tuple[str, slice]]:
+    """_session_events of the sessions with an event that is not a buy."""
+    buy = doc["event_types"].index("buy")
+    return [(sid, events) for sid, events in _session_events(doc) if any(c != buy for c in doc["event_type"][events])]
 
 
 def _corrupt(doc, probe):
     """The store document doc with one malformation."""
-    first = doc["sessions"][0]
-    basketview = next(e for rec in doc["sessions"] for e in rec["events"] if e["event_type"] == "basketview")
+    first = _session_events(doc)[0][1]
+    basketview = doc["event_type"].index(doc["event_types"].index("basketview"))
     if probe == "extra-event-key":
-        first["events"][0]["extra"] = 1
+        doc["extra"] = [1] * len(doc["timestamp"])
     elif probe == "missing-timestamp":
-        del first["events"][0]["timestamp"]
+        del doc["timestamp"]
     elif probe == "sessions-not-a-list":
-        doc["sessions"] = 5
+        doc["session_id"] = 5
     elif probe == "top-level-list":
         return [doc]
     elif probe == "usable-session-without-events":
-        usable = next(rec for rec in doc["sessions"] if any(e["event_type"] != "buy" for e in rec["events"]))
-        usable["events"] = []
+        sid, events = _usable_sessions(doc)[0]
+        for name in EVENT_COLUMNS:
+            del doc[name][events]
+        doc["n_events"][doc["session_id"].index(sid)] = 0
     elif probe == "string-timestamp":
-        first["events"][0]["timestamp"] = str(first["events"][0]["timestamp"])
+        doc["timestamp"][0] = str(doc["timestamp"][0])
     elif probe == "repeated-session":
-        doc["sessions"].append(first)
+        doc["session_id"][1] = doc["session_id"][0]
     elif probe == "reversed-events":
-        first["events"].reverse()
-    elif probe == "event-with-its-session-id":
-        non_buy = next(rec for rec in doc["sessions"] if not _has_buy(rec))
-        non_buy["events"][0]["session_id"] = non_buy["session_id"]
+        for name in EVENT_COLUMNS:
+            doc[name][first] = doc[name][first][::-1]
     elif probe == "negative-price":
-        basketview["price"] = -5.0
+        doc["price"][basketview] = -5.0
     elif probe == "nan-price":
-        basketview["price"] = math.nan
+        doc["price"][basketview] = math.nan
     return doc
 
 
@@ -537,13 +549,13 @@ def _corrupt(doc, probe):
     "probe",
     ["extra-event-key", "missing-timestamp", "sessions-not-a-list", "top-level-list",
      "usable-session-without-events", "string-timestamp", "repeated-session", "reversed-events",
-     "event-with-its-session-id", "negative-price", "nan-price"],
+     "negative-price", "nan-price"],
 )
 def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     bad = tmp_path / "bad.store.json"
     doc = json.loads(work["store"].read_text())
-    first_sid = doc["sessions"][0]["session_id"]
-    non_buy_sid = next(rec["session_id"] for rec in doc["sessions"] if not _has_buy(rec))
+    sessions = _session_events(doc)
+    usable_sid = _usable_sessions(doc)[0][0]
     bad.write_text(json.dumps(_corrupt(doc, probe)))
     out = tmp_path / "bad.bin"
     rc, _, err = run_cli(
@@ -556,10 +568,11 @@ def test_malformed_store_is_a_structured_error(work, tmp_path, probe):
     assert error["error"] == "ValueError"
     assert error["detail"].startswith(f"{bad}: ")
     if probe == "reversed-events":
-        assert f"session {first_sid!r}" in error["detail"]
-    if probe == "event-with-its-session-id":
-        assert f"session {non_buy_sid!r} has a malformed event: " in error["detail"]
-        assert error["detail"].endswith("got multiple values for argument 'session_id'")
+        assert f"session {sessions[0][0]!r} has events out of time order" in error["detail"]
+    if probe == "usable-session-without-events":
+        assert error["detail"] == f"{bad}: malformed session store: session {usable_sid!r} has no events"
+    if probe == "repeated-session":
+        assert error["detail"] == f"{bad}: malformed session store: session {sessions[0][0]!r} appears twice"
     if probe in ("negative-price", "nan-price"):
         assert error["detail"] == f"{bad}: malformed session store: event prices must be finite and at least 0"
     assert not out.exists()
@@ -1531,16 +1544,17 @@ class TestPipelineReproducibility:
 # sha256 of ingest -> featurize outputs on two small corpora, under each
 # scheme with and without balancing, computed at a4c6325 (before the
 # one-pass featurizer), the stores again for store version 2, which holds
-# each id and label once; a change to the store writer, the features or
-# the dataset writer that moves a byte fails here.
+# each id and label once, and again for store version 3, laid out by
+# column with each string once; a change to the store writer, the
+# features or the dataset writer that moves a byte fails here.
 GOLDEN_CORPORA = {
     "linear-2w": SYNTH_FLAGS,
     "nonlinear-3w": ["--users", "200", "--categories", "40", "--buy-rate", "0.1", "--signal", "0.8",
                      "--nonlinear", "--weeks", "3", "--seed", "3"],
 }
 GOLDEN_STORE_SHA256 = {
-    "linear-2w": "f6de844f38e93cc1f62378cf3373aa12074b881e34723626cb13f2ceb904529c",
-    "nonlinear-3w": "566009d107e0dbedfa56c3b36770f3e049d3ce6966fd52fe532c389668381e9e",
+    "linear-2w": "5612b2a8882f777d361f579fac9f61a7ced7a8d3d97bc30b5d448b7be0d6b7a1",
+    "nonlinear-3w": "57d39ceeb939ac107fb29a06d220b47dd385b808d2921b56e49695b4741b31ee",
 }
 # (corpus, scheme, --balance-seed) -> sha256 of the .dataset and its .meta.json
 GOLDEN_FEATURIZE_SHA256 = {

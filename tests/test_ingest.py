@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from buyintent.ingest import (
     AD_EVENT_TYPES,
     EVENT_TYPES,
+    MAX_LINE_DEPTH,
     MAX_TIMESTAMP_MS,
     MS_PER_HOUR,
     ParseResult,
@@ -32,6 +33,7 @@ from buyintent.ingest import (
 from io_oracles import parse_events_loads, save_store_dump
 
 DAY = 24 * MS_PER_HOUR
+TOO_DEEP = f"invalid JSON: nested more than {MAX_LINE_DEPTH} levels deep"
 
 
 def ev(user="u1", sid="s1", ts=0, etype="pageview", item="i1", **kw):
@@ -107,8 +109,9 @@ ORACLE_LINE = st.one_of(
     ).map(b"".join),
     st.sampled_from([
         b"", b"   ", b"\t\r", b"9" * 5000, b'{"user_id": ' + b"7" * 5000 + b"}", b"[" * 5000,
-        b'{"a": ' * 3000, b"[" * 20 + b"]" * 20, b"\xff\xfe", b"\xc3\x28", b"\xed\xa0\x80", b"[1, 2]",
-        b'"str"', b"null", b"nul", b"1e400", b"{}", b"{} {}", b'{"a": 1}x', b"{broken", b'{"a": "\\ud800"}',
+        b'{"a": ' * 3000, b"[" * 20 + b"]" * 20, b"[" * 100 + b"]" * 100, b"[" * 101 + b"]" * 101,
+        b'{"a": "' + b"[" * 300 + b'"}', b'["\\"' + b"{" * 200 + b'"]', b"\xff\xfe", b"\xc3\x28", b"\xed\xa0\x80",
+        b"[1, 2]", b'"str"', b"null", b"nul", b"1e400", b"{}", b"{} {}", b'{"a": 1}x', b"{broken", b'{"a": "\\ud800"}',
     ]),
     st.binary(max_size=20).map(lambda line: line.replace(b"\n", b" ")),
 )
@@ -144,7 +147,29 @@ class TestParseEvents:
         text = lines(base_obj(timestamp=1)) + "[" * 100_000 + "\n" + lines(base_obj(timestamp=2))
         result = parse_events(text.splitlines(True))
         assert [e.timestamp for e in result.events] == [1, 2]
-        assert [(e.line_no, e.reason) for e in result.errors] == [(2, "invalid JSON: nested too deeply")]
+        assert [(e.line_no, e.reason) for e in result.errors] == [(2, TOO_DEEP)]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("[" * 900 + "]" * 900, TOO_DEEP),
+            ("[" * (MAX_LINE_DEPTH + 1) + "]" * (MAX_LINE_DEPTH + 1), TOO_DEEP),
+            ("[" * MAX_LINE_DEPTH + "]" * MAX_LINE_DEPTH, "line is not a JSON object"),
+            ('{"a": ' * MAX_LINE_DEPTH + "1" + "}" * MAX_LINE_DEPTH, "missing required field 'user_id'"),
+            (json.dumps(base_obj(description="[{" * 600 + '"')), None),
+        ],
+        ids=["900-levels", "one-past-the-limit", "at-the-limit", "objects-at-the-limit", "brackets-in-a-string"],
+    )
+    def test_verdict_does_not_depend_on_the_callers_stack(self, line, reason):
+        # The decoder's recursion budget shrinks as the caller's stack
+        # grows; a line's verdict must not.
+        def parse_from_depth(frames):
+            return parse_events([line]) if frames == 0 else parse_from_depth(frames - 1)
+
+        for frames in (0, 300):
+            result = parse_from_depth(frames)
+            assert [(e.line_no, e.reason) for e in result.errors] == ([] if reason is None else [(1, reason)])
+            assert len(result.events) == (reason is None)
 
     def test_missing_field(self):
         obj = base_obj()
@@ -557,6 +582,46 @@ class TestStorePersistence:
 
     @settings(max_examples=100, deadline=None)
     @given(
+        st.dictionaries(
+            TEXT,
+            st.tuples(
+                TEXT,
+                st.lists(
+                    st.tuples(
+                        st.integers(0, MAX_TIMESTAMP_MS),
+                        st.sampled_from(sorted(EVENT_TYPES - AD_EVENT_TYPES)),
+                        TEXT,
+                        st.none() | TEXT,
+                        st.none() | st.sampled_from([0, 0.0, -0.0, 1e-7, 1e16]) | st.floats(0, allow_infinity=False),
+                        st.none() | TEXT,
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            ),
+            max_size=5,
+        ),
+        st.integers(1, 4) | st.just(10**6),
+    )
+    def test_round_trip_keeps_sessions_events_label_and_usable(self, tmp_path_factory, drawn, horizon_h):
+        # Ingest's own steps give every store load_store accepts: buy
+        # sessions that the window leaves unusable, and an int price.
+        events = [
+            ev(user=uid, sid=sid, ts=ts, etype=etype, item=item, category_id=cat, description=desc,
+               price=price if etype in ("buy", "basketview") else None)
+            for sid, (uid, rows) in drawn.items()
+            for ts, etype, item, cat, price, desc in rows
+        ]
+        store = apply_prediction_window(sessionize(events), horizon_h * MS_PER_HOUR)
+        path = tmp_path_factory.mktemp("stores") / "store.json"
+        save_store(store, path)
+        reloaded = load_store(path)
+        assert reloaded.duplicates_dropped == store.duplicates_dropped
+        assert [(s.session_id, s.user_id, s.label, s.usable, _typed(s.events)) for s in reloaded.ordered_sessions()] \
+            == [(s.session_id, s.user_id, s.label, s.usable, _typed(s.events)) for s in store.ordered_sessions()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
         st.lists(
             st.builds(
                 Session,
@@ -614,6 +679,18 @@ class TestStorePersistence:
             load_store(path)
         assert str(excinfo.value) == f"{path}: unsupported store version 1"
 
+    def test_version_2_store_is_refused(self, tmp_path):
+        # the row layout stores version 2 wrote: one record per session
+        path = tmp_path / "store.json"
+        event = {"timestamp": 1000, "event_type": "pageview", "item_id": "i1", "category_id": None, "price": None,
+                 "description": None}
+        path.write_text(json.dumps({"duplicates_dropped": 0, "format": "buyintent-store",
+                                    "sessions": [{"session_id": "s1", "user_id": "u1", "events": [event]}],
+                                    "version": 2}))
+        with pytest.raises(ValueError) as excinfo:
+            load_store(path)
+        assert str(excinfo.value) == f"{path}: unsupported store version 2"
+
     @pytest.mark.parametrize(
         "where, key, value, named",
         [
@@ -621,8 +698,6 @@ class TestStorePersistence:
             ("session", "events", {}, "wrong type"),
             ("session", "extra", 1, "must be an object with keys"),
             ("session", "label", "buy", "must be an object with keys"),
-            ("event", "session_id", "zzz", "has a malformed event"),
-            ("event", "user_id", "uzzz", "has a malformed event"),
             ("event", "event_type", "click", "unknown event_type 'click'"),
             ("event", "timestamp", -1, "timestamps must lie in"),
             ("event", "timestamp", MAX_TIMESTAMP_MS + 1, "timestamps must lie in"),
@@ -631,15 +706,52 @@ class TestStorePersistence:
             ("event", "category_id", 3, "'category_id' has type int"),
             ("event", "description", ["red"], "'description' has type list"),
             ("event", "price", 2.5, "price not allowed on 'pageview' events"),
+            ("column", "price", "short", "'price' holds 2 events, but 'n_events' sums to 3"),
+            ("column", "n_events", 1, "'timestamp' holds 3 events, but 'n_events' sums to 2"),
+            ("column", "n_events", 0, "session 's1' has no events"),
+            ("column", "user_id", "short", "'user_id' holds 1 sessions, but 'session_id' holds 2"),
+            ("column", "session_id", "s2", "session 's2' appears twice"),
+            ("column", "item_id", -1, "'item_id' index -1 lies outside the 3 entries of 'strings'"),
+            ("column", "item_id", True, "'item_id' has type bool"),
+            ("column", "item_id", 3, "'item_id' index 3 lies outside the 3 entries of 'strings'"),
+            ("column", "category_id", 2.0, "'category_id' has type float"),
+            ("column", "event_type", 1, "'event_type' index 1 lies outside the 1 entries of 'event_types'"),
+            ("column", "event_type", -1, "'event_type' index -1 lies outside"),
+            ("column", "strings", 7, "'strings' entry 3 has type int"),
+            ("column", "item_id", None, "'item_id' has type NoneType"),
+            ("column", "timestamp", 10**30, "timestamps must lie in"),
         ],
     )
     def test_malformed_record_names_the_file(self, tmp_path, where, key, value, named):
+        # Store version 3 keeps each v2 record field in a column. A
+        # "session" case sets session s1's entry of its column (n_events
+        # counts its events), or adds a key the store does not have. An
+        # "event" case gives every event the value: a string field and the
+        # event type through the strings and event_types tables. A
+        # "column" case sets a column's first entry, appends to a table, or
+        # drops a column's last entry ("short").
         path = tmp_path / "store.json"
-        save_store(sessionize([ev(sid="s1", ts=0), ev(sid="s1", ts=1000, item="B")]), path)
+        save_store(sessionize([ev(sid="s1", ts=0), ev(sid="s1", ts=1000, item="B"), ev(sid="s2", item="C")]), path)
         doc = json.loads(path.read_text())
-        session = doc["sessions"][0]
-        for rec in [session] if where == "session" else session["events"]:
-            rec[key] = value
+        n_events = len(doc["timestamp"])
+        if where == "session":
+            key = "n_events" if key == "events" else key
+            if key in doc:
+                doc[key][0] = value
+            else:
+                doc[key] = value
+        elif where == "event":
+            table = {"event_type": "event_types", "price": None, "timestamp": None}.get(key, "strings")
+            if table:
+                doc[table].append(value)
+                value = len(doc[table]) - 1
+            doc[key] = [value] * n_events
+        elif value == "short":
+            doc[key].pop()
+        elif key in ("strings", "event_types"):
+            doc[key].append(value)
+        else:
+            doc[key][0] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="malformed session store") as excinfo:
             load_store(path)
@@ -662,7 +774,7 @@ class TestStorePersistence:
         path = tmp_path / "store.json"
         save_store(sessionize([ev(ts=0), ev(ts=1, etype="basketview", price=2.5)]), path)
         doc = json.loads(path.read_text())
-        doc["sessions"][0]["events"][1]["price"] = price
+        doc["price"][1] = price
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as excinfo:
             load_store(path)
@@ -673,9 +785,13 @@ class TestStorePersistence:
         buys = [ev(user="u2", sid="s2", ts=5, etype="buy", item="ix", price=1)]
         save_store(sessionize([ev(ts=0), ev(ts=1, etype="basketview", price=0.5), *buys]), path)
         doc = json.loads(path.read_text())
-        assert [sorted(rec) for rec in doc["sessions"]] == [["events", "session_id", "user_id"]] * 2
-        assert sorted(doc["sessions"][0]["events"][0]) == [
-            "category_id", "description", "event_type", "item_id", "price", "timestamp"]
+        assert doc == {
+            "format": "buyintent-store", "version": 3, "duplicates_dropped": 0,
+            "strings": ["i1", "ix"], "event_types": ["basketview", "buy", "pageview"],
+            "session_id": ["s1", "s2"], "user_id": ["u1", "u2"], "n_events": [2, 1],
+            "timestamp": [0, 1, 5], "event_type": [2, 0, 1], "item_id": [0, 0, 1],
+            "category_id": [None] * 3, "description": [None] * 3, "price": [None, 0.5, 1],
+        }
         store = load_store(path)
         assert [(s.session_id, s.user_id, s.label, s.usable) for s in store.ordered_sessions()] == [
             ("s1", "u1", "non_buy", True), ("s2", "u2", "buy", False)]

@@ -8,8 +8,9 @@ forest_scores_walk averages one row's per-tree probabilities with
 np.mean. The package's batched split search (several nodes per call),
 lockstep grower (every tree of a forest grown together) and stacked
 level-by-level scorer (every tree of a forest walked together) must
-match them bit for bit. Both growers leave a node a leaf when its best
-threshold sends every row to one side.
+match them bit for bit. A threshold is the midpoint of the two values
+either side of its boundary, or the lower value where the midpoint is
+not strictly between them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def best_split_loop(X, y, feature_ids):
             right_pos = int(pos_prefix[-1]) - left_pos
             score = (i * gini(left_pos, i) + (n - i) * gini(right_pos, n - i)) / n
             if best is None or score < best[0]:
-                thr = (xs_sorted[i - 1] + xs_sorted[i]) / 2.0
-                best = (score, int(f), float(thr))
+                lo, hi = xs_sorted[i - 1], xs_sorted[i]
+                thr = (lo + hi) / 2.0
+                best = (score, int(f), float(thr if lo < thr < hi else lo))
     return best
 
 
@@ -58,8 +60,6 @@ def grow_recursive(X, y, mtry: int, rng) -> dict:
         return node
     _, f, thr = best
     mask = X[:, f] <= thr
-    if mask.all() or not mask.any():
-        return node
     node["feature"] = f
     node["threshold"] = thr
     node["left"] = grow_recursive(X[mask], y[mask], mtry, rng)

@@ -20,9 +20,13 @@ file the stage wrote but its manifest (which holds wall-clock times)
 had the same sha256 on both sides of every pair, and names each file
 that did not.
 
-The entry goes under the `chain` key of the output file; the file's
-other keys (bench_pairs.py's `workloads`) are kept. The script exits 1
-if a stage fails or a stage's outputs differ between the trees.
+A change that alters an output's format on purpose declares each such
+file with `--expect-differ STAGE:FILE` (repeatable, FILE relative to the
+chain's directory, such as `ingest:store.json`). The entry goes under
+the `chain` key of the output file; the file's other keys
+(bench_pairs.py's `workloads`) are kept. The script exits 1 if a stage
+fails, if a file differs between the trees in some pair without being
+declared, or if a declared file does not differ in every pair.
 """
 
 from __future__ import annotations
@@ -107,18 +111,29 @@ def summarize(values: dict[str, list[float]]) -> dict:
     }
 
 
+def stage_file(text: str) -> tuple[str, str]:
+    """STAGE:FILE as (stage, file), the stage one of the chain's."""
+    stage, sep, path = text.partition(":")
+    if not sep or not path or stage not in [name for name, _ in stages(0)]:
+        raise argparse.ArgumentTypeError(f"expected STAGE:FILE with STAGE a chain stage, got {text!r}")
+    return stage, path
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_tree")
     parser.add_argument("change_tree")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="inclusive range, e.g. 1-3")
     parser.add_argument("--out", required=True, help="JSON file to write, such as BENCH_<n>.json")
+    parser.add_argument("--expect-differ", type=stage_file, action="append", default=[], metavar="STAGE:FILE",
+                        help="a file the change tree writes with other bytes on purpose; repeatable")
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent_tree, "change": args.change_tree}
     names = [name for name, _ in stages(0)]
     runs = {name: {m: {side: [] for side in SIDES} for m in ("wall_s", "peak_rss_mb")} for name in names}
     mismatches = {name: [] for name in names}
+    undeclared, unchanged = [], []  # files that differed undeclared, and declared files that did not differ
     for k, seed in enumerate(args.seeds):
         written = {}
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
@@ -131,12 +146,18 @@ def main(argv=None) -> int:
             ), file=sys.stderr, flush=True)
         for name in names:
             parent, change = written["parent"][name], written["change"][name]
-            mismatches[name] += [f"seed {seed}: {p}" for p in sorted(parent.keys() | change.keys())
-                                 if parent.get(p) != change.get(p)]
+            differ = sorted(p for p in parent.keys() | change.keys() if parent.get(p) != change.get(p))
+            mismatches[name] += [f"seed {seed}: {p}" for p in differ]
+            undeclared += [f"seed {seed}: {name}:{p}" for p in differ if (name, p) not in args.expect_differ]
+            unchanged += [f"seed {seed}: {name}:{p}" for stage, p in args.expect_differ
+                          if stage == name and p not in differ]
 
     entry = {
         "seeds": [args.seeds[0], args.seeds[-1]],
         "pairs": len(args.seeds),
+        "expect_differ": [f"{stage}:{p}" for stage, p in args.expect_differ],
+        "undeclared_differences": undeclared,
+        "declared_but_equal": unchanged,
         "stages": {
             name: {
                 "argv": stages(args.seeds[0])[i][1],
@@ -154,7 +175,7 @@ def main(argv=None) -> int:
     doc["chain"] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 1 if any(mismatches.values()) else 0
+    return 1 if undeclared or unchanged else 0
 
 
 if __name__ == "__main__":
